@@ -73,7 +73,7 @@ def participation(decomposition: SpectralDecomposition) -> ParticipationSeries:
     A uniform eigenvector gives pr = N (every asset contributes); a
     single-asset eigenvector gives pr = 1.
     """
-    ipr = (decomposition.eigenvectors**4).sum(axis=1)
+    ipr = np.square(np.square(decomposition.eigenvectors)).sum(axis=1)
     return ParticipationSeries(
         window_index=decomposition.window_index, ipr=ipr, pr=1.0 / ipr
     )

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 input or configuration error, 3 numerical failure
-(the message names the window and asset involved), 4 I/O error.
+(the message names the window and asset involved), 4 I/O error, 5 a
+null-ensemble worker process died.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .errors import (
     DegenerateWindowError,
     EigenComputationError,
     PanelFormatError,
+    WorkerProcessError,
 )
 from .nulls import NULL_KINDS
 from .panel import ASSET_CLASSES
@@ -80,6 +82,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"corrspectra: I/O error: {exc}", file=sys.stderr)
         return 4
+    except WorkerProcessError as exc:
+        print(f"corrspectra: {exc}", file=sys.stderr)
+        return 5
     print(f"{len(reports)} windows -> {written[0].parent}")
     return 0
 

@@ -67,12 +67,14 @@ def coefficient_moments(matrix: CorrelationMatrix) -> CoefficientMoments:
     coeffs = matrix.values[np.triu_indices(n, k=1)]
     mean = float(coeffs.mean())
     centered = coeffs - mean
-    m2 = float(np.mean(centered**2))
+    # products rather than ** 3 and ** 4, which go through libm pow
+    sq = centered * centered
+    m2 = float(np.mean(sq))
     std = float(np.sqrt(m2))
     if m2 == 0.0:
         return CoefficientMoments(mean=mean, std=0.0, skewness=np.nan, kurtosis=np.nan)
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    m3 = float(np.mean(sq * centered))
+    m4 = float(np.mean(sq * sq))
     return CoefficientMoments(
         mean=mean,
         std=std,

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: input/format problems -> 2,
-window-level numerical failures -> 3, I/O failures -> 4.
+window-level numerical failures -> 3, I/O failures -> 4, a null-ensemble
+worker process that died -> 5.
 """
 
 
@@ -29,3 +30,7 @@ class EigenComputationError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.window_index = window_index
+
+
+class WorkerProcessError(RuntimeError):
+    """A worker process of the null ensemble ended before returning its block."""

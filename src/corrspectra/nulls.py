@@ -14,20 +14,36 @@ so a simulation's stream depends only on (master_seed, s) and growing
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
+import itertools
 import json
 import math
+import os
+import sys
+import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .correlation import corr_from_standardized
+from .errors import WorkerProcessError
 from .panel import AssetMeta, ReturnPanel, standardize_rows
 from .spectral import decompose_symmetric
 
 NULL_KINDS = ("shuffled", "gaussian")
-CACHE_SCHEMA_VERSION = "1"
+CACHE_SCHEMA_VERSION = "2"
+# Sims per unit of work handed to a worker process. Results are reduced
+# per sim in sim-index order, so neither this nor the worker count changes
+# the output.
+ENSEMBLE_BLOCK_SIMS = 250
+# Thread-count variables of the common BLAS builds. Pool workers already
+# occupy every CPU, so each runs BLAS on one thread: more threads per
+# worker oversubscribe the CPUs and run several times slower.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_POOL_ENV_LOCK = threading.Lock()
 
 _SYNTHETIC_EPOCH = dt.date(2000, 1, 7)
 
@@ -199,31 +215,107 @@ def nearest_rank_percentile(values: np.ndarray, pct: float) -> float:
     return float(ordered[rank - 1])
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: the worker count of a null ensemble."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ensemble_block(config: NullConfig, max_rank: int, start: int, stop: int):
+    """Per-sim results for sims start..stop-1 of the ensemble.
+
+    Returns (pr, beta, abs_corr): participation ratios and sorted
+    eigenvalues as (stop - start, N) arrays, and |omega_ki| sqrt(beta_k)
+    for ranks k < max_rank as a (max_rank, stop - start, N) array.
+    """
+    n = config.n_assets
+    pr = np.empty((stop - start, n))
+    beta_rows = np.empty((stop - start, n))
+    abs_corr = np.empty((max_rank, stop - start, n))
+    for row, s in enumerate(range(start, stop)):
+        z_hat = _null_window(sim_rng(config.master_seed, s), config)
+        beta, omega = decompose_symmetric(corr_from_standardized(z_hat), s)
+        # np.square avoids libm pow, which omega**4 goes through
+        pr[row] = 1.0 / np.square(np.square(omega)).sum(axis=1)
+        beta_rows[row] = beta
+        scale = np.sqrt(np.clip(beta[:max_rank], 0.0, None))
+        abs_corr[:, row] = np.abs(omega[:max_rank]) * scale[:, None]
+    return pr, beta_rows, abs_corr
+
+
+@contextlib.contextmanager
+def _block_map(workers: int, n_blocks: int):
+    """`map` over ensemble blocks: in this process, or in a pool of spawned
+    worker processes when there are several blocks and workers."""
+    if n_blocks < 2 or workers < 2:
+        yield map
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Spawned workers take their BLAS thread count from the environment they
+    # inherit, so it is pinned while the pool lives. The lock keeps
+    # concurrent ensembles from restoring each other's values.
+    with _POOL_ENV_LOCK:
+        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            pool = ProcessPoolExecutor(
+                min(workers, n_blocks),
+                mp_context=multiprocessing.get_context("spawn"),
+            )
+            try:
+                yield pool.map
+            except BrokenProcessPool as exc:
+                raise WorkerProcessError(
+                    "a null-ensemble worker process ended abruptly (killed, "
+                    "out of memory, or started from a script without an "
+                    "`if __name__ == \"__main__\":` guard)") from exc
+            finally:
+                # After an error, or Ctrl-C, drop the blocks not yet started
+                # instead of waiting for them. A finished map has none left.
+                pool.shutdown(cancel_futures=True)
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+
+
 def null_ensemble_stats(config: NullConfig, max_rank: int = 0) -> NullEnsembleStats:
     """One Monte Carlo sweep collecting PR, scree, and |r| percentile baselines.
 
     Each simulation generates a single null window, decomposes its
     correlation matrix, and contributes: participation ratios per rank,
     the sorted eigenvalues, and (for ranks <= max_rank) the N absolute
-    asset-component correlations |omega_ki| sqrt(beta_k). Aggregation uses
-    running sums, so results do not depend on iteration order.
+    asset-component correlations |omega_ki| sqrt(beta_k).
+
+    Simulations run in blocks of ENSEMBLE_BLOCK_SIMS. With two or more
+    blocks and CPUs, the blocks run in a pool of spawned processes, one per
+    available CPU. The per-sim results are added up in sim-index order, so
+    the output does not depend on the block size or the worker count.
     """
     n = config.n_assets
     if not 0 <= max_rank <= n:
         raise ValueError(f"max_rank must be in [0, {n}], got {max_rank}")
+    starts = range(0, config.sims, ENSEMBLE_BLOCK_SIMS)
+    stops = [min(start + ENSEMBLE_BLOCK_SIMS, config.sims) for start in starts]
     pr_sum = np.zeros(n)
     pr_sq = np.zeros(n)
     scree_sum = np.zeros(n)
-    pooled = [np.empty((config.sims, n)) for _ in range(max_rank)]
-    for s in range(config.sims):
-        z_hat = _null_window(sim_rng(config.master_seed, s), config)
-        beta, omega = decompose_symmetric(corr_from_standardized(z_hat), s)
-        pr = 1.0 / (omega**4).sum(axis=1)
-        pr_sum += pr
-        pr_sq += pr * pr
-        scree_sum += beta
-        for k in range(max_rank):
-            pooled[k][s] = np.abs(omega[k]) * math.sqrt(max(beta[k], 0.0))
+    pooled = np.empty((max_rank, config.sims, n))
+    with _block_map(available_cpus(), len(starts)) as block_map:
+        blocks = block_map(_ensemble_block, itertools.repeat(config),
+                           itertools.repeat(max_rank), starts, stops)
+        for start, stop, (pr, beta, abs_corr) in zip(starts, stops, blocks):
+            for row in range(stop - start):
+                pr_sum += pr[row]
+                pr_sq += pr[row] * pr[row]
+                scree_sum += beta[row]
+            pooled[:, start:stop] = abs_corr
     pr_mean = pr_sum / config.sims
     pr_var = np.clip(pr_sq / config.sims - pr_mean**2, 0.0, None)
     p99 = np.full(n, np.nan)
@@ -277,9 +369,13 @@ def _stats_to_payload(stats: NullEnsembleStats) -> dict:
 
 def _payload_to_stats(payload: dict, config: NullConfig) -> NullEnsembleStats:
     def arr(key):
-        return np.array(
+        values = np.array(
             [np.nan if v is None else v for v in payload[key]], dtype=float
         )
+        if values.shape != (config.n_assets,):
+            raise ValueError(f"{key} has {values.size} values, "
+                             f"expected {config.n_assets}")
+        return values
 
     return NullEnsembleStats(
         pr_mean=arr("pr_mean"),
@@ -290,36 +386,74 @@ def _payload_to_stats(payload: dict, config: NullConfig) -> NullEnsembleStats:
     )
 
 
+def _warn_cache(cache_path: Path, problem) -> None:
+    print(f"corrspectra: warning: baseline cache {cache_path} is unusable "
+          f"({problem}); recomputing and rewriting it", file=sys.stderr)
+
+
+def _read_cache(cache_path: Path) -> dict:
+    """The cache file's contents, or an empty cache when the file is
+    missing, of another schema version, or unreadable."""
+    empty = {"schema_version": CACHE_SCHEMA_VERSION, "entries": {}}
+    if not cache_path.exists():
+        return empty
+    try:
+        with open(cache_path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as exc:
+        _warn_cache(cache_path, exc)
+        return empty
+    if not isinstance(loaded, dict) or not isinstance(loaded.get("entries"), dict):
+        _warn_cache(cache_path, "not a baseline cache")
+        return empty
+    if loaded.get("schema_version") != CACHE_SCHEMA_VERSION:
+        return empty
+    return loaded
+
+
+def _write_cache(cache_path: Path, cache: dict) -> None:
+    """Replace the cache file in one step, so readers never see half of it."""
+    cache_path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache_path.parent,
+                               prefix=f".{cache_path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(cache, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, cache_path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 def cached_ensemble_stats(
     config: NullConfig, max_rank: int, cache_path=None
 ) -> NullEnsembleStats:
     """null_ensemble_stats with an optional JSON file cache.
 
-    Entries are keyed by (N, T, sims, kind, master_seed). A hit is reused
-    only if it covers at least `max_rank` percentile ranks; otherwise the
-    entry is recomputed and overwritten. Cached floats round-trip exactly,
-    so cache hits and fresh computations produce identical downstream
-    bytes.
+    Entries are keyed by (N, T, sims, kind, master_seed) within a cache
+    schema version that changes whenever the computed values can. A hit
+    is reused only if it covers at least `max_rank` percentile ranks;
+    otherwise the entry is recomputed and overwritten. An unreadable or
+    corrupt cache counts as a miss: a warning goes to stderr and the file
+    is rewritten. Cached floats round-trip exactly, so cache hits and
+    fresh computations produce identical downstream bytes.
     """
     if cache_path is None:
         return null_ensemble_stats(config, max_rank)
     cache_path = Path(cache_path)
     key = _cache_key(config)
-    cache = {"schema_version": CACHE_SCHEMA_VERSION, "entries": {}}
-    if cache_path.exists():
-        with open(cache_path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if loaded.get("schema_version") == CACHE_SCHEMA_VERSION:
-            cache = loaded
+    cache = _read_cache(cache_path)
     entry = cache["entries"].get(key)
     if entry is not None:
-        stats = _payload_to_stats(entry, config)
-        if stats.p99_ranks >= max_rank:
-            return stats
+        try:
+            stats = _payload_to_stats(entry, config)
+        except (KeyError, TypeError, ValueError) as exc:
+            _warn_cache(cache_path, f"entry {key}: {exc!r}")
+        else:
+            if stats.p99_ranks >= max_rank:
+                return stats
     stats = null_ensemble_stats(config, max_rank)
     cache["entries"][key] = _stats_to_payload(stats)
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(cache_path, "w", encoding="utf-8") as fh:
-        json.dump(cache, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_cache(cache_path, cache)
     return stats

@@ -1,7 +1,14 @@
+import json
+import os
+import pickle
+import time
+
 import numpy as np
 import pytest
 
 from corrspectra import (
+    DegenerateWindowError,
+    EigenComputationError,
     FactorSpec,
     NullConfig,
     abs_corr_percentile99,
@@ -16,6 +23,7 @@ from corrspectra import (
     simulate_gaussian_panel,
     synthetic_factor_panel,
 )
+from corrspectra import WorkerProcessError, nulls
 
 
 class TestShufflePanel:
@@ -105,6 +113,75 @@ class TestSeedContract:
         assert np.array_equal(a.pr_mean, b.pr_mean)
         assert np.array_equal(a.scree_mean, b.scree_mean)
         assert np.array_equal(a.abs_corr_p99[:2], b.abs_corr_p99[:2])
+
+
+class TestParallelEnsemble:
+    # 600 sims make three blocks, so with two CPUs the blocks run in a pool
+    CONFIG = NullConfig(n_assets=20, window_len=30, sims=600, master_seed=8)
+
+    @staticmethod
+    def _arrays(stats):
+        return [a.tobytes() for a in (stats.pr_mean, stats.pr_std,
+                                      stats.scree_mean, stats.abs_corr_p99)]
+
+    @staticmethod
+    def _stats_on_cpus(monkeypatch, config, cpus, max_rank=3):
+        monkeypatch.setattr(nulls, "available_cpus", lambda: cpus)
+        return null_ensemble_stats(config, max_rank=max_rank)
+
+    def test_worker_count_does_not_change_bytes(self, monkeypatch):
+        one = self._stats_on_cpus(monkeypatch, self.CONFIG, 1)
+        two = self._stats_on_cpus(monkeypatch, self.CONFIG, 2)
+        assert self._arrays(one) == self._arrays(two)
+
+    def test_block_size_does_not_change_bytes(self, monkeypatch):
+        default = self._stats_on_cpus(monkeypatch, self.CONFIG, 1)
+        monkeypatch.setattr(nulls, "ENSEMBLE_BLOCK_SIMS", 7)
+        small_blocks = self._stats_on_cpus(monkeypatch, self.CONFIG, 1)
+        assert self._arrays(default) == self._arrays(small_blocks)
+
+    def test_pool_restores_blas_environment(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        self._stats_on_cpus(monkeypatch, self.CONFIG, 2, max_rank=1)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        assert "OMP_NUM_THREADS" not in os.environ
+
+    def test_error_in_parent_drops_queued_blocks(self):
+        # 40 half-second blocks on 2 workers take 10 s; an error (or Ctrl-C)
+        # after the first result must not wait for the rest. The result
+        # iterator stays referenced, as in null_ensemble_stats, so closing
+        # it cannot cancel the queued blocks.
+        begin = time.monotonic()
+        with pytest.raises(RuntimeError, match="stop"):
+            with nulls._block_map(2, 40) as block_map:
+                blocks = block_map(time.sleep, [0.5] * 40)
+                next(blocks)
+                raise RuntimeError("stop")
+        assert time.monotonic() - begin < 5
+
+    def test_error_in_worker_propagates_promptly(self):
+        begin = time.monotonic()
+        with pytest.raises(ValueError):
+            with nulls._block_map(2, 40) as block_map:
+                list(block_map(time.sleep, [-1] + [0.5] * 39))
+        assert time.monotonic() - begin < 5
+
+    def test_dead_worker_raises_worker_process_error(self):
+        with pytest.raises(WorkerProcessError, match="worker process"):
+            with nulls._block_map(2, 2) as block_map:
+                list(block_map(os._exit, [1, 1]))
+
+    def test_worker_errors_survive_pickling(self):
+        # pool workers raise these, and the CLI maps them to exit code 3
+        eigen = pickle.loads(pickle.dumps(
+            EigenComputationError("window 7: bad", residual=0.5, window_index=7)))
+        assert (str(eigen), eigen.residual, eigen.window_index) == (
+            "window 7: bad", 0.5, 7)
+        degenerate = pickle.loads(pickle.dumps(
+            DegenerateWindowError("flat", ticker="AAA", window_index=3)))
+        assert (str(degenerate), degenerate.ticker, degenerate.window_index) == (
+            "flat", "AAA", 3)
 
 
 class TestPRBaselines:
@@ -227,6 +304,49 @@ class TestBaselineCache:
             fresh.abs_corr_p99[:3], reloaded.abs_corr_p99[:3]
         )
         assert np.all(np.isnan(reloaded.abs_corr_p99[3:]))
+        assert [p.name for p in tmp_path.iterdir()] == ["baselines.json"]
+
+    @pytest.mark.parametrize("content", [
+        "{\"schema_version\": \"2\", \"entr",
+        "[1, 2]",
+        "\udcff",
+        None,
+    ])
+    def test_corrupt_cache_is_a_miss(self, tmp_path, capsys, content):
+        cache = tmp_path / "baselines.json"
+        config = NullConfig(n_assets=6, window_len=12, sims=25, master_seed=4)
+        if content is None:  # a well-formed file with a broken entry
+            key = "N=6,T=12,sims=25,kind=gaussian,seed=4"
+            cache.write_text(json.dumps({"schema_version": "2", "entries": {
+                key: {"pr_mean": [1.0], "pr_std": [], "scree_mean": [],
+                      "abs_corr_p99": []}}}))
+        else:
+            cache.write_bytes(content.encode("utf-8", "surrogateescape"))
+        stats = cached_ensemble_stats(config, max_rank=2, cache_path=cache)
+        fresh = null_ensemble_stats(config, max_rank=2)
+        assert np.array_equal(stats.scree_mean, fresh.scree_mean)
+        assert np.array_equal(stats.abs_corr_p99[:2], fresh.abs_corr_p99[:2])
+        warning = capsys.readouterr().err
+        assert warning.count("\n") == 1 and "warning" in warning
+        rewritten = cached_ensemble_stats(config, max_rank=2, cache_path=cache)
+        assert capsys.readouterr().err == ""
+        assert np.array_equal(rewritten.pr_mean, fresh.pr_mean)
+
+    def test_failed_write_keeps_old_cache(self, tmp_path, monkeypatch):
+        cache = tmp_path / "baselines.json"
+        a = NullConfig(n_assets=5, window_len=12, sims=10, master_seed=4)
+        b = NullConfig(n_assets=5, window_len=12, sims=10, master_seed=5)
+        cached_ensemble_stats(a, max_rank=1, cache_path=cache)
+        before = cache.read_bytes()
+
+        def failing_dump(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError):
+            cached_ensemble_stats(b, max_rank=1, cache_path=cache)
+        assert cache.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["baselines.json"]
 
     def test_distinct_keys_coexist(self, tmp_path):
         cache = tmp_path / "baselines.json"

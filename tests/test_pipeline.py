@@ -1,10 +1,16 @@
 import builtins
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from corrspectra import RunConfig, emit_reports, run_analysis
+import corrspectra
+from corrspectra import RunConfig, WorkerProcessError, emit_reports, run_analysis
+from corrspectra import nulls
 from corrspectra.cli import main
 
 from helpers import (
@@ -264,6 +270,15 @@ class TestCLI:
         )
         assert code == 2
 
+    def test_dead_worker_exit_five(self, tmp_path, capsys, monkeypatch):
+        def dead_worker(config, max_rank=0):
+            raise WorkerProcessError("a null-ensemble worker process ended")
+
+        monkeypatch.setattr(nulls, "null_ensemble_stats", dead_worker)
+        prices_path, meta_path = make_input_files(tmp_path)
+        assert main(self._args(tmp_path, prices_path, meta_path)) == 5
+        assert "worker process" in capsys.readouterr().err
+
     def test_degenerate_window_exit_three(self, tmp_path, capsys):
         tickers = ["A0", "A1", "A2"]
         flat = np.ones((3, 15)) * np.array([[100.0], [50.0], [75.0]])
@@ -310,3 +325,45 @@ class TestCLI:
         windows_two = (tmp_path / "run2" / "windows.csv").read_text()
         scree_counts = {line.split(",")[-2] for line in windows_two.splitlines()[1:]}
         assert scree_counts == {"0"}
+
+    def test_corrupt_cache_gives_fresh_bytes(self, tmp_path, capsys):
+        prices_path, meta_path = make_input_files(tmp_path)
+        assert main(self._args(tmp_path, prices_path, meta_path, out="fresh")) == 0
+        cache = tmp_path / "cache.json"
+        cache.write_text('{"schema_version": "2", "entries": {')
+        capsys.readouterr()
+        args = self._args(tmp_path, prices_path, meta_path, out="corrupt",
+                          baseline_cache=cache)
+        assert main(args) == 0
+        assert "warning" in capsys.readouterr().err
+        json.loads(cache.read_text())  # rewritten as a valid cache
+        for name in EXPECTED_FILES:
+            if name == "run_manifest.json":
+                continue  # records the differing output and cache paths
+            fresh = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "corrupt" / name).read_bytes() == fresh, name
+
+    @pytest.mark.skipif(nulls.available_cpus() < 2,
+                        reason="a worker pool needs at least 2 CPUs")
+    def test_worker_count_does_not_change_report_bytes(self, tmp_path):
+        # a fresh interpreter per run, so both runs use one BLAS thread; the
+        # 300 sims make two blocks, run in-process on one CPU and in a pool
+        # of two workers otherwise
+        prices_path, meta_path = make_input_files(tmp_path)
+        src = str(Path(corrspectra.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        one_cpu = {min(os.sched_getaffinity(0))}
+        outputs = []
+        for cpus in (one_cpu, None):
+            args = self._args(tmp_path, prices_path, meta_path)
+            args[args.index("--sims") + 1] = "300"
+            proc = subprocess.run(
+                [sys.executable, "-m", "corrspectra.cli", *args], env=env,
+                capture_output=True, text=True, timeout=120,
+                preexec_fn=cpus and (lambda: os.sched_setaffinity(0, cpus)))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({name: (tmp_path / "cli_out" / name).read_bytes()
+                            for name in EXPECTED_FILES})
+        assert outputs[0] == outputs[1]
