@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 input or configuration error, 3 numerical failure
 (the message names the window and asset involved), 4 I/O error, 5 a
-null-ensemble worker process died.
+worker process died.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,22 @@ def correlation_matrix(window: WindowView) -> CorrelationMatrix:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices of the strict upper triangle of an n x n matrix,
+    built once per n rather than once per window."""
+    indices = np.triu_indices(n, k=1)
+    for index in indices:
+        index.setflags(write=False)
+    return indices
+
+
 def coefficient_moments(matrix: CorrelationMatrix) -> CoefficientMoments:
     """Mean, std, skewness, and kurtosis of the pairwise coefficients."""
     n = matrix.n_assets
     if n < 3:
         raise ValueError(f"need at least 3 assets for moments, got {n}")
-    coeffs = matrix.values[np.triu_indices(n, k=1)]
+    coeffs = matrix.values[_upper_triangle(n)]
     mean = float(coeffs.mean())
     centered = coeffs - mean
     # products rather than ** 3 and ** 4, which go through libm pow

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: input/format problems -> 2,
-window-level numerical failures -> 3, I/O failures -> 4, a null-ensemble
-worker process that died -> 5.
+window-level numerical failures -> 3, I/O failures -> 4, a worker process
+that died -> 5.
 """
 
 
@@ -33,4 +33,5 @@ class EigenComputationError(RuntimeError):
 
 
 class WorkerProcessError(RuntimeError):
-    """A worker process of the null ensemble ended before returning its block."""
+    """A worker process of the null ensemble or of the window loop ended
+    before returning its block."""

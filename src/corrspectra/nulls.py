@@ -216,7 +216,7 @@ def nearest_rank_percentile(values: np.ndarray, pct: float) -> float:
 
 
 def available_cpus() -> int:
-    """CPUs this process may run on: the worker count of a null ensemble."""
+    """CPUs this process may run on: the worker count of a pool."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -246,8 +246,9 @@ def _ensemble_block(config: NullConfig, max_rank: int, start: int, stop: int):
 
 @contextlib.contextmanager
 def _block_map(workers: int, n_blocks: int):
-    """`map` over ensemble blocks: in this process, or in a pool of spawned
-    worker processes when there are several blocks and workers."""
+    """`map` over blocks of work (null-ensemble sims or rolling windows): in
+    this process, or in a pool of spawned worker processes when there are
+    several blocks and workers."""
     if n_blocks < 2 or workers < 2:
         yield map
         return
@@ -257,7 +258,7 @@ def _block_map(workers: int, n_blocks: int):
 
     # Spawned workers take their BLAS thread count from the environment they
     # inherit, so it is pinned while the pool lives. The lock keeps
-    # concurrent ensembles from restoring each other's values.
+    # concurrent pools from restoring each other's values.
     with _POOL_ENV_LOCK:
         saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
@@ -270,8 +271,8 @@ def _block_map(workers: int, n_blocks: int):
                 yield pool.map
             except BrokenProcessPool as exc:
                 raise WorkerProcessError(
-                    "a null-ensemble worker process ended abruptly (killed, "
-                    "out of memory, or started from a script without an "
+                    "a worker process ended abruptly (killed, out of memory, "
+                    "or started from a script without an "
                     "`if __name__ == \"__main__\":` guard)") from exc
             finally:
                 # After an error, or Ctrl-C, drop the blocks not yet started

@@ -271,12 +271,9 @@ def standardize_window(
     )
 
 
-def roll_windows(returns: ReturnPanel, length: int, step: int = 1) -> list[WindowView]:
-    """All standardized windows at starts 0, step, 2*step, ...
-
-    Yields floor((L - length) / step) + 1 windows with consecutive
-    window_index values starting at 0.
-    """
+def window_count(returns: ReturnPanel, length: int, step: int = 1) -> int:
+    """floor((L - length) / step) + 1: the number of windows at starts 0,
+    step, 2*step, ... that fit in the L returns."""
     n_returns = returns.returns.shape[1]
     if length > n_returns:
         raise ValueError(
@@ -284,10 +281,19 @@ def roll_windows(returns: ReturnPanel, length: int, step: int = 1) -> list[Windo
         )
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    windows = []
-    for index, start in enumerate(range(0, n_returns - length + 1, step)):
-        windows.append(standardize_window(returns, start, length, index))
-    return windows
+    return (n_returns - length) // step + 1
+
+
+def roll_windows(returns: ReturnPanel, length: int, step: int = 1) -> list[WindowView]:
+    """All standardized windows at starts 0, step, 2*step, ...
+
+    Yields window_count(returns, length, step) windows with consecutive
+    window_index values starting at 0; window w starts at return w * step.
+    """
+    return [
+        standardize_window(returns, index * step, length, index)
+        for index in range(window_count(returns, length, step))
+    ]
 
 
 def subset_by_class(panel: PricePanel, classes) -> PricePanel:

@@ -10,6 +10,7 @@ inputs, configuration, and seed produce byte-identical files.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,11 +26,29 @@ from .analytics import (
     variance_fractions,
 )
 from .correlation import CoefficientMoments, coefficient_moments, correlation_matrix
-from .nulls import NULL_KINDS, NullConfig, NullEnsembleStats, cached_ensemble_stats
-from .panel import compute_log_returns, load_price_panel, roll_windows, subset_by_class
+from .nulls import (
+    NULL_KINDS,
+    NullConfig,
+    NullEnsembleStats,
+    _block_map,
+    available_cpus,
+    cached_ensemble_stats,
+)
+from .panel import (
+    ReturnPanel,
+    compute_log_returns,
+    load_price_panel,
+    standardize_window,
+    subset_by_class,
+    window_count,
+)
 from .spectral import eigendecompose
 
 SCHEMA_VERSION = "1"
+# Windows per unit of work handed to a worker process. Reports are
+# collected in window order, so neither this nor the worker count changes
+# the output.
+WINDOW_BLOCK = 100
 
 
 @dataclass
@@ -79,33 +98,16 @@ class WindowReport:
     tickers: list[str] = field(default_factory=list)
 
 
-def run_analysis(config: RunConfig) -> tuple[list[WindowReport], NullEnsembleStats]:
-    """Execute the full pipeline; reports come back ordered by window."""
-    panel = load_price_panel(config.prices_path, config.meta_path)
-    if config.classes is not None:
-        panel = subset_by_class(panel, config.classes)
-    n = panel.n_assets
-    if n < 3:
-        raise ValueError(f"reports need at least 3 assets, panel has {n}")
-    if config.max_rank > n:
-        raise ValueError(f"max-rank {config.max_rank} exceeds panel size {n}")
-    returns = compute_log_returns(panel)
-    windows = roll_windows(returns, config.window_len, config.step)
-
-    null_config = NullConfig(
-        n_assets=n,
-        window_len=config.window_len,
-        num_windows=1,
-        sims=config.sims,
-        master_seed=config.master_seed,
-        kind=config.null_kind,
-    )
-    stats = cached_ensemble_stats(
-        null_config, config.max_rank, config.baseline_cache
-    )
-
+def _window_block(
+    returns: ReturnPanel, config: RunConfig, stats: NullEnsembleStats,
+    start: int, stop: int,
+) -> list[WindowReport]:
+    """Reports for windows start..stop-1 of the roll, without tickers."""
     reports = []
-    for window in windows:
+    for index in range(start, stop):
+        window = standardize_window(
+            returns, index * config.step, config.window_len, index
+        )
         matrix = correlation_matrix(window)
         decomposition = eigendecompose(matrix)
         profile = variance_fractions(decomposition)
@@ -122,11 +124,54 @@ def run_analysis(config: RunConfig) -> tuple[list[WindowReport], NullEnsembleSta
                 kaiser_count=kaiser_guttman_count(decomposition),
                 scree_count=scree_significant_count(decomposition, stats),
                 scree_exceedance_count=scree_exceedance_count(decomposition, stats),
-                abs_r=correlations.abs_r[:, : config.max_rank],
-                abs_r_adjusted=correlations.abs_r_adjusted[:, : config.max_rank],
-                tickers=panel.tickers,
+                # copies, so a report does not keep the N x N arrays alive
+                abs_r=correlations.abs_r[:, : config.max_rank].copy(),
+                abs_r_adjusted=correlations.abs_r_adjusted[:, : config.max_rank].copy(),
             )
         )
+    return reports
+
+
+def run_analysis(config: RunConfig) -> tuple[list[WindowReport], NullEnsembleStats]:
+    """Execute the full pipeline; reports come back ordered by window.
+
+    Windows run in blocks of WINDOW_BLOCK. With two or more blocks and
+    CPUs, the blocks run in a pool of spawned processes, one per available
+    CPU, and their reports are collected in window order.
+    """
+    panel = load_price_panel(config.prices_path, config.meta_path)
+    if config.classes is not None:
+        panel = subset_by_class(panel, config.classes)
+    n = panel.n_assets
+    if n < 3:
+        raise ValueError(f"reports need at least 3 assets, panel has {n}")
+    if config.max_rank > n:
+        raise ValueError(f"max-rank {config.max_rank} exceeds panel size {n}")
+    returns = compute_log_returns(panel)
+    n_windows = window_count(returns, config.window_len, config.step)
+
+    null_config = NullConfig(
+        n_assets=n,
+        window_len=config.window_len,
+        num_windows=1,
+        sims=config.sims,
+        master_seed=config.master_seed,
+        kind=config.null_kind,
+    )
+    stats = cached_ensemble_stats(
+        null_config, config.max_rank, config.baseline_cache
+    )
+
+    starts = range(0, n_windows, WINDOW_BLOCK)
+    stops = [min(start + WINDOW_BLOCK, n_windows) for start in starts]
+    with _block_map(available_cpus(), len(starts)) as block_map:
+        blocks = block_map(_window_block, itertools.repeat(returns),
+                           itertools.repeat(config), itertools.repeat(stats),
+                           starts, stops)
+        reports = [report for block in blocks for report in block]
+    tickers = panel.tickers
+    for report in reports:
+        report.tickers = tickers
     return reports, stats
 
 
@@ -160,26 +205,48 @@ def _windows_csv(reports, max_rank: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _window_lines(prefix: str, keys, templates, values: np.ndarray) -> str:
+    """One window's CSV lines: line i is `prefix`, keys[i] and row i of
+    `values`, where templates[i] is keys[i] with its value fields as %.15g.
+
+    A single %-format renders the window. "%.15g" prints the digits _fmt
+    prints, but NaN as "nan", so a window holding a NaN goes through _fmt.
+    """
+    if np.isnan(values).any():
+        return "".join(f"{prefix}{key},{','.join(map(_fmt, row))}\n"
+                       for key, row in zip(keys, values.tolist()))
+    template = prefix + ("\n" + prefix).join(templates) + "\n"
+    return template % tuple(values.ravel().tolist())
+
+
+def _templates(keys, width: int) -> list[str]:
+    return [key.replace("%", "%%") + ",%.15g" * width for key in keys]
+
+
 def _eigenvalues_csv(reports) -> str:
-    lines = ["window_index,end_date,rank,eigenvalue"]
+    lines = ["window_index,end_date,rank,eigenvalue\n"]
+    if reports:
+        keys = [str(k) for k in range(1, len(reports[0].eigenvalues) + 1)]
+        templates = _templates(keys, 1)
     for rep in reports:
-        date = rep.end_date.isoformat()
-        for k, beta in enumerate(rep.eigenvalues, start=1):
-            lines.append(f"{rep.window_index},{date},{k},{_fmt(beta)}")
-    return "\n".join(lines) + "\n"
+        prefix = f"{rep.window_index},{rep.end_date.isoformat()},"
+        lines.append(_window_lines(prefix, keys, templates,
+                                   rep.eigenvalues[:, None]))
+    return "".join(lines)
 
 
 def _asset_corr_csv(reports, tickers) -> str:
-    lines = ["window_index,asset,rank,abs_r,abs_r_adjusted"]
+    lines = ["window_index,asset,rank,abs_r,abs_r_adjusted\n"]
+    if reports:
+        n_assets, n_ranks = reports[0].abs_r.shape
+        names = tickers if tickers else [str(i) for i in range(n_assets)]
+        keys = [f"{name},{k}" for name in names for k in range(1, n_ranks + 1)]
+        templates = _templates(keys, 2)
     for rep in reports:
-        names = tickers if tickers else [str(i) for i in range(rep.abs_r.shape[0])]
-        for i, name in enumerate(names):
-            for k in range(rep.abs_r.shape[1]):
-                lines.append(
-                    f"{rep.window_index},{name},{k + 1},"
-                    f"{_fmt(rep.abs_r[i, k])},{_fmt(rep.abs_r_adjusted[i, k])}"
-                )
-    return "\n".join(lines) + "\n"
+        pairs = np.stack([rep.abs_r, rep.abs_r_adjusted], -1).reshape(-1, 2)
+        lines.append(_window_lines(f"{rep.window_index},", keys, templates,
+                                   pairs))
+    return "".join(lines)
 
 
 def _json_floats(values) -> list:

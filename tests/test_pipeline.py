@@ -1,5 +1,6 @@
 import builtins
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import pytest
 
 import corrspectra
 from corrspectra import RunConfig, WorkerProcessError, emit_reports, run_analysis
-from corrspectra import nulls
+from corrspectra import nulls, pipeline
 from corrspectra.cli import main
+from corrspectra.correlation import CoefficientMoments
 
 from helpers import (
     random_walk_prices,
@@ -237,6 +239,92 @@ class TestDeterminismAndSubsets:
             assert a == b, name
 
 
+class TestPooledWindows:
+    # 20 windows in blocks of 8 make three blocks, so with two CPUs the
+    # blocks run in a pool on any host
+    @staticmethod
+    def _report_bytes(monkeypatch, config, cpus, block=8):
+        monkeypatch.setattr(pipeline, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(pipeline, "WINDOW_BLOCK", block)
+        reports, stats = run_analysis(config)
+        written = emit_reports(reports, stats, config.output_dir, config=config)
+        return {path.name: path.read_bytes() for path in written}
+
+    def test_worker_count_does_not_change_report_bytes(self, tmp_path,
+                                                       monkeypatch):
+        config = make_config(tmp_path)
+        one = self._report_bytes(monkeypatch, config, 1)
+        two = self._report_bytes(monkeypatch, config, 2)
+        assert one == two
+
+    def test_block_size_does_not_change_report_bytes(self, tmp_path,
+                                                     monkeypatch):
+        config = make_config(tmp_path)
+        default = self._report_bytes(monkeypatch, config, 1,
+                                     block=pipeline.WINDOW_BLOCK)
+        small_blocks = self._report_bytes(monkeypatch, config, 1, block=7)
+        assert default == small_blocks
+
+
+def _fmt_oracle(value):
+    value = float(value)
+    return "NaN" if value != value else format(value, ".15g")
+
+
+class TestRenderers:
+    TICKERS = ["nan", "NaN", "x%sy", "50%"]
+    VALUES = [1e-300, 0.1, 1.0 - 2.0**-52, 0.5, 1.0, 0.0, 2.0 / 3.0, 1e-17]
+
+    def _report(self, index, adjusted_nan):
+        n_ranks = 2
+        values = np.resize(self.VALUES, (4, n_ranks))
+        adjusted = values[::-1].copy()
+        if adjusted_nan:
+            adjusted[2, 1] = np.nan
+        return pipeline.WindowReport(
+            window_index=index,
+            end_date=weekly_dates(index + 1)[-1],
+            moments=CoefficientMoments(0.1, 0.2, 0.3, 3.0),
+            eigenvalues=np.array([2.0 - 2.0**-51, 1.0, 0.1, 1e-300]),
+            variance_fractions=np.full(4, 0.25),
+            pr=np.full(4, 2.0),
+            kaiser_count=1,
+            scree_count=1,
+            scree_exceedance_count=1,
+            abs_r=values,
+            abs_r_adjusted=adjusted,
+        )
+
+    def test_templates_match_per_value_formatting(self):
+        reports = [self._report(0, False), self._report(1, True),
+                   self._report(2, False)]
+        expected_corr = ["window_index,asset,rank,abs_r,abs_r_adjusted"]
+        expected_eig = ["window_index,end_date,rank,eigenvalue"]
+        for rep in reports:
+            for i, name in enumerate(self.TICKERS):
+                for k in range(rep.abs_r.shape[1]):
+                    expected_corr.append(
+                        f"{rep.window_index},{name},{k + 1},"
+                        f"{_fmt_oracle(rep.abs_r[i, k])},"
+                        f"{_fmt_oracle(rep.abs_r_adjusted[i, k])}")
+            for k, beta in enumerate(rep.eigenvalues, start=1):
+                expected_eig.append(f"{rep.window_index},"
+                                    f"{rep.end_date.isoformat()},{k},"
+                                    f"{_fmt_oracle(beta)}")
+        corr = pipeline._asset_corr_csv(reports, self.TICKERS)
+        assert corr == "\n".join(expected_corr) + "\n"
+        assert pipeline._eigenvalues_csv(reports) == "\n".join(expected_eig) + "\n"
+        assert "1,x%sy,2,0,NaN\n" in corr
+        assert all("nan" not in line.split(",")[3:]
+                   for line in corr.splitlines())
+
+
+def _die_in_worker(*args):
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("expected to run in a pool worker")
+    os._exit(1)
+
+
 class TestCLI:
     def _args(self, tmp_path, prices_path, meta_path, out="cli_out", **extra):
         args = [
@@ -289,6 +377,36 @@ class TestCLI:
         code = main(self._args(tmp_path, prices_path, meta_path))
         assert code == 3
         assert "window" in capsys.readouterr().err
+
+    def test_degenerate_window_in_pool_exits_three(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # A01 is flat over returns 20..34, so windows 20..25 are degenerate
+        # and the first of them falls in the third block
+        tickers = ["A00", "A01", "A02", "A03"]
+        prices = random_walk_prices(np.random.default_rng(3), 4, 40)
+        prices[1, 20:36] = prices[1, 20]
+        prices_path = tmp_path / "prices.csv"
+        meta_path = tmp_path / "meta.csv"
+        write_prices_csv(prices_path, weekly_dates(40), prices, tickers)
+        write_meta_csv(meta_path, tickers, CLASSES)
+        monkeypatch.setattr(pipeline, "available_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
+        args = self._args(tmp_path, prices_path, meta_path)
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "window 20 " in err and "'A01'" in err
+        assert not (tmp_path / "cli_out").exists()
+
+    def test_dead_worker_in_window_loop_exits_five(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(pipeline, "available_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
+        monkeypatch.setattr(pipeline, "_window_block", _die_in_worker)
+        prices_path, meta_path = make_input_files(tmp_path)
+        args = self._args(tmp_path, prices_path, meta_path)
+        assert main(args) == 5
+        assert "worker process" in capsys.readouterr().err
+        assert not (tmp_path / "cli_out").exists()
 
     def test_unwritable_output_exit_four(self, tmp_path, capsys):
         prices_path, meta_path = make_input_files(tmp_path)
@@ -347,9 +465,10 @@ class TestCLI:
                         reason="a worker pool needs at least 2 CPUs")
     def test_worker_count_does_not_change_report_bytes(self, tmp_path):
         # a fresh interpreter per run, so both runs use one BLAS thread; the
-        # 300 sims make two blocks, run in-process on one CPU and in a pool
-        # of two workers otherwise
-        prices_path, meta_path = make_input_files(tmp_path)
+        # 300 sims and the 120 windows make two blocks each, run in-process
+        # on one CPU and in a pool of two workers otherwise
+        prices_path, meta_path = make_input_files(tmp_path, n_dates=130)
+        assert 120 > pipeline.WINDOW_BLOCK
         src = str(Path(corrspectra.__file__).resolve().parent.parent)
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(
