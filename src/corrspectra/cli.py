@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 input or configuration error, 3 numerical failure
 (the message names the window and asset involved), 4 I/O error, 5 a
-worker process died.
+worker process died. The reports are staged beside the output directory
+and moved into it only when the run succeeds, so a failed run leaves no
+partial reports, and the reports of an earlier run there keep their bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
 )
 from .nulls import NULL_KINDS
 from .panel import ASSET_CLASSES
-from .pipeline import RunConfig, emit_reports, run_analysis
+from .pipeline import RunConfig, write_reports
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,8 +73,7 @@ def main(argv=None) -> int:
             classes=classes,
             baseline_cache=args.baseline_cache,
         )
-        reports, stats = run_analysis(config)
-        written = emit_reports(reports, stats, config.output_dir, config=config)
+        n_windows, written = write_reports(config)
     except (DegenerateWindowError, EigenComputationError) as exc:
         print(f"corrspectra: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -85,7 +86,7 @@ def main(argv=None) -> int:
     except WorkerProcessError as exc:
         print(f"corrspectra: {exc}", file=sys.stderr)
         return 5
-    print(f"{len(reports)} windows -> {written[0].parent}")
+    print(f"{n_windows} windows -> {written[0].parent}")
     return 0
 
 

@@ -355,16 +355,18 @@ def _cache_key(config: NullConfig) -> str:
     )
 
 
-def _stats_to_payload(stats: NullEnsembleStats) -> dict:
-    def listify(arr):
-        return [None if not np.isfinite(v) else float(v) for v in arr]
+def _json_floats(values) -> list:
+    """Floats for JSON: non-finite values become null."""
+    return [None if not np.isfinite(v) else float(v) for v in values]
 
+
+def _stats_to_payload(stats: NullEnsembleStats) -> dict:
     return {
         "num_windows": stats.config.num_windows,
-        "pr_mean": listify(stats.pr_mean),
-        "pr_std": listify(stats.pr_std),
-        "scree_mean": listify(stats.scree_mean),
-        "abs_corr_p99": listify(stats.abs_corr_p99),
+        "pr_mean": _json_floats(stats.pr_mean),
+        "pr_std": _json_floats(stats.pr_std),
+        "scree_mean": _json_floats(stats.scree_mean),
+        "abs_corr_p99": _json_floats(stats.abs_corr_p99),
     }
 
 

@@ -5,13 +5,22 @@ decomposes every window's correlation matrix, attaches the PCA diagnostics,
 and computes (or loads from cache) the Monte Carlo null baselines for the
 panel's shape. Reports are flat CSV/JSON with fixed headers; identical
 inputs, configuration, and seed produce byte-identical files.
+
+Two routes write the same bytes. `write_reports`, the CLI's route, renders
+each block of windows in the process that analysed it and streams the text
+into the report files. `run_analysis` keeps every window's WindowReport in
+memory, and `emit_reports` renders and writes them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import itertools
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +40,7 @@ from .nulls import (
     NullConfig,
     NullEnsembleStats,
     _block_map,
+    _json_floats,
     available_cpus,
     cached_ensemble_stats,
 )
@@ -42,13 +52,17 @@ from .panel import (
     subset_by_class,
     window_count,
 )
-from .spectral import eigendecompose
+from .spectral import SpectralDecomposition, eigendecompose
 
 SCHEMA_VERSION = "1"
 # Windows per unit of work handed to a worker process. Reports are
 # collected in window order, so neither this nor the worker count changes
 # the output.
 WINDOW_BLOCK = 100
+REPORT_FILES = ("windows.csv", "eigenvalues.csv", "asset_pc_corr.csv",
+                "null_baselines.json", "run_manifest.json")
+_EIGENVALUES_HEADER = "window_index,end_date,rank,eigenvalue\n"
+_ASSET_CORR_HEADER = "window_index,asset,rank,abs_r,abs_r_adjusted\n"
 
 
 @dataclass
@@ -98,11 +112,39 @@ class WindowReport:
     tickers: list[str] = field(default_factory=list)
 
 
+def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
+    """The run's validated return panel and its number of windows."""
+    panel = load_price_panel(config.prices_path, config.meta_path)
+    if config.classes is not None:
+        panel = subset_by_class(panel, config.classes)
+    n = panel.n_assets
+    if n < 3:
+        raise ValueError(f"reports need at least 3 assets, panel has {n}")
+    if config.max_rank > n:
+        raise ValueError(f"max-rank {config.max_rank} exceeds panel size {n}")
+    returns = compute_log_returns(panel)
+    return returns, window_count(returns, config.window_len, config.step)
+
+
+def _baseline(config: RunConfig, n_assets: int) -> NullEnsembleStats:
+    null_config = NullConfig(
+        n_assets=n_assets,
+        window_len=config.window_len,
+        num_windows=1,
+        sims=config.sims,
+        master_seed=config.master_seed,
+        kind=config.null_kind,
+    )
+    return cached_ensemble_stats(
+        null_config, config.max_rank, config.baseline_cache
+    )
+
+
 def _window_block(
-    returns: ReturnPanel, config: RunConfig, stats: NullEnsembleStats,
-    start: int, stop: int,
+    returns: ReturnPanel, config: RunConfig, start: int, stop: int
 ) -> list[WindowReport]:
-    """Reports for windows start..stop-1 of the roll, without tickers."""
+    """Reports for windows start..stop-1 of the roll, without tickers and
+    with zero scree counts: those need the null baseline."""
     reports = []
     for index in range(start, stop):
         window = standardize_window(
@@ -122,8 +164,8 @@ def _window_block(
                 variance_fractions=profile.fractions,
                 pr=part.pr,
                 kaiser_count=kaiser_guttman_count(decomposition),
-                scree_count=scree_significant_count(decomposition, stats),
-                scree_exceedance_count=scree_exceedance_count(decomposition, stats),
+                scree_count=0,
+                scree_exceedance_count=0,
                 # copies, so a report does not keep the N x N arrays alive
                 abs_r=correlations.abs_r[:, : config.max_rank].copy(),
                 abs_r_adjusted=correlations.abs_r_adjusted[:, : config.max_rank].copy(),
@@ -132,45 +174,64 @@ def _window_block(
     return reports
 
 
-def run_analysis(config: RunConfig) -> tuple[list[WindowReport], NullEnsembleStats]:
-    """Execute the full pipeline; reports come back ordered by window.
+def _window_rows(returns: ReturnPanel, config: RunConfig, start: int,
+                 stop: int):
+    """Windows start..stop-1 analysed and rendered.
 
-    Windows run in blocks of WINDOW_BLOCK. With two or more blocks and
-    CPUs, the blocks run in a pool of spawned processes, one per available
-    CPU, and their reports are collected in window order.
+    Returns their windows.csv rows without the scree counts, their
+    eigenvalues.csv and asset_pc_corr.csv text, and their eigenvalues as a
+    (stop - start, N) array for the scree counts.
     """
-    panel = load_price_panel(config.prices_path, config.meta_path)
-    if config.classes is not None:
-        panel = subset_by_class(panel, config.classes)
-    n = panel.n_assets
-    if n < 3:
-        raise ValueError(f"reports need at least 3 assets, panel has {n}")
-    if config.max_rank > n:
-        raise ValueError(f"max-rank {config.max_rank} exceeds panel size {n}")
-    returns = compute_log_returns(panel)
-    n_windows = window_count(returns, config.window_len, config.step)
+    reports = _window_block(returns, config, start, stop)
+    return ([_window_row(rep, config.max_rank) for rep in reports],
+            _eigenvalues_rows(reports),
+            _asset_corr_rows(reports, returns.tickers),
+            np.stack([rep.eigenvalues for rep in reports]))
 
-    null_config = NullConfig(
-        n_assets=n,
-        window_len=config.window_len,
-        num_windows=1,
-        sims=config.sims,
-        master_seed=config.master_seed,
-        kind=config.null_kind,
-    )
-    stats = cached_ensemble_stats(
-        null_config, config.max_rank, config.baseline_cache
-    )
 
+@contextlib.contextmanager
+def _window_blocks(kernel, returns: ReturnPanel, config: RunConfig,
+                   n_windows: int):
+    """Yield kernel(returns, config, start, stop) for each block of
+    WINDOW_BLOCK windows, in window order.
+
+    With two or more blocks and CPUs, the blocks run in a pool of spawned
+    processes, one per available CPU, which lives until the with block ends.
+    """
     starts = range(0, n_windows, WINDOW_BLOCK)
     stops = [min(start + WINDOW_BLOCK, n_windows) for start in starts]
     with _block_map(available_cpus(), len(starts)) as block_map:
-        blocks = block_map(_window_block, itertools.repeat(returns),
-                           itertools.repeat(config), itertools.repeat(stats),
-                           starts, stops)
+        yield block_map(kernel, itertools.repeat(returns),
+                        itertools.repeat(config), starts, stops)
+
+
+def _scree_counts(eigenvalues: np.ndarray,
+                  stats: NullEnsembleStats) -> tuple[int, int]:
+    """scree_count and scree_exceedance_count of one window's spectrum."""
+    # both counts read the eigenvalues only
+    spectrum = SpectralDecomposition(-1, eigenvalues, eigenvectors=None)
+    return (scree_significant_count(spectrum, stats),
+            scree_exceedance_count(spectrum, stats))
+
+
+def run_analysis(config: RunConfig) -> tuple[list[WindowReport], NullEnsembleStats]:
+    """Execute the full pipeline in memory; reports come back ordered by
+    window.
+
+    Windows run in blocks of WINDOW_BLOCK. With two or more blocks and
+    CPUs, the blocks run in a pool of spawned processes, one per available
+    CPU, and their reports are collected in window order. The windows run
+    before the null baseline, so a degenerate window ends the run before
+    the ensemble starts.
+    """
+    returns, n_windows = _load_returns(config)
+    with _window_blocks(_window_block, returns, config, n_windows) as blocks:
         reports = [report for block in blocks for report in block]
-    tickers = panel.tickers
+    stats = _baseline(config, returns.n_assets)
+    tickers = returns.tickers
     for report in reports:
+        report.scree_count, report.scree_exceedance_count = _scree_counts(
+            report.eigenvalues, stats)
         report.tickers = tickers
     return reports, stats
 
@@ -181,28 +242,38 @@ def _fmt(value: float) -> str:
     return format(value, ".15g")
 
 
-def _windows_csv(reports, max_rank: int) -> str:
+def _windows_columns(max_rank: int) -> list[str]:
     header = ["window_index", "end_date", "corr_mean", "corr_std",
               "corr_skewness", "corr_kurtosis"]
     header += [f"variance_fraction_{k}" for k in range(1, max_rank + 1)]
     header += [f"pr_{k}" for k in range(1, max_rank + 1)]
     header += ["kaiser_count", "scree_count", "scree_exceedance_count"]
-    lines = [",".join(header)]
-    for rep in reports:
-        row = [
-            str(rep.window_index),
-            rep.end_date.isoformat(),
-            _fmt(rep.moments.mean),
-            _fmt(rep.moments.std),
-            _fmt(rep.moments.skewness),
-            _fmt(rep.moments.kurtosis),
-        ]
-        row += [_fmt(v) for v in rep.variance_fractions[:max_rank]]
-        row += [_fmt(v) for v in rep.pr[:max_rank]]
-        row += [str(rep.kaiser_count), str(rep.scree_count),
-                str(rep.scree_exceedance_count)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return header
+
+
+def _window_row(rep: WindowReport, max_rank: int) -> str:
+    """A windows.csv row up to kaiser_count. The two scree counts that end
+    it need the null baseline, which _windows_csv takes them from."""
+    row = [
+        str(rep.window_index),
+        rep.end_date.isoformat(),
+        _fmt(rep.moments.mean),
+        _fmt(rep.moments.std),
+        _fmt(rep.moments.skewness),
+        _fmt(rep.moments.kurtosis),
+    ]
+    row += [_fmt(v) for v in rep.variance_fractions[:max_rank]]
+    row += [_fmt(v) for v in rep.pr[:max_rank]]
+    row.append(str(rep.kaiser_count))
+    return ",".join(row)
+
+
+def _windows_csv(rows, counts, max_rank: int) -> str:
+    """windows.csv from _window_row rows and each row's two scree counts."""
+    lines = [",".join(_windows_columns(max_rank)) + "\n"]
+    lines += [f"{row},{scree},{exceedance}\n"
+              for row, (scree, exceedance) in zip(rows, counts)]
+    return "".join(lines)
 
 
 def _window_lines(prefix: str, keys, templates, values: np.ndarray) -> str:
@@ -223,34 +294,36 @@ def _templates(keys, width: int) -> list[str]:
     return [key.replace("%", "%%") + ",%.15g" * width for key in keys]
 
 
+def _eigenvalues_rows(reports) -> str:
+    if not reports:
+        return ""
+    keys = [str(k) for k in range(1, len(reports[0].eigenvalues) + 1)]
+    templates = _templates(keys, 1)
+    return "".join(
+        _window_lines(f"{rep.window_index},{rep.end_date.isoformat()},",
+                      keys, templates, rep.eigenvalues[:, None])
+        for rep in reports)
+
+
+def _asset_corr_rows(reports, tickers) -> str:
+    if not reports:
+        return ""
+    n_assets, n_ranks = reports[0].abs_r.shape
+    names = tickers if tickers else [str(i) for i in range(n_assets)]
+    keys = [f"{name},{k}" for name in names for k in range(1, n_ranks + 1)]
+    templates = _templates(keys, 2)
+    return "".join(
+        _window_lines(f"{rep.window_index},", keys, templates,
+                      np.stack([rep.abs_r, rep.abs_r_adjusted], -1).reshape(-1, 2))
+        for rep in reports)
+
+
 def _eigenvalues_csv(reports) -> str:
-    lines = ["window_index,end_date,rank,eigenvalue\n"]
-    if reports:
-        keys = [str(k) for k in range(1, len(reports[0].eigenvalues) + 1)]
-        templates = _templates(keys, 1)
-    for rep in reports:
-        prefix = f"{rep.window_index},{rep.end_date.isoformat()},"
-        lines.append(_window_lines(prefix, keys, templates,
-                                   rep.eigenvalues[:, None]))
-    return "".join(lines)
+    return _EIGENVALUES_HEADER + _eigenvalues_rows(reports)
 
 
 def _asset_corr_csv(reports, tickers) -> str:
-    lines = ["window_index,asset,rank,abs_r,abs_r_adjusted\n"]
-    if reports:
-        n_assets, n_ranks = reports[0].abs_r.shape
-        names = tickers if tickers else [str(i) for i in range(n_assets)]
-        keys = [f"{name},{k}" for name in names for k in range(1, n_ranks + 1)]
-        templates = _templates(keys, 2)
-    for rep in reports:
-        pairs = np.stack([rep.abs_r, rep.abs_r_adjusted], -1).reshape(-1, 2)
-        lines.append(_window_lines(f"{rep.window_index},", keys, templates,
-                                   pairs))
-    return "".join(lines)
-
-
-def _json_floats(values) -> list:
-    return [None if not np.isfinite(v) else float(v) for v in values]
+    return _ASSET_CORR_HEADER + _asset_corr_rows(reports, tickers)
 
 
 def _baselines_json(stats: NullEnsembleStats) -> str:
@@ -272,22 +345,20 @@ def _baselines_json(stats: NullEnsembleStats) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _manifest_json(config: RunConfig | None, reports, max_rank: int,
+def _manifest_json(config: RunConfig | None, n_windows: int, max_rank: int,
                    tickers) -> str:
-    windows_cols = _windows_csv([], max_rank).strip().split(",")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": None,
-        "n_windows": len(reports),
+        "n_windows": n_windows,
         "tickers": tickers,
         "files": {
-            "windows.csv": {"columns": windows_cols},
+            "windows.csv": {"columns": _windows_columns(max_rank)},
             "eigenvalues.csv": {
-                "columns": ["window_index", "end_date", "rank", "eigenvalue"]
+                "columns": _EIGENVALUES_HEADER.strip().split(",")
             },
             "asset_pc_corr.csv": {
-                "columns": ["window_index", "asset", "rank", "abs_r",
-                            "abs_r_adjusted"]
+                "columns": _ASSET_CORR_HEADER.strip().split(",")
             },
             "null_baselines.json": {
                 "keyed_by": "(n_assets, window_len, sims, kind, master_seed)"
@@ -325,12 +396,83 @@ def _manifest_json(config: RunConfig | None, reports, max_rank: int,
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def emit_reports(reports, stats, output_dir, config=None, tickers=None):
-    """Write the five report files; returns the written paths.
+def _open_report(path: Path):
+    return open(path, "w", encoding="utf-8", newline="\n")
 
-    All contents are rendered before anything touches disk, and a failed
-    write removes every file this call already created, so an aborted run
-    leaves no partial reports behind.
+
+def _write_texts(directory: Path, contents: dict[str, str]) -> None:
+    for name, text in contents.items():
+        with _open_report(directory / name) as fh:
+            fh.write(text)
+
+
+@contextlib.contextmanager
+def _staged_reports(output_dir: Path):
+    """Yield a new staging directory beside `output_dir` for the
+    REPORT_FILES.
+
+    When the with block ends cleanly, `output_dir` is created if missing
+    and the files are moved into it with os.replace. Either way the staging
+    directory is then removed, so a failed run leaves no partial reports,
+    and the reports of an earlier run in `output_dir` keep their bytes.
+    """
+    output_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{output_dir.name}.",
+                                    suffix=".staging", dir=output_dir.parent))
+    try:
+        yield staging
+        output_dir.mkdir(exist_ok=True)
+        for name in REPORT_FILES:
+            os.replace(staging / name, output_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
+    """Run the pipeline and write its five report files: the CLI's route.
+
+    Each block of windows is rendered in the process that analysed it, and
+    the blocks' text is appended in window order to report files staged
+    beside `config.output_dir` (see _staged_reports). The windows run
+    before the null baseline, whose scree counts complete windows.csv.
+    Writes the bytes that emit_reports(*run_analysis(config),
+    config.output_dir, config=config) writes. Returns the number of
+    windows and the written paths.
+    """
+    returns, n_windows = _load_returns(config)
+    output_dir = Path(config.output_dir)
+    rows, eigenvalues = [], []
+    with _staged_reports(output_dir) as staging:
+        with _open_report(staging / "eigenvalues.csv") as eig_file, \
+                _open_report(staging / "asset_pc_corr.csv") as corr_file, \
+                _window_blocks(_window_rows, returns, config,
+                               n_windows) as blocks:
+            eig_file.write(_EIGENVALUES_HEADER)
+            corr_file.write(_ASSET_CORR_HEADER)
+            for block_rows, eig_text, corr_text, block_eigenvalues in blocks:
+                rows += block_rows
+                eigenvalues.extend(block_eigenvalues)
+                eig_file.write(eig_text)
+                corr_file.write(corr_text)
+        stats = _baseline(config, returns.n_assets)
+        counts = [_scree_counts(values, stats) for values in eigenvalues]
+        _write_texts(staging, {
+            "windows.csv": _windows_csv(rows, counts, config.max_rank),
+            "null_baselines.json": _baselines_json(stats),
+            "run_manifest.json": _manifest_json(config, n_windows,
+                                                config.max_rank,
+                                                returns.tickers),
+        })
+    return n_windows, [output_dir / name for name in REPORT_FILES]
+
+
+def emit_reports(reports, stats, output_dir, config=None, tickers=None):
+    """Write the five report files of an in-memory run; returns their paths.
+
+    `output_dir` is created first. The files are rendered in memory,
+    written to a staging directory beside it and moved into it only once
+    all are written (see _staged_reports), so a failed write leaves no
+    partial reports and keeps the reports of an earlier run.
     """
     if tickers is None and reports and reports[0].tickers:
         tickers = reports[0].tickers
@@ -339,26 +481,17 @@ def emit_reports(reports, stats, output_dir, config=None, tickers=None):
     )
     output_dir = Path(output_dir)
     contents = {
-        "windows.csv": _windows_csv(reports, max_rank),
+        "windows.csv": _windows_csv(
+            [_window_row(rep, max_rank) for rep in reports],
+            [(rep.scree_count, rep.scree_exceedance_count) for rep in reports],
+            max_rank),
         "eigenvalues.csv": _eigenvalues_csv(reports),
         "asset_pc_corr.csv": _asset_corr_csv(reports, tickers),
         "null_baselines.json": _baselines_json(stats),
-        "run_manifest.json": _manifest_json(config, reports, max_rank,
+        "run_manifest.json": _manifest_json(config, len(reports), max_rank,
                                             tickers),
     }
     output_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
-        for name, text in contents.items():
-            path = output_dir / name
-            written.append(path)
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-    except OSError:
-        for path in written:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-        raise
-    return written
+    with _staged_reports(output_dir) as staging:
+        _write_texts(staging, contents)
+    return [output_dir / name for name in REPORT_FILES]

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import corrspectra
-from corrspectra import RunConfig, WorkerProcessError, emit_reports, run_analysis
+from corrspectra import (
+    DegenerateWindowError,
+    RunConfig,
+    WorkerProcessError,
+    emit_reports,
+    run_analysis,
+)
 from corrspectra import nulls, pipeline
 from corrspectra.cli import main
 from corrspectra.correlation import CoefficientMoments
@@ -34,6 +40,23 @@ def make_input_files(tmp_path, n_assets=4, n_dates=30, classes=None, seed=2):
     write_prices_csv(prices_path, weekly_dates(n_dates), prices, tickers)
     write_meta_csv(meta_path, tickers, classes or CLASSES[:n_assets])
     return prices_path, meta_path
+
+
+def make_flat_asset_files(tmp_path):
+    # A01 is flat over returns 20..34, so windows 20..25 of a 10-return
+    # window are degenerate; in blocks of 8 the first falls in the third
+    tickers = ["A00", "A01", "A02", "A03"]
+    prices = random_walk_prices(np.random.default_rng(3), 4, 40)
+    prices[1, 20:36] = prices[1, 20]
+    prices_path = tmp_path / "flat.csv"
+    meta_path = tmp_path / "flat_meta.csv"
+    write_prices_csv(prices_path, weekly_dates(40), prices, tickers)
+    write_meta_csv(meta_path, tickers, CLASSES)
+    return prices_path, meta_path
+
+
+def _no_ensemble(config, max_rank=0):
+    raise AssertionError("the null ensemble ran before the windows")
 
 
 def make_config(tmp_path, out="out", **overrides):
@@ -92,6 +115,19 @@ class TestRunAnalysis:
         config = make_config(tmp_path, max_rank=9)
         with pytest.raises(ValueError, match="max-rank"):
             run_analysis(config)
+
+    def test_degenerate_window_raises_before_the_null_ensemble(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        prices_path, meta_path = make_flat_asset_files(tmp_path)
+        cache = tmp_path / "cache.json"
+        config = RunConfig(prices_path=str(prices_path),
+                           meta_path=str(meta_path),
+                           output_dir=str(tmp_path / "out"), window_len=10,
+                           sims=10, max_rank=3, baseline_cache=str(cache))
+        with pytest.raises(DegenerateWindowError, match="window 20 "):
+            run_analysis(config)
+        assert not cache.exists()
 
     def test_needs_three_assets(self, tmp_path):
         prices_path, meta_path = make_input_files(
@@ -257,6 +293,18 @@ class TestPooledWindows:
         two = self._report_bytes(monkeypatch, config, 2)
         assert one == two
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_write_reports_matches_emit_reports(self, tmp_path, monkeypatch,
+                                                cpus):
+        config = make_config(tmp_path)
+        monkeypatch.setattr(pipeline, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
+        n_windows, written = pipeline.write_reports(config)
+        assert n_windows == 20
+        assert [path.name for path in written] == EXPECTED_FILES
+        streamed = {path.name: path.read_bytes() for path in written}
+        assert self._report_bytes(monkeypatch, config, cpus) == streamed
+
     def test_block_size_does_not_change_report_bytes(self, tmp_path,
                                                      monkeypatch):
         config = make_config(tmp_path)
@@ -380,15 +428,7 @@ class TestCLI:
 
     def test_degenerate_window_in_pool_exits_three(self, tmp_path, capsys,
                                                    monkeypatch):
-        # A01 is flat over returns 20..34, so windows 20..25 are degenerate
-        # and the first of them falls in the third block
-        tickers = ["A00", "A01", "A02", "A03"]
-        prices = random_walk_prices(np.random.default_rng(3), 4, 40)
-        prices[1, 20:36] = prices[1, 20]
-        prices_path = tmp_path / "prices.csv"
-        meta_path = tmp_path / "meta.csv"
-        write_prices_csv(prices_path, weekly_dates(40), prices, tickers)
-        write_meta_csv(meta_path, tickers, CLASSES)
+        prices_path, meta_path = make_flat_asset_files(tmp_path)
         monkeypatch.setattr(pipeline, "available_cpus", lambda: 2)
         monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
         args = self._args(tmp_path, prices_path, meta_path)
@@ -397,11 +437,52 @@ class TestCLI:
         assert "window 20 " in err and "'A01'" in err
         assert not (tmp_path / "cli_out").exists()
 
+    def test_degenerate_window_exits_before_the_null_ensemble(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        prices_path, meta_path = make_flat_asset_files(tmp_path)
+        cache = tmp_path / "cache.json"
+        args = self._args(tmp_path, prices_path, meta_path,
+                          baseline_cache=cache)
+        assert main(args) == 3
+        assert "window 20 " in capsys.readouterr().err
+        assert not cache.exists()
+        assert not (tmp_path / "cli_out").exists()
+
+    @pytest.mark.parametrize("failure, code", [("window", 3), ("ensemble", 5)])
+    def test_failed_run_keeps_earlier_reports(self, tmp_path, capsys,
+                                              monkeypatch, failure, code):
+        prices_path, meta_path = make_input_files(tmp_path)
+        assert main(self._args(tmp_path, prices_path, meta_path)) == 0
+        earlier = {path.name: path.read_bytes()
+                   for path in (tmp_path / "cli_out").iterdir()}
+        assert sorted(earlier) == sorted(EXPECTED_FILES)
+        if failure == "window":
+            # fails in the third pooled block, after two blocks are written
+            prices_path, meta_path = make_flat_asset_files(tmp_path)
+            monkeypatch.setattr(pipeline, "available_cpus", lambda: 2)
+            monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
+        else:
+            # other prices, and a failure after every window's rows are
+            # written
+            prices_path, meta_path = make_input_files(tmp_path, seed=9)
+
+            def dead_worker(config, max_rank=0):
+                raise WorkerProcessError("a worker process ended")
+
+            monkeypatch.setattr(nulls, "null_ensemble_stats", dead_worker)
+        entries = sorted(path.name for path in tmp_path.iterdir())
+        args = self._args(tmp_path, prices_path, meta_path)
+        assert main(args) == code
+        assert {path.name: path.read_bytes()
+                for path in (tmp_path / "cli_out").iterdir()} == earlier
+        assert sorted(path.name for path in tmp_path.iterdir()) == entries
+
     def test_dead_worker_in_window_loop_exits_five(self, tmp_path, capsys,
                                                    monkeypatch):
         monkeypatch.setattr(pipeline, "available_cpus", lambda: 2)
         monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
-        monkeypatch.setattr(pipeline, "_window_block", _die_in_worker)
+        monkeypatch.setattr(pipeline, "_window_rows", _die_in_worker)
         prices_path, meta_path = make_input_files(tmp_path)
         args = self._args(tmp_path, prices_path, meta_path)
         assert main(args) == 5
