@@ -7,10 +7,7 @@ spectra and eigenvector diagnostics against Monte Carlo null baselines.
 
 from .analytics import (
     AssetComponentCorrelations,
-    ParticipationSeries,
-    SignificanceCounts,
-    VarianceProfile,
-    adjusted_component_correlations,
+    analyze_window,
     asset_component_correlations,
     kaiser_guttman_count,
     max_correlation_rank,
@@ -18,7 +15,6 @@ from .analytics import (
     scree_exceedance_count,
     scree_significant_count,
     self_correlation_deltas,
-    significance_counts,
     variance_fractions,
 )
 from .correlation import (
@@ -38,13 +34,10 @@ from .nulls import (
     FactorSpec,
     NullConfig,
     NullEnsembleStats,
-    abs_corr_percentile99,
     cached_ensemble_stats,
     nearest_rank_percentile,
     null_ensemble_stats,
-    null_windows,
-    pr_baseline_stats,
-    random_scree_profile,
+    null_window,
     shuffle_panel,
     sim_rng,
     simulate_gaussian_panel,
@@ -65,7 +58,6 @@ from .panel import (
 from .pipeline import (
     RunConfig,
     WindowReport,
-    emit_reports,
     run_analysis,
     write_reports,
 )
@@ -94,18 +86,14 @@ __all__ = [
     "NullConfig",
     "NullEnsembleStats",
     "PanelFormatError",
-    "ParticipationSeries",
     "PricePanel",
     "ReturnPanel",
     "RunConfig",
-    "SignificanceCounts",
     "SpectralDecomposition",
-    "VarianceProfile",
     "WindowReport",
     "WindowView",
     "WorkerProcessError",
-    "abs_corr_percentile99",
-    "adjusted_component_correlations",
+    "analyze_window",
     "asset_component_correlations",
     "cached_ensemble_stats",
     "coefficient_moments",
@@ -113,7 +101,6 @@ __all__ = [
     "correlation_matrix",
     "eigendecompose",
     "eigenvector_zscores",
-    "emit_reports",
     "kaiser_guttman_count",
     "load_price_panel",
     "max_correlation_rank",
@@ -121,17 +108,14 @@ __all__ = [
     "mp_density",
     "nearest_rank_percentile",
     "null_ensemble_stats",
-    "null_windows",
+    "null_window",
     "participation",
-    "pr_baseline_stats",
-    "random_scree_profile",
     "roll_windows",
     "run_analysis",
     "scree_exceedance_count",
     "scree_significant_count",
     "self_correlation_deltas",
     "shuffle_panel",
-    "significance_counts",
     "sim_rng",
     "simulate_gaussian_panel",
     "standardize_window",

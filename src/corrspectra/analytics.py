@@ -1,45 +1,24 @@
 """Per-window PCA diagnostics.
 
-Covers variance fractions, eigenvector participation ratios, two
+Covers the spectral kernel that rolling windows and null simulations share,
+variance fractions, eigenvector participation ratios, two
 significant-component counts, and the correlations between each asset and
 each principal component, with and without the asset's own contribution.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BaselineMismatchError, EigenComputationError
-from .nulls import NullEnsembleStats
-from .panel import WindowView
-from .spectral import SpectralDecomposition
+from .correlation import corr_from_standardized
+from .errors import BaselineMismatchError
+from .spectral import SpectralDecomposition, decompose_symmetric
 
-
-@dataclass
-class VarianceProfile:
-    window_index: int
-    fractions: np.ndarray  # beta_k / N, descending
-    cumulative: np.ndarray
-
-
-@dataclass
-class ParticipationSeries:
-    window_index: int
-    ipr: np.ndarray  # sum of fourth powers of eigenvector elements
-    pr: np.ndarray  # 1 / ipr: effective number of contributing assets
-
-
-@dataclass
-class SignificanceCounts:
-    window_index: int
-    kaiser_count: int
-    scree_count: int
-    # raw number of ranks exceeding the baseline anywhere, for comparison
-    # with the contiguous-prefix scree_count when the curves re-cross
-    scree_exceedance_count: int
+if TYPE_CHECKING:
+    from .nulls import NullEnsembleStats
 
 
 @dataclass
@@ -53,30 +32,38 @@ class AssetComponentCorrelations:
     abs_r_adjusted: np.ndarray | None = None
 
 
-def variance_fractions(decomposition: SpectralDecomposition) -> VarianceProfile:
-    """Fraction beta_k / N of total variance per component, plus running sum.
+def analyze_window(z_hat: np.ndarray, max_rank: int, window_index: int):
+    """The spectral work of one standardized window (N x T), shared by the
+    rolling windows and the null simulations.
+
+    Returns (correlation matrix values, checked decomposition, participation
+    ratio of every rank, |r| of ranks 1..max_rank as an N x max_rank array).
+    Raises EigenComputationError naming `window_index` when the
+    decomposition misses its accuracy contract.
+    """
+    values = corr_from_standardized(z_hat)
+    beta, omega = decompose_symmetric(values, window_index)
+    decomposition = SpectralDecomposition(window_index, beta, omega)
+    return (values, decomposition, participation(decomposition),
+            _abs_r(beta[:max_rank], omega[:max_rank]))
+
+
+def variance_fractions(decomposition: SpectralDecomposition) -> np.ndarray:
+    """Fraction beta_k / N of total variance per component.
 
     Round-off eigenvalues slightly below zero are clipped at zero.
     """
-    n = decomposition.n_assets
-    fractions = np.clip(decomposition.eigenvalues, 0.0, None) / n
-    return VarianceProfile(
-        window_index=decomposition.window_index,
-        fractions=fractions,
-        cumulative=np.cumsum(fractions),
-    )
+    return np.clip(decomposition.eigenvalues, 0.0, None) / decomposition.n_assets
 
 
-def participation(decomposition: SpectralDecomposition) -> ParticipationSeries:
-    """Inverse participation ratio and participation ratio per rank.
+def participation(decomposition: SpectralDecomposition) -> np.ndarray:
+    """Participation ratio 1 / sum_i omega_ki^4 per rank.
 
     A uniform eigenvector gives pr = N (every asset contributes); a
     single-asset eigenvector gives pr = 1.
     """
-    ipr = np.square(np.square(decomposition.eigenvectors)).sum(axis=1)
-    return ParticipationSeries(
-        window_index=decomposition.window_index, ipr=ipr, pr=1.0 / ipr
-    )
+    # np.square avoids libm pow, which omega**4 goes through
+    return 1.0 / np.square(np.square(decomposition.eigenvectors)).sum(axis=1)
 
 
 def kaiser_guttman_count(decomposition: SpectralDecomposition) -> int:
@@ -84,8 +71,8 @@ def kaiser_guttman_count(decomposition: SpectralDecomposition) -> int:
     return int((decomposition.eigenvalues > 1.0).sum())
 
 
-def _check_baseline(decomposition, baseline: NullEnsembleStats):
-    n = decomposition.n_assets
+def _check_baseline(eigenvalues: np.ndarray, baseline: NullEnsembleStats):
+    n = len(eigenvalues)
     if baseline.config.n_assets != n:
         raise BaselineMismatchError(
             f"baseline is for N={baseline.config.n_assets}, window has N={n}"
@@ -93,16 +80,17 @@ def _check_baseline(decomposition, baseline: NullEnsembleStats):
 
 
 def scree_significant_count(
-    decomposition: SpectralDecomposition, baseline: NullEnsembleStats
+    eigenvalues: np.ndarray, baseline: NullEnsembleStats
 ) -> int:
-    """Length of the leading run of eigenvalues above the null scree profile.
+    """Length of the leading run of eigenvalues (descending) above the null
+    scree profile.
 
     The contiguous-prefix rule keeps the count well-defined when observed
     and null curves cross more than once.
     """
-    _check_baseline(decomposition, baseline)
+    _check_baseline(eigenvalues, baseline)
     count = 0
-    for observed, null in zip(decomposition.eigenvalues, baseline.scree_mean):
+    for observed, null in zip(eigenvalues, baseline.scree_mean):
         if observed > null:
             count += 1
         else:
@@ -111,46 +99,17 @@ def scree_significant_count(
 
 
 def scree_exceedance_count(
-    decomposition: SpectralDecomposition, baseline: NullEnsembleStats
+    eigenvalues: np.ndarray, baseline: NullEnsembleStats
 ) -> int:
     """Total ranks whose eigenvalue exceeds the null profile, crossings ignored."""
-    _check_baseline(decomposition, baseline)
-    return int((decomposition.eigenvalues > baseline.scree_mean).sum())
+    _check_baseline(eigenvalues, baseline)
+    return int((eigenvalues > baseline.scree_mean).sum())
 
 
-def significance_counts(
-    decomposition: SpectralDecomposition, baseline: NullEnsembleStats
-) -> SignificanceCounts:
-    """Both significant-component counts for one window."""
-    return SignificanceCounts(
-        window_index=decomposition.window_index,
-        kaiser_count=kaiser_guttman_count(decomposition),
-        scree_count=scree_significant_count(decomposition, baseline),
-        scree_exceedance_count=scree_exceedance_count(decomposition, baseline),
-    )
-
-
-def asset_component_correlations(
-    decomposition: SpectralDecomposition,
-) -> AssetComponentCorrelations:
-    """|r(asset i, component k)| = |omega_ki| sqrt(beta_k) for all pairs.
-
-    Valid because assets are standardized and component k has variance
-    beta_k within the window. Rows of squared entries sum to 1.
-    """
-    beta = decomposition.eigenvalues
-    if beta.min() < -1e-8:
-        raise EigenComputationError(
-            f"window {decomposition.window_index}: negative eigenvalue "
-            f"{beta.min():.3e} invalidates correlations",
-            residual=float(beta.min()),
-            window_index=decomposition.window_index,
-        )
-    scale = np.sqrt(np.clip(beta, 0.0, None))
-    return AssetComponentCorrelations(
-        window_index=decomposition.window_index,
-        abs_r=np.abs(decomposition.eigenvectors.T) * scale[None, :],
-    )
+def _abs_r(beta: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """|omega_ki| sqrt(beta_k) as an assets x ranks array, for leading
+    eigenvalues `beta` and their eigenvector rows `omega`."""
+    return np.abs(omega.T) * np.sqrt(np.clip(beta, 0.0, None))
 
 
 # An adjusted component with variance at or below this is treated as
@@ -158,38 +117,39 @@ def asset_component_correlations(
 _ZERO_VARIANCE_TOL = 1e-14
 
 
-def adjusted_component_correlations(
-    window: WindowView, decomposition: SpectralDecomposition
-) -> AssetComponentCorrelations:
-    """Asset-component correlations with each asset's own term removed.
+def _abs_r_adjusted(beta: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """|r(z_i, y_k - omega_ki z_i)| as an assets x ranks array, for leading
+    eigenvalues `beta` and their eigenvector rows `omega`.
 
-    For asset i and component k the adjusted series is
-    w(t) = y_k(t) - omega_ki * z_i(t), i.e. the component rebuilt from the
-    other N-1 assets. Entries where w is identically zero are NaN, never 0.
-    All covariances are taken from the window data (population convention).
+    With standardized z_i and component y_k = omega_k . z, cov(z_i, y_k) =
+    beta_k omega_ki and var(y_k) = beta_k, so the correlation is
+    |omega_ki (beta_k - 1)| / sqrt(beta_k (1 - 2 omega_ki^2) + omega_ki^2).
+    Entries whose adjusted variance vanishes are NaN, never 0.
     """
-    if window.window_index != decomposition.window_index:
-        raise ValueError(
-            f"window {window.window_index} does not match decomposition "
-            f"{decomposition.window_index}"
-        )
-    z = window.z_hat
-    omega = decomposition.eigenvectors
-    n_steps = z.shape[1]
-    components = omega @ z
-    cov_zy = z @ components.T / n_steps  # [i, k]
-    var_y = (components**2).sum(axis=1) / n_steps
-    var_z = (z**2).sum(axis=1) / n_steps  # rows are centered already
     weights = omega.T  # [i, k] = omega_ki
-    cov_zw = cov_zy - weights * var_z[:, None]
-    var_w = var_y[None, :] - 2.0 * weights * cov_zy + weights**2 * var_z[:, None]
+    weights_sq = weights * weights
+    var_w = beta * (1.0 - 2.0 * weights_sq) + weights_sq
     undefined = var_w <= _ZERO_VARIANCE_TOL
-    denom = np.sqrt(np.where(undefined, 1.0, var_w) * var_z[:, None])
-    adjusted = np.where(undefined, np.nan, np.abs(cov_zw) / denom)
+    denom = np.sqrt(np.where(undefined, 1.0, var_w))
+    return np.where(undefined, np.nan, np.abs(weights * (beta - 1.0)) / denom)
+
+
+def asset_component_correlations(
+    decomposition: SpectralDecomposition,
+) -> AssetComponentCorrelations:
+    """|r(asset i, component k)| for all pairs, plain and with asset i's own
+    term removed from component k.
+
+    The plain value is |omega_ki| sqrt(beta_k): assets are standardized and
+    component k has variance beta_k within the window, so rows of squared
+    entries sum to 1. Both need only the decomposition of the window's own
+    correlation matrix.
+    """
+    beta, omega = decomposition.eigenvalues, decomposition.eigenvectors
     return AssetComponentCorrelations(
         window_index=decomposition.window_index,
-        abs_r=asset_component_correlations(decomposition).abs_r,
-        abs_r_adjusted=adjusted,
+        abs_r=_abs_r(beta, omega),
+        abs_r_adjusted=_abs_r_adjusted(beta, omega),
     )
 
 

@@ -28,10 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import corr_from_standardized
+from .analytics import analyze_window
 from .errors import WorkerProcessError
-from .panel import AssetMeta, ReturnPanel, standardize_rows
-from .spectral import decompose_symmetric
+from .panel import AssetMeta, ReturnPanel, standardize
 
 NULL_KINDS = ("shuffled", "gaussian")
 CACHE_SCHEMA_VERSION = "2"
@@ -52,7 +51,6 @@ _SYNTHETIC_EPOCH = dt.date(2000, 1, 7)
 class NullConfig:
     n_assets: int
     window_len: int
-    num_windows: int = 1
     sims: int = 1
     master_seed: int = 0
     kind: str = "gaussian"
@@ -62,8 +60,6 @@ class NullConfig:
             raise ValueError(f"n_assets must be >= 2, got {self.n_assets}")
         if self.window_len < 2:
             raise ValueError(f"window_len must be >= 2, got {self.window_len}")
-        if self.num_windows < 1:
-            raise ValueError(f"num_windows must be >= 1, got {self.num_windows}")
         if self.sims < 1:
             raise ValueError(f"sims must be >= 1, got {self.sims}")
         if not 0 <= self.master_seed < 2**64:
@@ -189,21 +185,15 @@ def synthetic_factor_panel(spec: FactorSpec, length: int, seed: int) -> ReturnPa
     )
 
 
-def _null_window(rng: np.random.Generator, config: NullConfig) -> np.ndarray:
-    """One standardized null window (n_assets x window_len)."""
+def null_window(config: NullConfig, sim_index: int) -> np.ndarray:
+    """The standardized null window (n_assets x window_len) of simulation
+    `sim_index`, drawn from sim_rng(config.master_seed, sim_index)."""
+    rng = sim_rng(config.master_seed, sim_index)
     x = rng.standard_normal((config.n_assets, config.window_len))
     if config.kind == "shuffled":
         for i in range(config.n_assets):
             x[i] = rng.permutation(x[i])
-    return standardize_rows(x)
-
-
-def null_windows(config: NullConfig) -> list[np.ndarray]:
-    """`num_windows` independent standardized null windows (child seeds 0..)."""
-    return [
-        _null_window(sim_rng(config.master_seed, s), config)
-        for s in range(config.num_windows)
-    ]
+    return standardize(x, sim_index)
 
 
 def nearest_rank_percentile(values: np.ndarray, pct: float) -> float:
@@ -234,13 +224,10 @@ def _ensemble_block(config: NullConfig, max_rank: int, start: int, stop: int):
     beta_rows = np.empty((stop - start, n))
     abs_corr = np.empty((max_rank, stop - start, n))
     for row, s in enumerate(range(start, stop)):
-        z_hat = _null_window(sim_rng(config.master_seed, s), config)
-        beta, omega = decompose_symmetric(corr_from_standardized(z_hat), s)
-        # np.square avoids libm pow, which omega**4 goes through
-        pr[row] = 1.0 / np.square(np.square(omega)).sum(axis=1)
-        beta_rows[row] = beta
-        scale = np.sqrt(np.clip(beta[:max_rank], 0.0, None))
-        abs_corr[:, row] = np.abs(omega[:max_rank]) * scale[:, None]
+        _, decomposition, pr[row], abs_r = analyze_window(
+            null_window(config, s), max_rank, s)
+        beta_rows[row] = decomposition.eigenvalues
+        abs_corr[:, row] = abs_r.T
     return pr, beta_rows, abs_corr
 
 
@@ -289,8 +276,9 @@ def _block_map(workers: int, n_blocks: int):
 def null_ensemble_stats(config: NullConfig, max_rank: int = 0) -> NullEnsembleStats:
     """One Monte Carlo sweep collecting PR, scree, and |r| percentile baselines.
 
-    Each simulation generates a single null window, decomposes its
-    correlation matrix, and contributes: participation ratios per rank,
+    Each simulation generates a single null window, runs it through
+    analyze_window, the kernel the rolling windows use, with its checks,
+    and contributes: participation ratios per rank,
     the sorted eigenvalues, and (for ranks <= max_rank) the N absolute
     asset-component correlations |omega_ki| sqrt(beta_k).
 
@@ -331,23 +319,6 @@ def null_ensemble_stats(config: NullConfig, max_rank: int = 0) -> NullEnsembleSt
     )
 
 
-def pr_baseline_stats(config: NullConfig) -> NullEnsembleStats:
-    """Mean and population std of the participation ratio per rank."""
-    return null_ensemble_stats(config, max_rank=0)
-
-
-def random_scree_profile(config: NullConfig) -> NullEnsembleStats:
-    """Mean k-th largest null eigenvalue for every rank k."""
-    return null_ensemble_stats(config, max_rank=0)
-
-
-def abs_corr_percentile99(config: NullConfig, max_rank: int) -> NullEnsembleStats:
-    """99th percentile of |r(asset, component)| on null windows, per rank."""
-    if max_rank < 1:
-        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
-    return null_ensemble_stats(config, max_rank=max_rank)
-
-
 def _cache_key(config: NullConfig) -> str:
     return (
         f"N={config.n_assets},T={config.window_len},sims={config.sims},"
@@ -362,7 +333,6 @@ def _json_floats(values) -> list:
 
 def _stats_to_payload(stats: NullEnsembleStats) -> dict:
     return {
-        "num_windows": stats.config.num_windows,
         "pr_mean": _json_floats(stats.pr_mean),
         "pr_std": _json_floats(stats.pr_std),
         "scree_mean": _json_floats(stats.scree_mean),

@@ -223,15 +223,28 @@ def compute_log_returns(panel: PricePanel) -> ReturnPanel:
     return ReturnPanel(dates=panel.dates[1:], returns=returns, meta=panel.meta)
 
 
-def standardize_rows(x: np.ndarray) -> np.ndarray:
-    """Demean and scale each row by its own population standard deviation."""
-    mu = x.mean(axis=1, keepdims=True)
-    sigma = x.std(axis=1, keepdims=True)
+def standardize(block: np.ndarray, window_index: int, meta=None,
+                start: int = 0) -> np.ndarray:
+    """Center each row of an assets x returns block and scale it by its own
+    population standard deviation (divide by the window length, not
+    length - 1).
+
+    A constant row is an error: dropping the asset would change N
+    mid-series, so callers must clean their panel instead. The
+    DegenerateWindowError names window `window_index`, the block's returns
+    counted from `start`, and the asset from `meta` (else its row).
+    """
+    sigma = block.std(axis=1)
     if np.any(sigma == 0.0):
+        idx = int(np.argmax(sigma == 0.0))
+        ticker = meta[idx].ticker if meta else None
         raise DegenerateWindowError(
-            f"row {int(np.argmax(sigma == 0.0))} has zero variance"
+            f"asset {ticker or idx!r} has zero variance in window {window_index} "
+            f"(returns {start}..{start + block.shape[1] - 1})",
+            ticker=ticker,
+            window_index=window_index,
         )
-    return (x - mu) / sigma
+    return (block - block.mean(axis=1, keepdims=True)) / sigma[:, None]
 
 
 def standardize_window(
@@ -240,10 +253,7 @@ def standardize_window(
     """Standardize the slice of `length` returns beginning at `start`.
 
     Each asset is centered and scaled with the window's own mean and
-    population standard deviation (divide by the window length, not
-    length - 1). A constant return series inside the window is an error:
-    dropping the asset would change N mid-series, so callers must clean
-    their panel instead.
+    population standard deviation; see `standardize`.
     """
     n_returns = returns.returns.shape[1]
     if length < 2:
@@ -253,21 +263,10 @@ def standardize_window(
             f"window [{start}, {start + length}) out of range for {n_returns} returns"
         )
     block = returns.returns[:, start : start + length]
-    sigma = block.std(axis=1)
-    if np.any(sigma == 0.0):
-        idx = int(np.argmax(sigma == 0.0))
-        ticker = returns.meta[idx].ticker
-        raise DegenerateWindowError(
-            f"asset {ticker!r} has zero variance in window {window_index} "
-            f"(returns {start}..{start + length - 1})",
-            ticker=ticker,
-            window_index=window_index,
-        )
-    z_hat = (block - block.mean(axis=1, keepdims=True)) / sigma[:, None]
     return WindowView(
         window_index=window_index,
         end_date=returns.dates[start + length - 1],
-        z_hat=z_hat,
+        z_hat=standardize(block, window_index, returns.meta, start),
     )
 
 

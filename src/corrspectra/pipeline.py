@@ -6,10 +6,9 @@ and computes (or loads from cache) the Monte Carlo null baselines for the
 panel's shape. Reports are flat CSV/JSON with fixed headers; identical
 inputs, configuration, and seed produce byte-identical files.
 
-Two routes write the same bytes. `write_reports`, the CLI's route, renders
-each block of windows in the process that analysed it and streams the text
-into the report files. `run_analysis` keeps every window's WindowReport in
-memory, and `emit_reports` renders and writes them.
+`write_reports`, the CLI's route, renders each block of windows in the
+process that analysed it and streams the text into the report files.
+`run_analysis` collects every window's WindowReport in memory instead.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import datetime as dt
 import itertools
 import json
 import os
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -27,14 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import (
-    adjusted_component_correlations,
+    _abs_r_adjusted,
+    analyze_window,
     kaiser_guttman_count,
-    participation,
     scree_exceedance_count,
     scree_significant_count,
     variance_fractions,
 )
-from .correlation import CoefficientMoments, coefficient_moments, correlation_matrix
+from .correlation import CoefficientMoments, CorrelationMatrix, coefficient_moments
 from .nulls import (
     NULL_KINDS,
     NullConfig,
@@ -52,7 +52,6 @@ from .panel import (
     subset_by_class,
     window_count,
 )
-from .spectral import SpectralDecomposition, eigendecompose
 
 SCHEMA_VERSION = "1"
 # Windows per unit of work handed to a worker process. Reports are
@@ -130,7 +129,6 @@ def _baseline(config: RunConfig, n_assets: int) -> NullEnsembleStats:
     null_config = NullConfig(
         n_assets=n_assets,
         window_len=config.window_len,
-        num_windows=1,
         sims=config.sims,
         master_seed=config.master_seed,
         kind=config.null_kind,
@@ -146,29 +144,29 @@ def _window_block(
     """Reports for windows start..stop-1 of the roll, without tickers and
     with zero scree counts: those need the null baseline."""
     reports = []
+    max_rank = config.max_rank
     for index in range(start, stop):
         window = standardize_window(
             returns, index * config.step, config.window_len, index
         )
-        matrix = correlation_matrix(window)
-        decomposition = eigendecompose(matrix)
-        profile = variance_fractions(decomposition)
-        part = participation(decomposition)
-        correlations = adjusted_component_correlations(window, decomposition)
+        values, decomposition, pr, abs_r = analyze_window(
+            window.z_hat, max_rank, index)
+        beta, omega = decomposition.eigenvalues, decomposition.eigenvectors
         reports.append(
             WindowReport(
-                window_index=window.window_index,
+                window_index=index,
                 end_date=window.end_date,
-                moments=coefficient_moments(matrix),
-                eigenvalues=decomposition.eigenvalues,
-                variance_fractions=profile.fractions,
-                pr=part.pr,
+                moments=coefficient_moments(
+                    CorrelationMatrix(index, window.end_date, values)),
+                eigenvalues=beta,
+                variance_fractions=variance_fractions(decomposition),
+                pr=pr,
                 kaiser_count=kaiser_guttman_count(decomposition),
                 scree_count=0,
                 scree_exceedance_count=0,
-                # copies, so a report does not keep the N x N arrays alive
-                abs_r=correlations.abs_r[:, : config.max_rank].copy(),
-                abs_r_adjusted=correlations.abs_r_adjusted[:, : config.max_rank].copy(),
+                abs_r=abs_r,
+                abs_r_adjusted=_abs_r_adjusted(beta[:max_rank],
+                                               omega[:max_rank]),
             )
         )
     return reports
@@ -179,8 +177,8 @@ def _window_rows(returns: ReturnPanel, config: RunConfig, start: int,
     """Windows start..stop-1 analysed and rendered.
 
     Returns their windows.csv rows without the scree counts, their
-    eigenvalues.csv and asset_pc_corr.csv text, and their eigenvalues as a
-    (stop - start, N) array for the scree counts.
+    eigenvalues.csv and asset_pc_corr.csv text as one string per window,
+    and their eigenvalues as a (stop - start, N) array for the scree counts.
     """
     reports = _window_block(returns, config, start, stop)
     return ([_window_row(rep, config.max_rank) for rep in reports],
@@ -208,10 +206,8 @@ def _window_blocks(kernel, returns: ReturnPanel, config: RunConfig,
 def _scree_counts(eigenvalues: np.ndarray,
                   stats: NullEnsembleStats) -> tuple[int, int]:
     """scree_count and scree_exceedance_count of one window's spectrum."""
-    # both counts read the eigenvalues only
-    spectrum = SpectralDecomposition(-1, eigenvalues, eigenvectors=None)
-    return (scree_significant_count(spectrum, stats),
-            scree_exceedance_count(spectrum, stats))
+    return (scree_significant_count(eigenvalues, stats),
+            scree_exceedance_count(eigenvalues, stats))
 
 
 def run_analysis(config: RunConfig) -> tuple[list[WindowReport], NullEnsembleStats]:
@@ -294,36 +290,24 @@ def _templates(keys, width: int) -> list[str]:
     return [key.replace("%", "%%") + ",%.15g" * width for key in keys]
 
 
-def _eigenvalues_rows(reports) -> str:
-    if not reports:
-        return ""
+def _eigenvalues_rows(reports) -> list[str]:
+    """Each report's eigenvalues.csv lines, one string per window."""
     keys = [str(k) for k in range(1, len(reports[0].eigenvalues) + 1)]
     templates = _templates(keys, 1)
-    return "".join(
-        _window_lines(f"{rep.window_index},{rep.end_date.isoformat()},",
-                      keys, templates, rep.eigenvalues[:, None])
-        for rep in reports)
+    return [_window_lines(f"{rep.window_index},{rep.end_date.isoformat()},",
+                          keys, templates, rep.eigenvalues[:, None])
+            for rep in reports]
 
 
-def _asset_corr_rows(reports, tickers) -> str:
-    if not reports:
-        return ""
-    n_assets, n_ranks = reports[0].abs_r.shape
-    names = tickers if tickers else [str(i) for i in range(n_assets)]
-    keys = [f"{name},{k}" for name in names for k in range(1, n_ranks + 1)]
+def _asset_corr_rows(reports, tickers) -> list[str]:
+    """Each report's asset_pc_corr.csv lines, one string per window."""
+    n_ranks = reports[0].abs_r.shape[1]
+    keys = [f"{name},{k}" for name in tickers for k in range(1, n_ranks + 1)]
     templates = _templates(keys, 2)
-    return "".join(
-        _window_lines(f"{rep.window_index},", keys, templates,
-                      np.stack([rep.abs_r, rep.abs_r_adjusted], -1).reshape(-1, 2))
-        for rep in reports)
-
-
-def _eigenvalues_csv(reports) -> str:
-    return _EIGENVALUES_HEADER + _eigenvalues_rows(reports)
-
-
-def _asset_corr_csv(reports, tickers) -> str:
-    return _ASSET_CORR_HEADER + _asset_corr_rows(reports, tickers)
+    return [_window_lines(f"{rep.window_index},", keys, templates,
+                          np.stack([rep.abs_r, rep.abs_r_adjusted],
+                                   -1).reshape(-1, 2))
+            for rep in reports]
 
 
 def _baselines_json(stats: NullEnsembleStats) -> str:
@@ -332,7 +316,8 @@ def _baselines_json(stats: NullEnsembleStats) -> str:
         "config": {
             "n_assets": stats.config.n_assets,
             "window_len": stats.config.window_len,
-            "num_windows": stats.config.num_windows,
+            # each simulation is one null window
+            "num_windows": 1,
             "sims": stats.config.sims,
             "master_seed": stats.config.master_seed,
             "kind": stats.config.kind,
@@ -345,15 +330,28 @@ def _baselines_json(stats: NullEnsembleStats) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _manifest_json(config: RunConfig | None, n_windows: int, max_rank: int,
-                   tickers) -> str:
+def _manifest_json(config: RunConfig, n_windows: int, tickers) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "config": None,
+        "config": {
+            "prices_path": str(config.prices_path),
+            "meta_path": str(config.meta_path),
+            "output_dir": str(config.output_dir),
+            "window_len": config.window_len,
+            "step": config.step,
+            "sims": config.sims,
+            "master_seed": config.master_seed,
+            "null_kind": config.null_kind,
+            "max_rank": config.max_rank,
+            "classes": list(config.classes) if config.classes else None,
+            "baseline_cache": (
+                str(config.baseline_cache) if config.baseline_cache else None
+            ),
+        },
         "n_windows": n_windows,
         "tickers": tickers,
         "files": {
-            "windows.csv": {"columns": _windows_columns(max_rank)},
+            "windows.csv": {"columns": _windows_columns(config.max_rank)},
             "eigenvalues.csv": {
                 "columns": _EIGENVALUES_HEADER.strip().split(",")
             },
@@ -377,22 +375,6 @@ def _manifest_json(config: RunConfig | None, n_windows: int, max_rank: int,
             "scree_count": "contiguous leading ranks above the null profile; scree_exceedance_count ignores crossings",
         },
     }
-    if config is not None:
-        payload["config"] = {
-            "prices_path": str(config.prices_path),
-            "meta_path": str(config.meta_path),
-            "output_dir": str(config.output_dir),
-            "window_len": config.window_len,
-            "step": config.step,
-            "sims": config.sims,
-            "master_seed": config.master_seed,
-            "null_kind": config.null_kind,
-            "max_rank": config.max_rank,
-            "classes": list(config.classes) if config.classes else None,
-            "baseline_cache": (
-                str(config.baseline_cache) if config.baseline_cache else None
-            ),
-        }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -406,10 +388,30 @@ def _write_texts(directory: Path, contents: dict[str, str]) -> None:
             fh.write(text)
 
 
+def _remove_stale_staging(output_dir: Path) -> None:
+    """Remove the staging directories of `output_dir` whose owner process
+    is gone: a run killed by a signal it cannot catch leaves its own."""
+    if os.name != "posix":  # elsewhere os.kill does not just probe
+        return
+    pattern = re.compile(re.escape(f".{output_dir.name}.")
+                         + r"(\d{1,9})\.[a-z0-9_]+\.staging")
+    for path in output_dir.parent.iterdir():
+        match = pattern.fullmatch(path.name)
+        if match is None:
+            continue
+        try:
+            os.kill(int(match.group(1)), 0)
+        except ProcessLookupError:
+            shutil.rmtree(path, ignore_errors=True)
+        except PermissionError:
+            pass  # alive, owned by another user
+
+
 @contextlib.contextmanager
 def _staged_reports(output_dir: Path):
-    """Yield a new staging directory beside `output_dir` for the
-    REPORT_FILES.
+    """Yield a new staging directory `.<name>.<pid>.*.staging` beside
+    `output_dir` for the REPORT_FILES, after removing those of runs whose
+    process is gone.
 
     When the with block ends cleanly, `output_dir` is created if missing
     and the files are moved into it with os.replace. Either way the staging
@@ -417,7 +419,8 @@ def _staged_reports(output_dir: Path):
     and the reports of an earlier run in `output_dir` keep their bytes.
     """
     output_dir.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{output_dir.name}.",
+    _remove_stale_staging(output_dir)
+    staging = Path(tempfile.mkdtemp(prefix=f".{output_dir.name}.{os.getpid()}.",
                                     suffix=".staging", dir=output_dir.parent))
     try:
         yield staging
@@ -435,9 +438,7 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
     the blocks' text is appended in window order to report files staged
     beside `config.output_dir` (see _staged_reports). The windows run
     before the null baseline, whose scree counts complete windows.csv.
-    Writes the bytes that emit_reports(*run_analysis(config),
-    config.output_dir, config=config) writes. Returns the number of
-    windows and the written paths.
+    Returns the number of windows and the written paths.
     """
     returns, n_windows = _load_returns(config)
     output_dir = Path(config.output_dir)
@@ -449,49 +450,17 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
                                n_windows) as blocks:
             eig_file.write(_EIGENVALUES_HEADER)
             corr_file.write(_ASSET_CORR_HEADER)
-            for block_rows, eig_text, corr_text, block_eigenvalues in blocks:
+            for block_rows, eig_texts, corr_texts, block_eigenvalues in blocks:
                 rows += block_rows
                 eigenvalues.extend(block_eigenvalues)
-                eig_file.write(eig_text)
-                corr_file.write(corr_text)
+                eig_file.writelines(eig_texts)
+                corr_file.writelines(corr_texts)
         stats = _baseline(config, returns.n_assets)
         counts = [_scree_counts(values, stats) for values in eigenvalues]
         _write_texts(staging, {
             "windows.csv": _windows_csv(rows, counts, config.max_rank),
             "null_baselines.json": _baselines_json(stats),
             "run_manifest.json": _manifest_json(config, n_windows,
-                                                config.max_rank,
                                                 returns.tickers),
         })
     return n_windows, [output_dir / name for name in REPORT_FILES]
-
-
-def emit_reports(reports, stats, output_dir, config=None, tickers=None):
-    """Write the five report files of an in-memory run; returns their paths.
-
-    `output_dir` is created first. The files are rendered in memory,
-    written to a staging directory beside it and moved into it only once
-    all are written (see _staged_reports), so a failed write leaves no
-    partial reports and keeps the reports of an earlier run.
-    """
-    if tickers is None and reports and reports[0].tickers:
-        tickers = reports[0].tickers
-    max_rank = reports[0].abs_r.shape[1] if reports else (
-        config.max_rank if config else 1
-    )
-    output_dir = Path(output_dir)
-    contents = {
-        "windows.csv": _windows_csv(
-            [_window_row(rep, max_rank) for rep in reports],
-            [(rep.scree_count, rep.scree_exceedance_count) for rep in reports],
-            max_rank),
-        "eigenvalues.csv": _eigenvalues_csv(reports),
-        "asset_pc_corr.csv": _asset_corr_csv(reports, tickers),
-        "null_baselines.json": _baselines_json(stats),
-        "run_manifest.json": _manifest_json(config, len(reports), max_rank,
-                                            tickers),
-    }
-    output_dir.mkdir(parents=True, exist_ok=True)
-    with _staged_reports(output_dir) as staging:
-        _write_texts(staging, contents)
-    return [output_dir / name for name in REPORT_FILES]

@@ -62,11 +62,13 @@ def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
 
 
 def decompose_symmetric(values: np.ndarray, window_index: int = -1):
-    """LAPACK symmetric eigendecomposition plus contract checks.
+    """LAPACK eigendecomposition of a correlation matrix plus contract checks.
 
     Returns (eigenvalues descending, eigenvector rows). Raises
-    EigenComputationError carrying the residual norm if the solver fails
-    or the result misses the reconstruction/orthogonality tolerances.
+    EigenComputationError carrying the residual if the solver fails, the
+    result misses the reconstruction/orthogonality tolerances, an
+    eigenvalue is below MIN_EIGENVALUE, or the eigenvalues do not sum to
+    N within TRACE_TOL.
     """
     try:
         vals, vecs = np.linalg.eigh(values)
@@ -77,15 +79,32 @@ def decompose_symmetric(values: np.ndarray, window_index: int = -1):
         ) from exc
     beta = vals[::-1].copy()
     omega = _apply_sign_convention(vecs[:, ::-1].T.copy())
+    n = len(beta)
 
     recon = omega.T @ (beta[:, None] * omega)
     residual = float(np.abs(recon - values).max())
-    ortho = float(np.abs(omega @ omega.T - np.eye(len(beta))).max())
-    if residual > RECONSTRUCTION_TOL or ortho > ORTHOGONALITY_TOL:
+    ortho = float(np.abs(omega @ omega.T - np.eye(n)).max())
+    # written so that NaN, which compares false, fails each check
+    if not (residual <= RECONSTRUCTION_TOL and ortho <= ORTHOGONALITY_TOL):
         raise EigenComputationError(
             f"window {window_index}: decomposition residual {residual:.3e} "
             f"(orthogonality {ortho:.3e}) exceeds tolerance",
             residual=residual,
+            window_index=window_index,
+        )
+    if not beta[-1] >= MIN_EIGENVALUE:
+        raise EigenComputationError(
+            f"window {window_index}: eigenvalue {beta[-1]:.3e} below "
+            f"{MIN_EIGENVALUE}; matrix is not positive semidefinite",
+            residual=float(beta[-1]),
+            window_index=window_index,
+        )
+    trace_gap = float(abs(beta.sum() - n))
+    if not trace_gap <= TRACE_TOL:
+        raise EigenComputationError(
+            f"window {window_index}: eigenvalue sum deviates from "
+            f"{n} by {trace_gap:.3e}",
+            residual=trace_gap,
             window_index=window_index,
         )
     return beta, omega
@@ -94,22 +113,6 @@ def decompose_symmetric(values: np.ndarray, window_index: int = -1):
 def eigendecompose(matrix: CorrelationMatrix) -> SpectralDecomposition:
     """Full spectrum of a correlation matrix, deterministic for equal input."""
     beta, omega = decompose_symmetric(matrix.values, matrix.window_index)
-    n = len(beta)
-    if beta[-1] < MIN_EIGENVALUE:
-        raise EigenComputationError(
-            f"window {matrix.window_index}: eigenvalue {beta[-1]:.3e} below "
-            f"{MIN_EIGENVALUE}; matrix is not positive semidefinite",
-            residual=float(beta[-1]),
-            window_index=matrix.window_index,
-        )
-    trace_gap = float(abs(beta.sum() - n))
-    if trace_gap > TRACE_TOL:
-        raise EigenComputationError(
-            f"window {matrix.window_index}: eigenvalue sum deviates from "
-            f"{n} by {trace_gap:.3e}",
-            residual=trace_gap,
-            window_index=matrix.window_index,
-        )
     return SpectralDecomposition(
         window_index=matrix.window_index, eigenvalues=beta, eigenvectors=omega
     )

@@ -15,7 +15,6 @@ from corrspectra import (
     FactorSpec,
     NullConfig,
     WindowView,
-    abs_corr_percentile99,
     correlation_matrix,
     eigendecompose,
     eigenvector_zscores,
@@ -23,13 +22,11 @@ from corrspectra import (
     mp_bounds,
     mp_density,
     null_ensemble_stats,
-    null_windows,
+    null_window,
     participation,
-    pr_baseline_stats,
     roll_windows,
     scree_significant_count,
     self_correlation_deltas,
-    adjusted_component_correlations,
     asset_component_correlations,
     shuffle_panel,
     simulate_gaussian_panel,
@@ -64,7 +61,7 @@ def test_criterion_01_mp_upper_bound():
 
 
 def test_criterion_02_pr_baselines():
-    stats = pr_baseline_stats(
+    stats = null_ensemble_stats(
         NullConfig(n_assets=98, window_len=100, sims=10000, master_seed=7,
                    kind="gaussian")
     )
@@ -84,7 +81,7 @@ def test_criterion_02_pr_baselines():
 
 
 def test_criterion_03_abs_corr_percentiles():
-    stats = abs_corr_percentile99(
+    stats = null_ensemble_stats(
         NullConfig(n_assets=98, window_len=100, sims=2000, master_seed=7,
                    kind="gaussian"),
         max_rank=5,
@@ -100,10 +97,11 @@ def test_criterion_03_abs_corr_percentiles():
 
 
 def test_criterion_04_mp_density_fit():
-    config = NullConfig(n_assets=98, window_len=100, num_windows=200,
-                        sims=1, master_seed=11, kind="gaussian")
+    config = NullConfig(n_assets=98, window_len=100, sims=200,
+                        master_seed=11, kind="gaussian")
     eigenvalues = []
-    for z_hat in null_windows(config):
+    for s in range(config.sims):
+        z_hat = null_window(config, s)
         d = eigendecompose(correlation_matrix(WindowView(0, DATE, z_hat)))
         eigenvalues.append(d.eigenvalues)
     pooled = np.concatenate(eigenvalues)
@@ -174,12 +172,11 @@ def test_criterion_07_algebraic_conservation():
     worst_trace = 0.0
     worst_energy = 0.0
     configs = [
-        NullConfig(n_assets=98, window_len=100, num_windows=25, sims=1,
-                   master_seed=19),
-        NullConfig(n_assets=30, window_len=35, num_windows=25, sims=1,
-                   master_seed=20),
+        NullConfig(n_assets=98, window_len=100, sims=25, master_seed=19),
+        NullConfig(n_assets=30, window_len=35, sims=25, master_seed=20),
     ]
-    windows = [z for config in configs for z in null_windows(config)]
+    windows = [null_window(config, s)
+               for config in configs for s in range(config.sims)]
     spec = FactorSpec(block_sizes=(30, 30, 30), loadings=(0.9, 0.9, 0.9),
                       noise_std=0.4)
     for s in range(10):
@@ -200,9 +197,9 @@ def test_criterion_07_algebraic_conservation():
 def test_criterion_08_participation_limits():
     n = 98
     uniform = eigendecompose(CorrelationMatrix(0, DATE, np.ones((n, n))))
-    pr_uniform = participation(uniform).pr[0]
+    pr_uniform = participation(uniform)[0]
     localized = eigendecompose(CorrelationMatrix(0, DATE, np.eye(n)))
-    pr_localized = participation(localized).pr
+    pr_localized = participation(localized)
     ok = abs(pr_uniform - n) <= 1e-10 and np.allclose(pr_localized, 1.0,
                                                       atol=1e-12)
     check("criterion 8", ok,
@@ -230,7 +227,7 @@ def test_criterion_09a_planted_scree_recovery():
     for seed in range(100):
         window = _planted_panel_window(seed)
         d = eigendecompose(correlation_matrix(window))
-        hits += scree_significant_count(d, baseline) == 3
+        hits += scree_significant_count(d.eigenvalues, baseline) == 3
     check("criterion 9a", hits >= 90,
           f"scree count == 3 in {hits}/100 seeds (need >= 90)")
 
@@ -255,7 +252,7 @@ def test_criterion_09b_planted_block_assignment():
 def _planted_delta_medians(seed):
     window = _planted_panel_window(seed)
     d = eigendecompose(correlation_matrix(window))
-    corr = adjusted_component_correlations(window, d)
+    corr = asset_component_correlations(d)
     deltas = self_correlation_deltas(corr, max_rank=5)
     return np.array([np.median(np.abs(sample)) for sample in deltas])
 
@@ -274,13 +271,14 @@ def test_criterion_10b_adjusted_medians_nondecreasing():
 
 
 def test_criterion_11_eigenvector_goe_zscores():
-    config = NullConfig(n_assets=98, window_len=100, num_windows=200,
-                        sims=1, master_seed=23, kind="gaussian")
+    config = NullConfig(n_assets=98, window_len=100, sims=200,
+                        master_seed=23, kind="gaussian")
     sign_rng = np.random.default_rng(24)
     total = 0.0
     total_sq = 0.0
     count = 0
-    for z_hat in null_windows(config):
+    for s in range(config.sims):
+        z_hat = null_window(config, s)
         d = eigendecompose(correlation_matrix(WindowView(0, DATE, z_hat)))
         # eigenvector signs are arbitrary; the deterministic output
         # convention must not bias the ensemble, so each vector enters

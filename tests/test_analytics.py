@@ -8,8 +8,8 @@ from corrspectra import (
     FactorSpec,
     NullConfig,
     NullEnsembleStats,
+    AssetComponentCorrelations,
     WindowView,
-    adjusted_component_correlations,
     asset_component_correlations,
     correlation_matrix,
     eigendecompose,
@@ -62,44 +62,44 @@ def _window_and_decomposition(seed, n_assets=8, n_steps=50):
 
 class TestVarianceFractions:
     def test_simple_spectrum(self):
-        profile = variance_fractions(_decomposition([2.0, 1.0, 1.0, 0.0]))
-        assert np.allclose(profile.fractions, [0.5, 0.25, 0.25, 0.0])
-        assert np.allclose(profile.cumulative, [0.5, 0.75, 1.0, 1.0])
+        fractions = variance_fractions(_decomposition([2.0, 1.0, 1.0, 0.0]))
+        assert np.allclose(fractions, [0.5, 0.25, 0.25, 0.0])
+        assert np.allclose(np.cumsum(fractions), [0.5, 0.75, 1.0, 1.0])
 
     def test_rank_one(self):
-        profile = variance_fractions(_decomposition([3.0, 0.0, 0.0]))
-        assert np.allclose(profile.fractions, [1.0, 0.0, 0.0])
+        fractions = variance_fractions(_decomposition([3.0, 0.0, 0.0]))
+        assert np.allclose(fractions, [1.0, 0.0, 0.0])
 
     def test_flat_spectrum(self):
-        profile = variance_fractions(_decomposition([1.0] * 5))
-        assert np.allclose(profile.fractions, 0.2)
-        assert abs(profile.cumulative[-1] - 1.0) <= 1e-8
+        fractions = variance_fractions(_decomposition([1.0] * 5))
+        assert np.allclose(fractions, 0.2)
+        assert abs(np.cumsum(fractions)[-1] - 1.0) <= 1e-8
 
 
 class TestParticipation:
     def test_uniform_vector(self):
         n = 9
         vectors = np.full((1, n), 1.0 / np.sqrt(n))
-        series = participation(_decomposition([float(n)], vectors))
-        assert abs(series.ipr[0] - 1.0 / n) <= 1e-14
-        assert abs(series.pr[0] - n) <= 1e-10
+        pr = participation(_decomposition([float(n)], vectors))
+        assert abs(1.0 / pr[0] - 1.0 / n) <= 1e-14
+        assert abs(pr[0] - n) <= 1e-10
 
     def test_one_hot_vector(self):
-        series = participation(_decomposition([1.0, 1.0], np.eye(2)))
-        assert np.allclose(series.ipr, 1.0)
-        assert np.allclose(series.pr, 1.0)
+        pr = participation(_decomposition([1.0, 1.0], np.eye(2)))
+        assert np.allclose(1.0 / pr, 1.0)
+        assert np.allclose(pr, 1.0)
 
     def test_two_asset_vector(self):
         vectors = np.array([[np.sqrt(0.5), np.sqrt(0.5), 0.0]])
-        series = participation(_decomposition([2.0], vectors))
-        assert abs(series.ipr[0] - 0.5) <= 1e-14
-        assert abs(series.pr[0] - 2.0) <= 1e-12
+        pr = participation(_decomposition([2.0], vectors))
+        assert abs(1.0 / pr[0] - 0.5) <= 1e-14
+        assert abs(pr[0] - 2.0) <= 1e-12
 
     def test_bounds_on_real_windows(self):
         _, d = _window_and_decomposition(4, n_assets=10, n_steps=30)
-        series = participation(d)
-        assert np.all(series.pr >= 1.0 - 1e-10)
-        assert np.all(series.pr <= 10.0 + 1e-8)
+        pr = participation(d)
+        assert np.all(pr >= 1.0 - 1e-10)
+        assert np.all(pr <= 10.0 + 1e-8)
 
 
 class TestKaiserGuttman:
@@ -117,23 +117,23 @@ class TestScreeCounts:
     def test_constructed_crossing(self):
         d = _decomposition([5.0, 2.0, 0.5, 0.1])
         baseline = _baseline([3.0, 1.5, 1.2, 0.2])
-        assert scree_significant_count(d, baseline) == 2
+        assert scree_significant_count(d.eigenvalues, baseline) == 2
 
     def test_no_exceedance(self):
         d = _decomposition([3.0, 1.5, 1.2])
         baseline = _baseline([3.0, 1.5, 1.2])
-        assert scree_significant_count(d, baseline) == 0
+        assert scree_significant_count(d.eigenvalues, baseline) == 0
 
     def test_prefix_rule_versus_total(self):
         d = _decomposition([5.0, 1.0, 2.0, 0.1])
         baseline = _baseline([3.0, 1.5, 1.2, 0.2])
-        assert scree_significant_count(d, baseline) == 1
-        assert scree_exceedance_count(d, baseline) == 2
+        assert scree_significant_count(d.eigenvalues, baseline) == 1
+        assert scree_exceedance_count(d.eigenvalues, baseline) == 2
 
     def test_size_mismatch(self):
         d = _decomposition([2.0, 1.0])
         with pytest.raises(BaselineMismatchError):
-            scree_significant_count(d, _baseline([1.0, 1.0, 1.0]))
+            scree_significant_count(d.eigenvalues, _baseline([1.0, 1.0, 1.0]))
 
     def test_sign_flip_invariance(self):
         _, d = _window_and_decomposition(6, n_assets=6, n_steps=25)
@@ -141,20 +141,18 @@ class TestScreeCounts:
         flipped = SpectralDecomposition(
             d.window_index, d.eigenvalues, -d.eigenvectors
         )
-        assert scree_significant_count(d, baseline) == scree_significant_count(
-            flipped, baseline
-        )
+        assert scree_significant_count(
+            d.eigenvalues, baseline
+        ) == scree_significant_count(flipped.eigenvalues, baseline)
         assert kaiser_guttman_count(d) == kaiser_guttman_count(flipped)
 
     def test_combined_counts(self):
-        from corrspectra import significance_counts
-
         d = _decomposition([5.0, 1.0, 2.0, 0.1], index=7)
-        counts = significance_counts(d, _baseline([3.0, 1.5, 1.2, 0.2]))
-        assert counts.window_index == 7
-        assert counts.kaiser_count == 2
-        assert counts.scree_count == 1
-        assert counts.scree_exceedance_count == 2
+        baseline = _baseline([3.0, 1.5, 1.2, 0.2])
+        assert d.window_index == 7
+        assert kaiser_guttman_count(d) == 2
+        assert scree_significant_count(d.eigenvalues, baseline) == 1
+        assert scree_exceedance_count(d.eigenvalues, baseline) == 2
 
 
 class TestAssetComponentCorrelations:
@@ -199,10 +197,8 @@ class TestAssetComponentCorrelations:
 
 class TestAdjustedCorrelations:
     def test_fully_localized_component_is_undefined(self):
-        z = random_correlation_window(np.random.default_rng(5), 3, 20)
-        window = WindowView(0, DATE, z)
         d = _decomposition([1.0, 1.0, 1.0], np.eye(3))
-        corr = adjusted_component_correlations(window, d)
+        corr = asset_component_correlations(d)
         # component k is asset k alone, so removing the asset leaves nothing
         assert np.all(np.isnan(np.diag(corr.abs_r_adjusted)))
 
@@ -210,15 +206,17 @@ class TestAdjustedCorrelations:
         z = np.array([[1.0, -1.0], [1.0, -1.0]])
         window = WindowView(0, DATE, z)
         d = eigendecompose(correlation_matrix(window))
-        corr = adjusted_component_correlations(window, d)
+        corr = asset_component_correlations(d)
         assert abs(corr.abs_r_adjusted[0, 0] - 1.0) <= 1e-12
         assert abs(corr.abs_r_adjusted[1, 0] - 1.0) <= 1e-12
 
-    def test_matches_loop_oracle(self):
-        window, d = _window_and_decomposition(21, n_assets=6, n_steps=35)
-        corr = adjusted_component_correlations(window, d)
+    # the second shape is the paper's, with T close to N
+    @pytest.mark.parametrize("n_assets, n_steps", [(6, 35), (98, 100)])
+    def test_matches_loop_oracle(self, n_assets, n_steps):
+        window, d = _window_and_decomposition(21, n_assets, n_steps)
+        corr = asset_component_correlations(d)
         components = d.eigenvectors @ window.z_hat
-        for i in range(6):
+        for i in range(n_assets):
             for k in range(6):
                 adjusted_series = components[k] - d.eigenvectors[k, i] * window.z_hat[i]
                 if adjusted_series.var() <= 1e-14:
@@ -226,12 +224,6 @@ class TestAdjustedCorrelations:
                     continue
                 direct = abs(pearson_pop(window.z_hat[i], adjusted_series))
                 assert abs(corr.abs_r_adjusted[i, k] - direct) <= 1e-8
-
-    def test_window_mismatch_rejected(self):
-        window, d = _window_and_decomposition(22, n_assets=4, n_steps=20)
-        stale = WindowView(window.window_index + 1, DATE, window.z_hat)
-        with pytest.raises(ValueError):
-            adjusted_component_correlations(stale, d)
 
 
 def _factor_window(length, seed):
@@ -244,30 +236,29 @@ def _factor_window(length, seed):
 
 class TestSelfCorrelationDeltas:
     def test_identical_matrices_give_zero(self):
-        window, d = _window_and_decomposition(31, n_assets=5, n_steps=25)
-        corr = adjusted_component_correlations(window, d)
+        _, d = _window_and_decomposition(31, n_assets=5, n_steps=25)
+        corr = asset_component_correlations(d)
         corr.abs_r_adjusted = corr.abs_r.copy()
         deltas = self_correlation_deltas(corr, max_rank=3)
         assert all(np.allclose(sample, 0.0) for sample in deltas)
 
     def test_undefined_entries_skipped(self):
-        z = random_correlation_window(np.random.default_rng(7), 3, 20)
-        window = WindowView(0, DATE, z)
         d = _decomposition([1.0, 1.0, 1.0], np.eye(3))
-        corr = adjusted_component_correlations(window, d)
+        corr = asset_component_correlations(d)
         deltas = self_correlation_deltas(corr, max_rank=3)
         assert all(len(sample) == 2 for sample in deltas)
 
     def test_requires_adjusted(self):
         _, d = _window_and_decomposition(32, n_assets=4, n_steps=20)
-        corr = asset_component_correlations(d)
+        corr = AssetComponentCorrelations(
+            d.window_index, asset_component_correlations(d).abs_r)
         with pytest.raises(ValueError):
             self_correlation_deltas(corr, max_rank=2)
 
     def test_rank_one_self_correlation_is_small(self):
         window = _factor_window(2000, seed=50)
         d = eigendecompose(correlation_matrix(window))
-        corr = adjusted_component_correlations(window, d)
+        corr = asset_component_correlations(d)
         deltas = self_correlation_deltas(corr, max_rank=1)
         assert np.median(np.abs(deltas[0])) <= 0.05
 
@@ -278,7 +269,7 @@ class TestSelfCorrelationDeltas:
         for seed in range(5):
             window = _factor_window(2000, seed=60 + seed)
             d = eigendecompose(correlation_matrix(window))
-            corr = adjusted_component_correlations(window, d)
+            corr = asset_component_correlations(d)
             deltas = self_correlation_deltas(corr, max_rank=5)
             medians.append([np.median(np.abs(s)) for s in deltas])
         medians = np.array(medians)

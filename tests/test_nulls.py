@@ -11,19 +11,16 @@ from corrspectra import (
     EigenComputationError,
     FactorSpec,
     NullConfig,
-    abs_corr_percentile99,
     cached_ensemble_stats,
     nearest_rank_percentile,
     null_ensemble_stats,
-    null_windows,
-    pr_baseline_stats,
-    random_scree_profile,
+    null_window,
     shuffle_panel,
     sim_rng,
     simulate_gaussian_panel,
     synthetic_factor_panel,
 )
-from corrspectra import WorkerProcessError, nulls
+from corrspectra import WorkerProcessError, nulls, spectral
 
 
 class TestShufflePanel:
@@ -97,14 +94,20 @@ class TestSeedContract:
         assert not np.array_equal(a, b)
 
     def test_more_windows_extend_earlier_ones(self):
-        base = NullConfig(n_assets=5, window_len=12, num_windows=3,
-                          sims=1, master_seed=21)
-        more = NullConfig(n_assets=5, window_len=12, num_windows=6,
-                          sims=1, master_seed=21)
-        first = null_windows(base)
-        extended = null_windows(more)
+        base = NullConfig(n_assets=5, window_len=12, sims=3, master_seed=21)
+        more = NullConfig(n_assets=5, window_len=12, sims=6, master_seed=21)
+        first = [null_window(base, s) for s in range(base.sims)]
+        extended = [null_window(more, s) for s in range(more.sims)]
         for a, b in zip(first, extended):
             assert np.array_equal(a, b)
+
+    def test_sims_pass_the_eigen_checks(self, monkeypatch):
+        # the trace check fails every decomposition once its bound is negative
+        monkeypatch.setattr(spectral, "TRACE_TOL", -1.0)
+        config = NullConfig(n_assets=6, window_len=15, sims=3, master_seed=5)
+        with pytest.raises(EigenComputationError, match="eigenvalue sum") as excinfo:
+            null_ensemble_stats(config, max_rank=2)
+        assert excinfo.value.window_index == 0
 
     def test_stats_deterministic(self):
         config = NullConfig(n_assets=6, window_len=15, sims=20, master_seed=5)
@@ -186,14 +189,14 @@ class TestParallelEnsemble:
 
 class TestPRBaselines:
     def test_pr_within_bounds_tiny_panel(self):
-        stats = pr_baseline_stats(
+        stats = null_ensemble_stats(
             NullConfig(n_assets=2, window_len=10, sims=50, master_seed=13)
         )
         assert np.all(stats.pr_mean >= 1.0 - 1e-12)
         assert np.all(stats.pr_mean <= 2.0 + 1e-12)
 
     def test_single_sim_has_zero_std(self):
-        stats = pr_baseline_stats(
+        stats = null_ensemble_stats(
             NullConfig(n_assets=4, window_len=10, sims=1, master_seed=2)
         )
         assert np.all(stats.pr_std == 0.0)
@@ -201,7 +204,7 @@ class TestPRBaselines:
 
 class TestScreeProfile:
     def test_profile_properties(self):
-        stats = random_scree_profile(
+        stats = null_ensemble_stats(
             NullConfig(n_assets=98, window_len=100, sims=50, master_seed=17)
         )
         assert np.all(np.diff(stats.scree_mean) <= 1e-12)
@@ -209,7 +212,7 @@ class TestScreeProfile:
         assert 3.46 <= stats.scree_mean[0] <= 4.46
 
     def test_small_panel_trace(self):
-        stats = random_scree_profile(
+        stats = null_ensemble_stats(
             NullConfig(n_assets=4, window_len=12, sims=40, master_seed=3)
         )
         assert abs(stats.scree_mean.sum() - 4.0) <= 1e-6
@@ -223,7 +226,7 @@ class TestAbsCorrPercentiles:
         assert nearest_rank_percentile(np.array([5.0]), 99.0) == 5.0
 
     def test_percentiles_bounded_and_monotone(self):
-        stats = abs_corr_percentile99(
+        stats = null_ensemble_stats(
             NullConfig(n_assets=30, window_len=40, sims=200, master_seed=29),
             max_rank=5,
         )
@@ -370,11 +373,11 @@ class TestBaselineCache:
 
 class TestNullKindsAgree:
     def test_shuffled_and_gaussian_pr_close(self):
-        shuffled = pr_baseline_stats(
+        shuffled = null_ensemble_stats(
             NullConfig(n_assets=20, window_len=30, sims=300, master_seed=1,
                        kind="shuffled")
         )
-        gaussian = pr_baseline_stats(
+        gaussian = null_ensemble_stats(
             NullConfig(n_assets=20, window_len=30, sims=300, master_seed=1,
                        kind="gaussian")
         )

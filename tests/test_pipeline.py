@@ -14,8 +14,8 @@ from corrspectra import (
     DegenerateWindowError,
     RunConfig,
     WorkerProcessError,
-    emit_reports,
     run_analysis,
+    write_reports,
 )
 from corrspectra import nulls, pipeline
 from corrspectra.cli import main
@@ -148,8 +148,9 @@ class TestRunAnalysis:
 class TestEmitReports:
     def test_files_and_headers(self, tmp_path):
         config = make_config(tmp_path)
-        reports, stats = run_analysis(config)
-        written = emit_reports(reports, stats, config.output_dir, config=config)
+        reports, _ = run_analysis(config)
+        n_windows, written = write_reports(config)
+        assert n_windows == len(reports)
         assert [p.name for p in written] == EXPECTED_FILES
         windows_lines = (tmp_path / "out" / "windows.csv").read_text().splitlines()
         assert windows_lines[0] == (
@@ -169,8 +170,8 @@ class TestEmitReports:
 
     def test_manifest_documents_schema(self, tmp_path):
         config = make_config(tmp_path)
-        reports, stats = run_analysis(config)
-        emit_reports(reports, stats, config.output_dir, config=config)
+        reports, _ = run_analysis(config)
+        write_reports(config)
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
         assert manifest["schema_version"] == "1"
         assert manifest["config"]["window_len"] == 10
@@ -181,8 +182,8 @@ class TestEmitReports:
 
     def test_baselines_json_roundtrip(self, tmp_path):
         config = make_config(tmp_path)
-        reports, stats = run_analysis(config)
-        emit_reports(reports, stats, config.output_dir, config=config)
+        _, stats = run_analysis(config)
+        write_reports(config)
         payload = json.loads((tmp_path / "out" / "null_baselines.json").read_text())
         assert payload["config"]["sims"] == 15
         assert payload["pr_mean"] == [float(v) for v in stats.pr_mean]
@@ -190,8 +191,8 @@ class TestEmitReports:
 
     def test_csv_floats_roundtrip_at_15_digits(self, tmp_path):
         config = make_config(tmp_path)
-        reports, stats = run_analysis(config)
-        emit_reports(reports, stats, config.output_dir, config=config)
+        reports, _ = run_analysis(config)
+        write_reports(config)
         eig_lines = (tmp_path / "out" / "eigenvalues.csv").read_text().splitlines()
         parsed = {}
         for line in eig_lines[1:]:
@@ -204,7 +205,7 @@ class TestEmitReports:
 
     def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
         config = make_config(tmp_path)
-        reports, stats = run_analysis(config)
+        (tmp_path / "out").mkdir()
         real_open = builtins.open
 
         def failing_open(file, *args, **kwargs):
@@ -214,7 +215,7 @@ class TestEmitReports:
 
         monkeypatch.setattr(builtins, "open", failing_open)
         with pytest.raises(OSError):
-            emit_reports(reports, stats, config.output_dir, config=config)
+            write_reports(config)
         monkeypatch.undo()
         leftover = list((tmp_path / "out").iterdir())
         assert leftover == []
@@ -224,10 +225,8 @@ class TestDeterminismAndSubsets:
     def test_identical_runs_are_byte_identical(self, tmp_path):
         config_a = make_config(tmp_path, out="out_a")
         config_b = make_config(tmp_path, out="out_b")
-        reports_a, stats_a = run_analysis(config_a)
-        reports_b, stats_b = run_analysis(config_b)
-        emit_reports(reports_a, stats_a, config_a.output_dir, config=config_a)
-        emit_reports(reports_b, stats_b, config_b.output_dir, config=config_b)
+        write_reports(config_a)
+        write_reports(config_b)
         for name in EXPECTED_FILES:
             if name == "run_manifest.json":
                 continue  # records the differing output paths
@@ -265,8 +264,7 @@ class TestDeterminismAndSubsets:
             **shared,
         )
         for config in (config_full, config_sub):
-            reports, stats = run_analysis(config)
-            emit_reports(reports, stats, config.output_dir, config=config)
+            write_reports(config)
         for name in EXPECTED_FILES:
             if name == "run_manifest.json":
                 continue
@@ -282,8 +280,7 @@ class TestPooledWindows:
     def _report_bytes(monkeypatch, config, cpus, block=8):
         monkeypatch.setattr(pipeline, "available_cpus", lambda: cpus)
         monkeypatch.setattr(pipeline, "WINDOW_BLOCK", block)
-        reports, stats = run_analysis(config)
-        written = emit_reports(reports, stats, config.output_dir, config=config)
+        _, written = write_reports(config)
         return {path.name: path.read_bytes() for path in written}
 
     def test_worker_count_does_not_change_report_bytes(self, tmp_path,
@@ -292,18 +289,6 @@ class TestPooledWindows:
         one = self._report_bytes(monkeypatch, config, 1)
         two = self._report_bytes(monkeypatch, config, 2)
         assert one == two
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_write_reports_matches_emit_reports(self, tmp_path, monkeypatch,
-                                                cpus):
-        config = make_config(tmp_path)
-        monkeypatch.setattr(pipeline, "available_cpus", lambda: cpus)
-        monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
-        n_windows, written = pipeline.write_reports(config)
-        assert n_windows == 20
-        assert [path.name for path in written] == EXPECTED_FILES
-        streamed = {path.name: path.read_bytes() for path in written}
-        assert self._report_bytes(monkeypatch, config, cpus) == streamed
 
     def test_block_size_does_not_change_report_bytes(self, tmp_path,
                                                      monkeypatch):
@@ -359,9 +344,12 @@ class TestRenderers:
                 expected_eig.append(f"{rep.window_index},"
                                     f"{rep.end_date.isoformat()},{k},"
                                     f"{_fmt_oracle(beta)}")
-        corr = pipeline._asset_corr_csv(reports, self.TICKERS)
+        corr = pipeline._ASSET_CORR_HEADER + "".join(
+            pipeline._asset_corr_rows(reports, self.TICKERS))
+        eig = pipeline._EIGENVALUES_HEADER + "".join(
+            pipeline._eigenvalues_rows(reports))
         assert corr == "\n".join(expected_corr) + "\n"
-        assert pipeline._eigenvalues_csv(reports) == "\n".join(expected_eig) + "\n"
+        assert eig == "\n".join(expected_eig) + "\n"
         assert "1,x%sy,2,0,NaN\n" in corr
         assert all("nan" not in line.split(",")[3:]
                    for line in corr.splitlines())
@@ -477,6 +465,20 @@ class TestCLI:
         assert {path.name: path.read_bytes()
                 for path in (tmp_path / "cli_out").iterdir()} == earlier
         assert sorted(path.name for path in tmp_path.iterdir()) == entries
+
+    def test_stale_staging_directory_is_removed(self, tmp_path, capsys):
+        # the staging directories of a SIGKILLed run and of a live one
+        exited = subprocess.Popen([sys.executable, "-c", "pass"])
+        exited.wait(timeout=60)
+        stale = tmp_path / f".cli_out.{exited.pid}.k1ll3d_x.staging"
+        live = tmp_path / f".cli_out.{os.getpid()}.running.staging"
+        for staging in (stale, live):
+            staging.mkdir()
+            (staging / "eigenvalues.csv").write_text("partial\n")
+        prices_path, meta_path = make_input_files(tmp_path)
+        assert main(self._args(tmp_path, prices_path, meta_path)) == 0
+        assert not stale.exists()
+        assert (live / "eigenvalues.csv").read_text() == "partial\n"
 
     def test_dead_worker_in_window_loop_exits_five(self, tmp_path, capsys,
                                                    monkeypatch):

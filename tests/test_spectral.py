@@ -14,7 +14,7 @@ from corrspectra import (
     eigenvector_zscores,
     mp_bounds,
     mp_density,
-    null_windows,
+    null_window,
 )
 from corrspectra.correlation import CorrelationMatrix
 
@@ -88,6 +88,12 @@ class TestEigendecompose:
         with pytest.raises(EigenComputationError):
             eigendecompose(CorrelationMatrix(0, DATE, bad))
 
+    def test_non_finite_rejected(self):
+        values = np.eye(3)
+        values[0, 1] = values[1, 0] = np.nan
+        with pytest.raises(EigenComputationError, match="window 4"):
+            eigendecompose(CorrelationMatrix(4, DATE, values))
+
 
 class TestMPBounds:
     def test_reference_upper_edge(self):
@@ -159,10 +165,11 @@ class TestEigenvectorZscores:
             eigenvector_zscores(d, 5)
 
     def test_null_ensemble_variance_near_one(self):
-        config = NullConfig(n_assets=50, window_len=60, num_windows=40,
-                            sims=1, master_seed=31, kind="gaussian")
+        config = NullConfig(n_assets=50, window_len=60, sims=40,
+                            master_seed=31, kind="gaussian")
         pooled = []
-        for index, z_hat in enumerate(null_windows(config)):
+        for index in range(config.sims):
+            z_hat = null_window(config, index)
             d = eigendecompose(
                 correlation_matrix(WindowView(index, DATE, z_hat))
             )
