@@ -41,6 +41,7 @@ from .nulls import (
     NullEnsembleStats,
     _block_map,
     _json_floats,
+    _one_blas_thread,
     available_cpus,
     cached_ensemble_stats,
 )
@@ -193,8 +194,9 @@ def _window_blocks(kernel, returns: ReturnPanel, config: RunConfig,
     """Yield kernel(returns, config, start, stop) for each block of
     WINDOW_BLOCK windows, in window order.
 
-    With two or more blocks and CPUs, the blocks run in a pool of spawned
-    processes, one per available CPU, which lives until the with block ends.
+    With two or more blocks and CPUs, the blocks run in a pool of worker
+    processes, one per available CPU, which lives until the with block ends
+    (see nulls._block_map).
     """
     starts = range(0, n_windows, WINDOW_BLOCK)
     stops = [min(start + WINDOW_BLOCK, n_windows) for start in starts]
@@ -210,15 +212,17 @@ def _scree_counts(eigenvalues: np.ndarray,
             scree_exceedance_count(eigenvalues, stats))
 
 
+@_one_blas_thread
 def run_analysis(config: RunConfig) -> tuple[list[WindowReport], NullEnsembleStats]:
     """Execute the full pipeline in memory; reports come back ordered by
     window.
 
     Windows run in blocks of WINDOW_BLOCK. With two or more blocks and
-    CPUs, the blocks run in a pool of spawned processes, one per available
+    CPUs, the blocks run in a pool of worker processes, one per available
     CPU, and their reports are collected in window order. The windows run
     before the null baseline, so a degenerate window ends the run before
-    the ensemble starts.
+    the ensemble starts. BLAS runs on one thread throughout, where
+    nulls._one_blas_thread can set it.
     """
     returns, n_windows = _load_returns(config)
     with _window_blocks(_window_block, returns, config, n_windows) as blocks:
@@ -431,6 +435,7 @@ def _staged_reports(output_dir: Path):
         shutil.rmtree(staging, ignore_errors=True)
 
 
+@_one_blas_thread
 def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
     """Run the pipeline and write its five report files: the CLI's route.
 
@@ -438,7 +443,8 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
     the blocks' text is appended in window order to report files staged
     beside `config.output_dir` (see _staged_reports). The windows run
     before the null baseline, whose scree counts complete windows.csv.
-    Returns the number of windows and the written paths.
+    BLAS runs on one thread throughout, where nulls._one_blas_thread can
+    set it. Returns the number of windows and the written paths.
     """
     returns, n_windows = _load_returns(config)
     output_dir = Path(config.output_dir)
@@ -448,6 +454,8 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
                 _open_report(staging / "asset_pc_corr.csv") as corr_file, \
                 _window_blocks(_window_rows, returns, config,
                                n_windows) as blocks:
+            # A forked pool has started by now, so its workers inherit no
+            # report text in these files' buffers (see _block_map).
             eig_file.write(_EIGENVALUES_HEADER)
             corr_file.write(_ASSET_CORR_HEADER)
             for block_rows, eig_texts, corr_texts, block_eigenvalues in blocks:

@@ -1,7 +1,11 @@
 import json
+import multiprocessing
 import os
 import pickle
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +148,8 @@ class TestParallelEnsemble:
         assert self._arrays(default) == self._arrays(small_blocks)
 
     def test_pool_restores_blas_environment(self, monkeypatch):
+        # only spawned workers read the environment
+        monkeypatch.setattr(nulls, "_pool_start_method", lambda: "spawn")
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         self._stats_on_cpus(monkeypatch, self.CONFIG, 2, max_rank=1)
@@ -174,6 +180,43 @@ class TestParallelEnsemble:
         with pytest.raises(WorkerProcessError, match="worker process"):
             with nulls._block_map(2, 2) as block_map:
                 list(block_map(os._exit, [1, 1]))
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_guard_advice_only_for_spawned_workers(self, monkeypatch, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        monkeypatch.setattr(nulls, "_pool_start_method", lambda: method)
+        with pytest.raises(WorkerProcessError) as excinfo:
+            with nulls._block_map(2, 2) as block_map:
+                list(block_map(os._exit, [1, 1]))
+        assert ("__main__" in str(excinfo.value)) == (method == "spawn")
+
+    @pytest.mark.skipif(
+        sys.platform != "linux"
+        or "libscipy_openblas64_" not in Path("/proc/self/maps").read_text(),
+        reason="needs Linux and the OpenBLAS of numpy's wheels")
+    def test_workers_fork_unless_another_thread_runs(self):
+        assert nulls._pool_start_method() == "fork"
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            assert nulls._pool_start_method() == "spawn"
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    def test_blas_pin_is_shared_and_restored(self):
+        libs = nulls._openblas_libs()
+        if not libs:
+            pytest.skip("no OpenBLAS thread control found")
+        before = [lib.get_num_threads() for lib in libs]
+        with nulls._one_blas_thread:
+            with nulls._one_blas_thread:
+                assert [lib.get_num_threads() for lib in libs] == [1] * len(libs)
+            assert [lib.get_num_threads() for lib in libs] == [1] * len(libs)
+        assert [lib.get_num_threads() for lib in libs] == before
 
     def test_worker_errors_survive_pickling(self):
         # pool workers raise these, and the CLI maps them to exit code 3

@@ -1,9 +1,12 @@
 import builtins
+import contextlib
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -362,7 +365,8 @@ def _die_in_worker(*args):
 
 
 class TestCLI:
-    def _args(self, tmp_path, prices_path, meta_path, out="cli_out", **extra):
+    @staticmethod
+    def _args(tmp_path, prices_path, meta_path, out="cli_out", **extra):
         args = [
             "--prices", str(prices_path),
             "--meta", str(meta_path),
@@ -552,10 +556,7 @@ class TestCLI:
         # on one CPU and in a pool of two workers otherwise
         prices_path, meta_path = make_input_files(tmp_path, n_dates=130)
         assert 120 > pipeline.WINDOW_BLOCK
-        src = str(Path(corrspectra.__file__).resolve().parent.parent)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _cli_env(OPENBLAS_NUM_THREADS="1")
         one_cpu = {min(os.sched_getaffinity(0))}
         outputs = []
         for cpus in (one_cpu, None):
@@ -569,3 +570,105 @@ class TestCLI:
             outputs.append({name: (tmp_path / "cli_out" / name).read_bytes()
                             for name in EXPECTED_FILES})
         assert outputs[0] == outputs[1]
+
+
+def _cli_env(**variables):
+    """os.environ plus `variables`, with this corrspectra first on the path."""
+    src = str(Path(corrspectra.__file__).resolve().parent.parent)
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# The CLI with its null ensemble in a pool of two workers, on any host.
+_TWO_WORKER_CLI = """\
+import sys
+from corrspectra import cli, nulls
+nulls.available_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _session_processes(session: int) -> list[int]:
+    """The live (not zombie) processes of a session, from /proc."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # after "pid (comm)": state, ppid, pgrp, session, ...
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # exited meanwhile
+            continue
+        if int(fields[3]) == session and fields[0] not in ("Z", "X"):
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+class TestWorkerProcesses:
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="workers die with their parent on Linux only")
+    def test_killed_run_leaves_no_process(self, tmp_path):
+        prices_path, meta_path = make_input_files(tmp_path)
+        args = TestCLI._args(tmp_path, prices_path, meta_path)
+        args[args.index("--sims") + 1] = "40000"  # ~10 s of pooled blocks
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _TWO_WORKER_CLI, *args], env=_cli_env(),
+            start_new_session=True, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while len(_session_processes(proc.pid)) < 3:  # the CLI, 2 workers
+                assert proc.poll() is None, "the run ended before its pool"
+                assert time.monotonic() < deadline, "no pool started"
+                time.sleep(0.02)
+            proc.kill()
+            proc.wait(timeout=60)
+            deadline = time.monotonic() + 5
+            while _session_processes(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _session_processes(proc.pid) == []
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+
+    @pytest.mark.parametrize("n_dates, sims", [(130, 250), (101, 600)],
+                             ids=["in-process", "pooled"])
+    def test_blas_threads_do_not_change_report_bytes(self, tmp_path, n_dates,
+                                                     sims):
+        # 98 assets, window 100: 30 windows and one block of sims run in
+        # the CLI's process, or one window there and three blocks in a pool
+        if not nulls._openblas_libs():
+            pytest.skip("no OpenBLAS thread control found")
+        prices_path, meta_path = make_input_files(
+            tmp_path, n_assets=98, n_dates=n_dates, classes=["equities"] * 98)
+        args = TestCLI._args(tmp_path, prices_path, meta_path)
+        args[args.index("--window") + 1] = "100"
+        args[args.index("--sims") + 1] = str(sims)
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _TWO_WORKER_CLI, *args],
+                env=_cli_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({name: (tmp_path / "cli_out" / name).read_bytes()
+                            for name in EXPECTED_FILES})
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="workers are forked on Linux only")
+    def test_script_without_main_guard_runs_a_pool(self, tmp_path):
+        # spawned workers would run this script again and fail; forked
+        # workers do not
+        libs = nulls._openblas_libs()
+        if not libs or not all(lib.pthreads for lib in libs):
+            pytest.skip("needs an OpenBLAS pthreads build")
+        script = tmp_path / "no_guard.py"
+        script.write_text(
+            "from corrspectra import nulls\n"
+            "nulls.available_cpus = lambda: 2\n"
+            "config = nulls.NullConfig(n_assets=5, window_len=10, sims=600)\n"
+            "print(nulls.null_ensemble_stats(config, max_rank=1).pr_mean[0])\n")
+        proc = subprocess.run([sys.executable, str(script)], env=_cli_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert float(proc.stdout) > 1.0
