@@ -50,9 +50,9 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 _POOL_ENV_LOCK = threading.Lock()
 # OpenBLAS's run-time thread controls are <prefix>_set_num_threads<suffix>
 # and so on: numpy's wheels bundle scipy-openblas with 64-bit integers
-# ("64_"), other builds export the plain names.
+# ("64_"), scipy's with 32-bit ones, and classic builds use "openblas".
 _OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                   ("openblas", "64_"), ("openblas", ""))
+                   ("openblas", ""))
 _OPENBLAS_PTHREADS = 1  # openblas_get_parallel(): 0 serial, 1 pthreads, 2 OpenMP
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
