@@ -44,7 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed, unsigned 64-bit (default 0)")
     parser.add_argument("--null", choices=NULL_KINDS, default="gaussian",
-                        help="null-model kind (default gaussian)")
+                        help="null-model kind (default gaussian); shuffled "
+                        "permutes i.i.d. Gaussian draws, not the panel's "
+                        "returns, so it has the Gaussian null's distribution")
     parser.add_argument("--max-rank", type=int, default=6,
                         help="components kept in reports (default 6)")
     parser.add_argument("--classes", default=None,

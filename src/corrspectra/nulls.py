@@ -1,10 +1,12 @@
 """Null-model panels and Monte Carlo baselines.
 
-Two nulls are supported: per-asset shuffling of an existing return panel
-(destroys temporal cross-correlation, keeps marginals) and i.i.d. standard
-Gaussian returns. Baselines summarize ensembles of single null windows:
-participation-ratio statistics, the mean sorted eigenvalue profile, and
-99th percentiles of absolute asset-component correlations.
+Baselines summarize ensembles of single null windows: participation-ratio
+statistics, the mean sorted eigenvalue profile, and 99th percentiles of
+absolute asset-component correlations. Both null kinds draw i.i.d. standard
+Gaussian windows; "shuffled" also permutes each asset's draws in time,
+which leaves them i.i.d. Gaussian. No panel's returns enter a baseline, so
+the "shuffled" baseline has the Gaussian null's distribution. shuffle_panel
+permutes the series of a real panel (keeps marginals, destroys alignment).
 
 Reproducibility contract: simulation s draws from
 ``numpy.random.default_rng(SeedSequence(master_seed, spawn_key=(s,)))``,
@@ -61,6 +63,9 @@ _SYNTHETIC_EPOCH = dt.date(2000, 1, 7)
 
 @dataclass(frozen=True)
 class NullConfig:
+    """`sims` null windows of n_assets x window_len. Both kinds are i.i.d.
+    Gaussian draws, so they share one distribution (see null_window)."""
+
     n_assets: int
     window_len: int
     sims: int = 1
@@ -199,7 +204,9 @@ def synthetic_factor_panel(spec: FactorSpec, length: int, seed: int) -> ReturnPa
 
 def null_window(config: NullConfig, sim_index: int) -> np.ndarray:
     """The standardized null window (n_assets x window_len) of simulation
-    `sim_index`, drawn from sim_rng(config.master_seed, sim_index)."""
+    `sim_index`, drawn from sim_rng(config.master_seed, sim_index): i.i.d.
+    standard Gaussian draws, which kind "shuffled" permutes per asset in
+    time. That leaves them i.i.d. Gaussian; no panel's returns enter."""
     rng = sim_rng(config.master_seed, sim_index)
     x = rng.standard_normal((config.n_assets, config.window_len))
     if config.kind == "shuffled":
@@ -288,7 +295,7 @@ def _openblas_libs() -> tuple[_OpenBLAS, ...]:
     return tuple(lib for lib in libs if lib is not None)
 
 
-class _OneBlasThread(contextlib.ContextDecorator):
+class _OneBlasThread:
     """Run the _openblas_libs on one thread in this process, so results do
     not depend on the BLAS thread count, and restore their thread counts
     afterwards. Nested and concurrent uses share one pin: the first to
@@ -367,10 +374,13 @@ def _blas_environment_pinned():
 
 
 @contextlib.contextmanager
-def _block_map(workers: int, n_blocks: int):
-    """`map` over blocks of work (null-ensemble sims or rolling windows): in
-    this process, or in a pool of worker processes when there are several
-    blocks and workers.
+def map_blocks(kernel, shared: tuple, n_items: int, block: int):
+    """Yield an iterator over kernel(*shared, start, stop) for each block of
+    `block` items of range(n_items) in order: null-ensemble sims or rolling
+    windows. BLAS runs on one thread in this process until the with block
+    ends (_one_blas_thread). With two or more blocks and available CPUs,
+    the blocks run in a pool of worker processes, one per CPU, which lives
+    until the with block ends; otherwise in this process.
 
     The workers are forked when _pool_start_method allows it: they inherit
     the imported modules and run no `__main__` again. Otherwise they are
@@ -380,41 +390,45 @@ def _block_map(workers: int, n_blocks: int):
     Either way _init_worker runs BLAS on one thread in each worker and, on
     Linux, has the worker killed when this process dies.
 
-    With fork, the pool's processes start at the first call of the yielded
-    map, and inherit this process's unflushed file buffers: callers write
-    no report text before that call.
+    The pool's processes have started when this yields. Forked ones
+    inherit this process's unflushed file buffers, so callers write no
+    report text before the with block is entered.
     """
-    if n_blocks < 2 or workers < 2:
-        yield map
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    starts = range(0, n_items, block)
+    stops = [min(start + block, n_items) for start in starts]
+    args = (*map(itertools.repeat, shared), starts, stops)
+    workers = min(available_cpus(), len(starts))
+    with _one_blas_thread:
+        if workers < 2:
+            yield map(kernel, *args)
+            return
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-    method = _pool_start_method()
-    cause = "killed, or out of memory"
-    if method == "spawn":
-        cause += (", or started from a script without an "
-                  "`if __name__ == \"__main__\":` guard")
-    with (_blas_environment_pinned() if method == "spawn"
-          else contextlib.nullcontext()):
-        pool = ProcessPoolExecutor(
-            min(workers, n_blocks),
-            mp_context=multiprocessing.get_context(method),
-            initializer=_init_worker, initargs=(os.getpid(),),
-        )
-        try:
-            yield pool.map
-        except BrokenProcessPool as exc:
-            raise WorkerProcessError(
-                f"a worker process ended abruptly ({cause})") from exc
-        finally:
-            # After an error, or Ctrl-C, drop the blocks not yet started
-            # instead of waiting for them. A finished map has none left.
-            pool.shutdown(cancel_futures=True)
+        method = _pool_start_method()
+        cause = "killed, or out of memory"
+        if method == "spawn":
+            cause += (", or started from a script without an "
+                      "`if __name__ == \"__main__\":` guard")
+        with (_blas_environment_pinned() if method == "spawn"
+              else contextlib.nullcontext()):
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context(method),
+                initializer=_init_worker, initargs=(os.getpid(),),
+            )
+            try:
+                yield pool.map(kernel, *args)
+            except BrokenProcessPool as exc:
+                raise WorkerProcessError(
+                    f"a worker process ended abruptly ({cause})") from exc
+            finally:
+                # After an error, or Ctrl-C, drop the blocks not yet
+                # started instead of waiting for them. A finished map has
+                # none left.
+                pool.shutdown(cancel_futures=True)
 
 
-@_one_blas_thread
 def null_ensemble_stats(config: NullConfig, max_rank: int = 0) -> NullEnsembleStats:
     """One Monte Carlo sweep collecting PR, scree, and |r| percentile baselines.
 
@@ -424,31 +438,28 @@ def null_ensemble_stats(config: NullConfig, max_rank: int = 0) -> NullEnsembleSt
     the sorted eigenvalues, and (for ranks <= max_rank) the N absolute
     asset-component correlations |omega_ki| sqrt(beta_k).
 
-    Simulations run in blocks of ENSEMBLE_BLOCK_SIMS. With two or more
-    blocks and CPUs, the blocks run in a pool of worker processes, one per
-    available CPU (see _block_map). The per-sim results are added up in
-    sim-index order, and BLAS runs on one thread in every process, so the
-    output does not depend on the block size, the worker count or the BLAS
-    thread count.
+    Simulations run in blocks of ENSEMBLE_BLOCK_SIMS through map_blocks,
+    and the per-sim results are added up in sim-index order, so the output
+    does not depend on the block size, the worker count or the BLAS thread
+    count.
     """
     n = config.n_assets
     if not 0 <= max_rank <= n:
         raise ValueError(f"max_rank must be in [0, {n}], got {max_rank}")
-    starts = range(0, config.sims, ENSEMBLE_BLOCK_SIMS)
-    stops = [min(start + ENSEMBLE_BLOCK_SIMS, config.sims) for start in starts]
     pr_sum = np.zeros(n)
     pr_sq = np.zeros(n)
     scree_sum = np.zeros(n)
     pooled = np.empty((max_rank, config.sims, n))
-    with _block_map(available_cpus(), len(starts)) as block_map:
-        blocks = block_map(_ensemble_block, itertools.repeat(config),
-                           itertools.repeat(max_rank), starts, stops)
-        for start, stop, (pr, beta, abs_corr) in zip(starts, stops, blocks):
-            for row in range(stop - start):
-                pr_sum += pr[row]
-                pr_sq += pr[row] * pr[row]
-                scree_sum += beta[row]
-            pooled[:, start:stop] = abs_corr
+    start = 0
+    with map_blocks(_ensemble_block, (config, max_rank), config.sims,
+                    ENSEMBLE_BLOCK_SIMS) as blocks:
+        for pr, beta, abs_corr in blocks:
+            for pr_row, beta_row in zip(pr, beta):
+                pr_sum += pr_row
+                pr_sq += pr_row * pr_row
+                scree_sum += beta_row
+            pooled[:, start:start + len(pr)] = abs_corr
+            start += len(pr)
     pr_mean = pr_sum / config.sims
     pr_var = np.clip(pr_sq / config.sims - pr_mean**2, 0.0, None)
     p99 = np.full(n, np.nan)
@@ -475,7 +486,8 @@ def _json_floats(values) -> list:
     return [None if not np.isfinite(v) else float(v) for v in values]
 
 
-def _stats_to_payload(stats: NullEnsembleStats) -> dict:
+def stats_payload(stats: NullEnsembleStats) -> dict:
+    """The baseline arrays as stored in the cache and null_baselines.json."""
     return {
         "pr_mean": _json_floats(stats.pr_mean),
         "pr_std": _json_floats(stats.pr_std),
@@ -550,8 +562,9 @@ def cached_ensemble_stats(
 
     Entries are keyed by (N, T, sims, kind, master_seed) within a cache
     schema version that changes whenever the computed values can. A hit
-    is reused only if it covers at least `max_rank` percentile ranks;
-    otherwise the entry is recomputed and overwritten. An unreadable or
+    is reused only if it covers at least `max_rank` percentile ranks, and
+    its ranks beyond `max_rank` are dropped (NaN); otherwise the entry is
+    recomputed and overwritten. An unreadable or
     corrupt cache counts as a miss: a warning goes to stderr and the file
     is rewritten. Cached floats round-trip exactly, so cache hits and
     fresh computations produce identical downstream bytes.
@@ -569,8 +582,9 @@ def cached_ensemble_stats(
             _warn_cache(cache_path, f"entry {key}: {exc!r}")
         else:
             if stats.p99_ranks >= max_rank:
+                stats.abs_corr_p99[max_rank:] = np.nan  # as computed fresh
                 return stats
     stats = null_ensemble_stats(config, max_rank)
-    cache["entries"][key] = _stats_to_payload(stats)
+    cache["entries"][key] = stats_payload(stats)
     _write_cache(cache_path, cache)
     return stats

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import datetime as dt
-import itertools
 import json
 import os
 import re
@@ -39,11 +38,9 @@ from .nulls import (
     NULL_KINDS,
     NullConfig,
     NullEnsembleStats,
-    _block_map,
-    _json_floats,
-    _one_blas_thread,
-    available_cpus,
     cached_ensemble_stats,
+    map_blocks,
+    stats_payload,
 )
 from .panel import (
     ReturnPanel,
@@ -188,23 +185,6 @@ def _window_rows(returns: ReturnPanel, config: RunConfig, start: int,
             np.stack([rep.eigenvalues for rep in reports]))
 
 
-@contextlib.contextmanager
-def _window_blocks(kernel, returns: ReturnPanel, config: RunConfig,
-                   n_windows: int):
-    """Yield kernel(returns, config, start, stop) for each block of
-    WINDOW_BLOCK windows, in window order.
-
-    With two or more blocks and CPUs, the blocks run in a pool of worker
-    processes, one per available CPU, which lives until the with block ends
-    (see nulls._block_map).
-    """
-    starts = range(0, n_windows, WINDOW_BLOCK)
-    stops = [min(start + WINDOW_BLOCK, n_windows) for start in starts]
-    with _block_map(available_cpus(), len(starts)) as block_map:
-        yield block_map(kernel, itertools.repeat(returns),
-                        itertools.repeat(config), starts, stops)
-
-
 def _scree_counts(eigenvalues: np.ndarray,
                   stats: NullEnsembleStats) -> tuple[int, int]:
     """scree_count and scree_exceedance_count of one window's spectrum."""
@@ -212,20 +192,18 @@ def _scree_counts(eigenvalues: np.ndarray,
             scree_exceedance_count(eigenvalues, stats))
 
 
-@_one_blas_thread
 def run_analysis(config: RunConfig) -> tuple[list[WindowReport], NullEnsembleStats]:
     """Execute the full pipeline in memory; reports come back ordered by
     window.
 
-    Windows run in blocks of WINDOW_BLOCK. With two or more blocks and
-    CPUs, the blocks run in a pool of worker processes, one per available
-    CPU, and their reports are collected in window order. The windows run
-    before the null baseline, so a degenerate window ends the run before
-    the ensemble starts. BLAS runs on one thread throughout, where
-    nulls._one_blas_thread can set it.
+    Windows run in blocks of WINDOW_BLOCK through nulls.map_blocks, and
+    their reports are collected in window order. The windows run before
+    the null baseline, so a degenerate window ends the run before the
+    ensemble starts.
     """
     returns, n_windows = _load_returns(config)
-    with _window_blocks(_window_block, returns, config, n_windows) as blocks:
+    with map_blocks(_window_block, (returns, config), n_windows,
+                    WINDOW_BLOCK) as blocks:
         reports = [report for block in blocks for report in block]
     stats = _baseline(config, returns.n_assets)
     tickers = returns.tickers
@@ -326,10 +304,7 @@ def _baselines_json(stats: NullEnsembleStats) -> str:
             "master_seed": stats.config.master_seed,
             "kind": stats.config.kind,
         },
-        "pr_mean": _json_floats(stats.pr_mean),
-        "pr_std": _json_floats(stats.pr_std),
-        "scree_mean": _json_floats(stats.scree_mean),
-        "abs_corr_p99": _json_floats(stats.abs_corr_p99),
+        **stats_payload(stats),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -435,7 +410,6 @@ def _staged_reports(output_dir: Path):
         shutil.rmtree(staging, ignore_errors=True)
 
 
-@_one_blas_thread
 def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
     """Run the pipeline and write its five report files: the CLI's route.
 
@@ -443,8 +417,7 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
     the blocks' text is appended in window order to report files staged
     beside `config.output_dir` (see _staged_reports). The windows run
     before the null baseline, whose scree counts complete windows.csv.
-    BLAS runs on one thread throughout, where nulls._one_blas_thread can
-    set it. Returns the number of windows and the written paths.
+    Returns the number of windows and the written paths.
     """
     returns, n_windows = _load_returns(config)
     output_dir = Path(config.output_dir)
@@ -452,10 +425,10 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
     with _staged_reports(output_dir) as staging:
         with _open_report(staging / "eigenvalues.csv") as eig_file, \
                 _open_report(staging / "asset_pc_corr.csv") as corr_file, \
-                _window_blocks(_window_rows, returns, config,
-                               n_windows) as blocks:
+                map_blocks(_window_rows, (returns, config), n_windows,
+                           WINDOW_BLOCK) as blocks:
             # A forked pool has started by now, so its workers inherit no
-            # report text in these files' buffers (see _block_map).
+            # report text in these files' buffers.
             eig_file.write(_EIGENVALUES_HEADER)
             corr_file.write(_ASSET_CORR_HEADER)
             for block_rows, eig_texts, corr_texts, block_eigenvalues in blocks:

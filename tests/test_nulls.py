@@ -122,6 +122,22 @@ class TestSeedContract:
         assert np.array_equal(a.abs_corr_p99[:2], b.abs_corr_p99[:2])
 
 
+def _half_second_block(start, stop):
+    time.sleep(0.5)
+
+
+def _first_block_fails(start, stop):
+    time.sleep(-1 if start == 0 else 0.5)  # a negative sleep raises
+
+
+def _dead_block(start, stop):
+    os._exit(1)
+
+
+def _blas_threads_block(start, stop):
+    return [lib.get_num_threads() for lib in nulls._openblas_libs()]
+
+
 class TestParallelEnsemble:
     # 600 sims make three blocks, so with two CPUs the blocks run in a pool
     CONFIG = NullConfig(n_assets=20, window_len=30, sims=600, master_seed=8)
@@ -156,40 +172,70 @@ class TestParallelEnsemble:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
         assert "OMP_NUM_THREADS" not in os.environ
 
-    def test_error_in_parent_drops_queued_blocks(self):
+    def test_error_in_parent_drops_queued_blocks(self, monkeypatch):
         # 40 half-second blocks on 2 workers take 10 s; an error (or Ctrl-C)
         # after the first result must not wait for the rest. The result
         # iterator stays referenced, as in null_ensemble_stats, so closing
         # it cannot cancel the queued blocks.
+        monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
         begin = time.monotonic()
         with pytest.raises(RuntimeError, match="stop"):
-            with nulls._block_map(2, 40) as block_map:
-                blocks = block_map(time.sleep, [0.5] * 40)
+            with nulls.map_blocks(_half_second_block, (), 40, 1) as blocks:
                 next(blocks)
                 raise RuntimeError("stop")
         assert time.monotonic() - begin < 5
 
-    def test_error_in_worker_propagates_promptly(self):
+    def test_error_in_worker_propagates_promptly(self, monkeypatch):
+        monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
         begin = time.monotonic()
         with pytest.raises(ValueError):
-            with nulls._block_map(2, 40) as block_map:
-                list(block_map(time.sleep, [-1] + [0.5] * 39))
+            with nulls.map_blocks(_first_block_fails, (), 40, 1) as blocks:
+                list(blocks)
         assert time.monotonic() - begin < 5
 
-    def test_dead_worker_raises_worker_process_error(self):
+    def test_dead_worker_raises_worker_process_error(self, monkeypatch):
+        monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
         with pytest.raises(WorkerProcessError, match="worker process"):
-            with nulls._block_map(2, 2) as block_map:
-                list(block_map(os._exit, [1, 1]))
+            with nulls.map_blocks(_dead_block, (), 2, 1) as blocks:
+                list(blocks)
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_guard_advice_only_for_spawned_workers(self, monkeypatch, method):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method here")
         monkeypatch.setattr(nulls, "_pool_start_method", lambda: method)
+        monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
         with pytest.raises(WorkerProcessError) as excinfo:
-            with nulls._block_map(2, 2) as block_map:
-                list(block_map(os._exit, [1, 1]))
+            with nulls.map_blocks(_dead_block, (), 2, 1) as blocks:
+                list(blocks)
         assert ("__main__" in str(excinfo.value)) == (method == "spawn")
+
+    @pytest.mark.parametrize("method", [None, "fork", "spawn"],
+                             ids=["in-process", "fork", "spawn"])
+    def test_blocks_run_on_one_blas_thread(self, monkeypatch, method):
+        libs = nulls._openblas_libs()
+        if not libs:
+            pytest.skip("no OpenBLAS thread control found")
+        if method and method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        monkeypatch.setattr(nulls, "_pool_start_method", lambda: method)
+        monkeypatch.setattr(nulls, "available_cpus",
+                            lambda: 1 if method is None else 2)
+        before = [lib.get_num_threads() for lib in libs]
+        try:
+            for lib in libs:  # so that a missing pin shows in this process
+                lib.set_num_threads(2)
+            caller = [lib.get_num_threads() for lib in libs]
+            with nulls.map_blocks(_blas_threads_block, (), 2, 1) as blocks:
+                counts = list(blocks)
+            # a spawned worker may load fewer OpenBLAS libraries than this
+            # process, so each block's counts are checked on their own
+            assert len(counts) == 2
+            assert all(block and set(block) == {1} for block in counts)
+            assert [lib.get_num_threads() for lib in libs] == caller
+        finally:
+            for lib, threads in zip(libs, before):
+                lib.set_num_threads(threads)
 
     @pytest.mark.skipif(
         sys.platform != "linux"

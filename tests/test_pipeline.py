@@ -281,7 +281,7 @@ class TestPooledWindows:
     # blocks run in a pool on any host
     @staticmethod
     def _report_bytes(monkeypatch, config, cpus, block=8):
-        monkeypatch.setattr(pipeline, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(nulls, "available_cpus", lambda: cpus)
         monkeypatch.setattr(pipeline, "WINDOW_BLOCK", block)
         _, written = write_reports(config)
         return {path.name: path.read_bytes() for path in written}
@@ -421,7 +421,7 @@ class TestCLI:
     def test_degenerate_window_in_pool_exits_three(self, tmp_path, capsys,
                                                    monkeypatch):
         prices_path, meta_path = make_flat_asset_files(tmp_path)
-        monkeypatch.setattr(pipeline, "available_cpus", lambda: 2)
+        monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
         monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
         args = self._args(tmp_path, prices_path, meta_path)
         assert main(args) == 3
@@ -452,7 +452,7 @@ class TestCLI:
         if failure == "window":
             # fails in the third pooled block, after two blocks are written
             prices_path, meta_path = make_flat_asset_files(tmp_path)
-            monkeypatch.setattr(pipeline, "available_cpus", lambda: 2)
+            monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
             monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
         else:
             # other prices, and a failure after every window's rows are
@@ -486,7 +486,7 @@ class TestCLI:
 
     def test_dead_worker_in_window_loop_exits_five(self, tmp_path, capsys,
                                                    monkeypatch):
-        monkeypatch.setattr(pipeline, "available_cpus", lambda: 2)
+        monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
         monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
         monkeypatch.setattr(pipeline, "_window_rows", _die_in_worker)
         prices_path, meta_path = make_input_files(tmp_path)
@@ -547,6 +547,30 @@ class TestCLI:
                 continue  # records the differing output and cache paths
             fresh = (tmp_path / "fresh" / name).read_bytes()
             assert (tmp_path / "corrupt" / name).read_bytes() == fresh, name
+
+    def test_cache_hit_with_more_ranks_gives_fresh_bytes(self, tmp_path,
+                                                         capsys):
+        # the cache entry holds p99 ranks 1-4; a run at max-rank 2 reads it
+        prices_path, meta_path = make_input_files(
+            tmp_path, n_assets=12, classes=["equities"] * 12)
+        cache = tmp_path / "cache.json"
+
+        def run(out, max_rank, **extra):
+            args = self._args(tmp_path, prices_path, meta_path, out=out,
+                              **extra)
+            args[args.index("--window") + 1] = "20"
+            args[args.index("--sims") + 1] = "50"
+            args[args.index("--max-rank") + 1] = str(max_rank)
+            assert main(args) == 0
+
+        run("fill", 4, baseline_cache=cache)
+        run("hit", 2, baseline_cache=cache)
+        run("fresh", 2)
+        for name in EXPECTED_FILES:
+            if name == "run_manifest.json":
+                continue  # records the differing output and cache paths
+            fresh = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "hit" / name).read_bytes() == fresh, name
 
     @pytest.mark.skipif(nulls.available_cpus() < 2,
                         reason="a worker pool needs at least 2 CPUs")
