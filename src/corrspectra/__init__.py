@@ -6,7 +6,6 @@ spectra and eigenvector diagnostics against Monte Carlo null baselines.
 """
 
 from .analytics import (
-    AssetComponentCorrelations,
     analyze_window,
     asset_component_correlations,
     kaiser_guttman_count,
@@ -19,7 +18,6 @@ from .analytics import (
 )
 from .correlation import (
     CoefficientMoments,
-    CorrelationMatrix,
     coefficient_moments,
     correlation_matrix,
 )
@@ -74,11 +72,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ASSET_CLASSES",
-    "AssetComponentCorrelations",
     "AssetMeta",
     "BaselineMismatchError",
     "CoefficientMoments",
-    "CorrelationMatrix",
     "DegenerateWindowError",
     "EigenComputationError",
     "FactorSpec",

@@ -8,28 +8,16 @@ each principal component, with and without the asset's own contribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .correlation import corr_from_standardized
+from .correlation import correlation_matrix
 from .errors import BaselineMismatchError
-from .spectral import SpectralDecomposition, decompose_symmetric
+from .spectral import SpectralDecomposition, eigendecompose
 
 if TYPE_CHECKING:
     from .nulls import NullEnsembleStats
-
-
-@dataclass
-class AssetComponentCorrelations:
-    """abs_r[i, k] = |r(asset i, component k)|; the adjusted variant removes
-    asset i from component k before correlating. Entries are NaN where the
-    adjusted component vanishes (fully self-contributed)."""
-
-    window_index: int
-    abs_r: np.ndarray  # assets x ranks
-    abs_r_adjusted: np.ndarray | None = None
 
 
 def analyze_window(z_hat: np.ndarray, max_rank: int, window_index: int):
@@ -38,12 +26,13 @@ def analyze_window(z_hat: np.ndarray, max_rank: int, window_index: int):
 
     Returns (correlation matrix values, checked decomposition, participation
     ratio of every rank, |r| of ranks 1..max_rank as an N x max_rank array).
-    Raises EigenComputationError naming `window_index` when the
-    decomposition misses its accuracy contract.
+    Raises ValueError when `z_hat` holds a non-finite value, and
+    EigenComputationError naming `window_index` when the decomposition
+    misses its accuracy contract.
     """
-    values = corr_from_standardized(z_hat)
-    beta, omega = decompose_symmetric(values, window_index)
-    decomposition = SpectralDecomposition(window_index, beta, omega)
+    values = correlation_matrix(z_hat)
+    decomposition = eigendecompose(values, window_index)
+    beta, omega = decomposition.eigenvalues, decomposition.eigenvectors
     return (values, decomposition, participation(decomposition),
             _abs_r(beta[:max_rank], omega[:max_rank]))
 
@@ -136,9 +125,11 @@ def _abs_r_adjusted(beta: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 def asset_component_correlations(
     decomposition: SpectralDecomposition,
-) -> AssetComponentCorrelations:
-    """|r(asset i, component k)| for all pairs, plain and with asset i's own
-    term removed from component k.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(abs_r, abs_r_adjusted): |r(asset i, component k)| for all pairs as
+    assets x ranks arrays, plain and with asset i's own term removed from
+    component k. Adjusted entries are NaN where the adjusted component
+    vanishes (asset i was its only contributor).
 
     The plain value is |omega_ki| sqrt(beta_k): assets are standardized and
     component k has variance beta_k within the window, so rows of squared
@@ -146,33 +137,27 @@ def asset_component_correlations(
     correlation matrix.
     """
     beta, omega = decomposition.eigenvalues, decomposition.eigenvectors
-    return AssetComponentCorrelations(
-        window_index=decomposition.window_index,
-        abs_r=_abs_r(beta, omega),
-        abs_r_adjusted=_abs_r_adjusted(beta, omega),
-    )
+    return _abs_r(beta, omega), _abs_r_adjusted(beta, omega)
 
 
 def self_correlation_deltas(
-    correlations: AssetComponentCorrelations, max_rank: int
+    abs_r: np.ndarray, abs_r_adjusted: np.ndarray, max_rank: int
 ) -> list[np.ndarray]:
     """Per rank k <= max_rank, the samples abs_r[:, k] - abs_r_adjusted[:, k].
 
     Assets whose adjusted correlation is undefined are skipped, so a
     sample can be shorter than N. Index 0 corresponds to rank 1.
     """
-    if correlations.abs_r_adjusted is None:
-        raise ValueError("adjusted correlations not populated")
-    n_ranks = correlations.abs_r.shape[1]
+    n_ranks = abs_r.shape[1]
     if not 1 <= max_rank <= n_ranks:
         raise ValueError(f"max_rank must be in [1, {n_ranks}], got {max_rank}")
     deltas = []
     for k in range(max_rank):
-        diff = correlations.abs_r[:, k] - correlations.abs_r_adjusted[:, k]
+        diff = abs_r[:, k] - abs_r_adjusted[:, k]
         deltas.append(diff[np.isfinite(diff)])
     return deltas
 
 
-def max_correlation_rank(correlations: AssetComponentCorrelations) -> np.ndarray:
-    """For each asset, the 1-based rank of its largest |r|."""
-    return correlations.abs_r.argmax(axis=1) + 1
+def max_correlation_rank(abs_r: np.ndarray) -> np.ndarray:
+    """For each asset (row of `abs_r`), the 1-based rank of its largest |r|."""
+    return abs_r.argmax(axis=1) + 1

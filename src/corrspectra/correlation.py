@@ -1,25 +1,11 @@
-"""Per-window correlation matrices and coefficient-distribution moments."""
+"""Per-window correlation matrices (N x N arrays) and their coefficient moments."""
 
 from __future__ import annotations
 
-import datetime as dt
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .panel import WindowView
-
-
-@dataclass
-class CorrelationMatrix:
-    window_index: int
-    end_date: dt.date
-    values: np.ndarray  # N x N, symmetric, unit diagonal
-
-    @property
-    def n_assets(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -37,27 +23,16 @@ class CoefficientMoments:
     kurtosis: float
 
 
-def corr_from_standardized(z_hat: np.ndarray) -> np.ndarray:
-    """(1/T) Z Z^T for standardized rows, symmetrized, diagonal snapped to 1."""
-    n_steps = z_hat.shape[1]
-    r = z_hat @ z_hat.T / n_steps
+def correlation_matrix(z_hat: np.ndarray) -> np.ndarray:
+    """Correlation matrix (1/T) Z Z^T of a standardized N x T window,
+    symmetrized, clipped to [-1, 1], with its diagonal snapped to 1."""
+    if not np.all(np.isfinite(z_hat)):
+        raise ValueError("non-finite standardized returns")
+    r = z_hat @ z_hat.T / z_hat.shape[1]
     r = (r + r.T) / 2.0
     np.clip(r, -1.0, 1.0, out=r)
     np.fill_diagonal(r, 1.0)
     return r
-
-
-def correlation_matrix(window: WindowView) -> CorrelationMatrix:
-    """Empirical correlation matrix of a standardized window."""
-    if not np.all(np.isfinite(window.z_hat)):
-        raise ValueError(
-            f"window {window.window_index}: non-finite standardized returns"
-        )
-    return CorrelationMatrix(
-        window_index=window.window_index,
-        end_date=window.end_date,
-        values=corr_from_standardized(window.z_hat),
-    )
 
 
 @functools.lru_cache(maxsize=8)
@@ -70,12 +45,13 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return indices
 
 
-def coefficient_moments(matrix: CorrelationMatrix) -> CoefficientMoments:
-    """Mean, std, skewness, and kurtosis of the pairwise coefficients."""
-    n = matrix.n_assets
+def coefficient_moments(values: np.ndarray) -> CoefficientMoments:
+    """Mean, std, skewness, and kurtosis of the pairwise coefficients of
+    the N x N correlation matrix `values`."""
+    n = values.shape[0]
     if n < 3:
         raise ValueError(f"need at least 3 assets for moments, got {n}")
-    coeffs = matrix.values[_upper_triangle(n)]
+    coeffs = values[_upper_triangle(n)]
     mean = float(coeffs.mean())
     centered = coeffs - mean
     # products rather than ** 3 and ** 4, which go through libm pow

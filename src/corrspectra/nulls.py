@@ -504,6 +504,9 @@ def _payload_to_stats(payload: dict, config: NullConfig) -> NullEnsembleStats:
         if values.shape != (config.n_assets,):
             raise ValueError(f"{key} has {values.size} values, "
                              f"expected {config.n_assets}")
+        # only abs_corr_p99 has undefined (null) ranks
+        if key != "abs_corr_p99" and not np.isfinite(values).all():
+            raise ValueError(f"{key} holds a non-finite value")
         return values
 
     return NullEnsembleStats(

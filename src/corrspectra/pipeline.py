@@ -33,7 +33,7 @@ from .analytics import (
     scree_significant_count,
     variance_fractions,
 )
-from .correlation import CoefficientMoments, CorrelationMatrix, coefficient_moments
+from .correlation import CoefficientMoments, coefficient_moments
 from .nulls import (
     NULL_KINDS,
     NullConfig,
@@ -154,8 +154,7 @@ def _window_block(
             WindowReport(
                 window_index=index,
                 end_date=window.end_date,
-                moments=coefficient_moments(
-                    CorrelationMatrix(index, window.end_date, values)),
+                moments=coefficient_moments(values),
                 eigenvalues=beta,
                 variance_fractions=variance_fractions(decomposition),
                 pr=pr,

@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition and random-matrix reference spectra.
+"""Checked symmetric eigendecomposition and random-matrix reference spectra.
 
 Eigenvalues of a correlation matrix of uncorrelated Gaussian series follow,
 for large N at fixed Q = T/N >= 1, a known limiting density supported on
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationMatrix
 from .errors import EigenComputationError
 
 # Accuracy contract for the eigensolver, checked after every decomposition.
@@ -61,14 +60,15 @@ def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
     return vectors * flip[:, None]
 
 
-def decompose_symmetric(values: np.ndarray, window_index: int = -1):
-    """LAPACK eigendecomposition of a correlation matrix plus contract checks.
+def eigendecompose(values: np.ndarray,
+                   window_index: int = -1) -> SpectralDecomposition:
+    """Full spectrum of the correlation matrix `values` (LAPACK), checked
+    against the accuracy contract and deterministic for equal input.
 
-    Returns (eigenvalues descending, eigenvector rows). Raises
-    EigenComputationError carrying the residual if the solver fails, the
-    result misses the reconstruction/orthogonality tolerances, an
-    eigenvalue is below MIN_EIGENVALUE, or the eigenvalues do not sum to
-    N within TRACE_TOL.
+    Raises EigenComputationError naming `window_index` and carrying the
+    residual if the solver fails, the result misses the reconstruction or
+    orthogonality tolerances, an eigenvalue is below MIN_EIGENVALUE, or the
+    eigenvalues do not sum to N within TRACE_TOL.
     """
     try:
         vals, vecs = np.linalg.eigh(values)
@@ -107,15 +107,7 @@ def decompose_symmetric(values: np.ndarray, window_index: int = -1):
             residual=trace_gap,
             window_index=window_index,
         )
-    return beta, omega
-
-
-def eigendecompose(matrix: CorrelationMatrix) -> SpectralDecomposition:
-    """Full spectrum of a correlation matrix, deterministic for equal input."""
-    beta, omega = decompose_symmetric(matrix.values, matrix.window_index)
-    return SpectralDecomposition(
-        window_index=matrix.window_index, eigenvalues=beta, eigenvectors=omega
-    )
+    return SpectralDecomposition(window_index, beta, omega)
 
 
 def mp_bounds(q: float, sigma2: float = 1.0) -> MPBounds:

@@ -6,15 +6,12 @@ the lines for passing criteria too). All Monte Carlo inputs use pinned
 seeds, so every number below is reproducible bit for bit.
 """
 
-import datetime as dt
-
 import numpy as np
 from scipy import integrate
 
 from corrspectra import (
     FactorSpec,
     NullConfig,
-    WindowView,
     correlation_matrix,
     eigendecompose,
     eigenvector_zscores,
@@ -33,7 +30,6 @@ from corrspectra import (
     synthetic_factor_panel,
 )
 from corrspectra.cli import main
-from corrspectra.correlation import CorrelationMatrix
 
 from helpers import (
     pearson_pop,
@@ -43,8 +39,6 @@ from helpers import (
     write_meta_csv,
     write_prices_csv,
 )
-
-DATE = dt.date(2009, 11, 27)
 
 
 def check(label, ok, detail):
@@ -102,7 +96,7 @@ def test_criterion_04_mp_density_fit():
     eigenvalues = []
     for s in range(config.sims):
         z_hat = null_window(config, s)
-        d = eigendecompose(correlation_matrix(WindowView(0, DATE, z_hat)))
+        d = eigendecompose(correlation_matrix(z_hat))
         eigenvalues.append(d.eigenvalues)
     pooled = np.concatenate(eigenvalues)
 
@@ -134,7 +128,7 @@ def test_criterion_05_null_indistinguishability():
     def pooled_coefficients(panel):
         out = []
         for window in roll_windows(panel, 100, 1):
-            values = correlation_matrix(window).values
+            values = correlation_matrix(window.z_hat)
             out.append(values[np.triu_indices(98, k=1)])
         return np.concatenate(out)
 
@@ -154,15 +148,14 @@ def test_criterion_06_asset_component_identity():
         rng = np.random.default_rng(5000 + s)
         n_assets = 3 + s % 18
         n_steps = 25 + s % 10
-        window = WindowView(0, DATE,
-                            random_correlation_window(rng, n_assets, n_steps))
-        d = eigendecompose(correlation_matrix(window))
-        corr = asset_component_correlations(d)
-        components = d.eigenvectors @ window.z_hat
+        z_hat = random_correlation_window(rng, n_assets, n_steps)
+        d = eigendecompose(correlation_matrix(z_hat))
+        abs_r, _ = asset_component_correlations(d)
+        components = d.eigenvectors @ z_hat
         for i in range(n_assets):
             for k in range(n_assets):
-                direct = abs(pearson_pop(window.z_hat[i], components[k]))
-                worst = max(worst, abs(corr.abs_r[i, k] - direct))
+                direct = abs(pearson_pop(z_hat[i], components[k]))
+                worst = max(worst, abs(abs_r[i, k] - direct))
     check("criterion 6", worst <= 1e-8,
           f"max |scaled-coefficient - direct Pearson| = {worst:.3e} <= 1e-8 "
           "over 100 windows")
@@ -184,7 +177,7 @@ def test_criterion_07_algebraic_conservation():
         windows.append(roll_windows(panel, 100)[0].z_hat)
     for z_hat in windows:
         n = z_hat.shape[0]
-        d = eigendecompose(correlation_matrix(WindowView(0, DATE, z_hat)))
+        d = eigendecompose(correlation_matrix(z_hat))
         worst_trace = max(worst_trace, abs(float(d.eigenvalues.sum()) - n))
         energy = (d.eigenvalues[:, None] * d.eigenvectors**2).sum(axis=0)
         worst_energy = max(worst_energy, float(np.abs(energy - 1.0).max()))
@@ -196,9 +189,9 @@ def test_criterion_07_algebraic_conservation():
 
 def test_criterion_08_participation_limits():
     n = 98
-    uniform = eigendecompose(CorrelationMatrix(0, DATE, np.ones((n, n))))
+    uniform = eigendecompose(np.ones((n, n)))
     pr_uniform = participation(uniform)[0]
-    localized = eigendecompose(CorrelationMatrix(0, DATE, np.eye(n)))
+    localized = eigendecompose(np.eye(n))
     pr_localized = participation(localized)
     ok = abs(pr_uniform - n) <= 1e-10 and np.allclose(pr_localized, 1.0,
                                                       atol=1e-12)
@@ -226,7 +219,7 @@ def test_criterion_09a_planted_scree_recovery():
     hits = 0
     for seed in range(100):
         window = _planted_panel_window(seed)
-        d = eigendecompose(correlation_matrix(window))
+        d = eigendecompose(correlation_matrix(window.z_hat))
         hits += scree_significant_count(d.eigenvalues, baseline) == 3
     check("criterion 9a", hits >= 90,
           f"scree count == 3 in {hits}/100 seeds (need >= 90)")
@@ -237,8 +230,8 @@ def test_criterion_09b_planted_block_assignment():
     total = 0
     for seed in range(100):
         window = _planted_panel_window(seed)
-        d = eigendecompose(correlation_matrix(window))
-        ranks = max_correlation_rank(asset_component_correlations(d))
+        d = eigendecompose(correlation_matrix(window.z_hat))
+        ranks = max_correlation_rank(asset_component_correlations(d)[0])
         for b in range(3):
             members = ranks[b * 30 : (b + 1) * 30]
             mode = np.bincount(members).argmax()
@@ -251,9 +244,9 @@ def test_criterion_09b_planted_block_assignment():
 
 def _planted_delta_medians(seed):
     window = _planted_panel_window(seed)
-    d = eigendecompose(correlation_matrix(window))
-    corr = asset_component_correlations(d)
-    deltas = self_correlation_deltas(corr, max_rank=5)
+    d = eigendecompose(correlation_matrix(window.z_hat))
+    deltas = self_correlation_deltas(*asset_component_correlations(d),
+                                     max_rank=5)
     return np.array([np.median(np.abs(sample)) for sample in deltas])
 
 
@@ -279,7 +272,7 @@ def test_criterion_11_eigenvector_goe_zscores():
     count = 0
     for s in range(config.sims):
         z_hat = null_window(config, s)
-        d = eigendecompose(correlation_matrix(WindowView(0, DATE, z_hat)))
+        d = eigendecompose(correlation_matrix(z_hat))
         # eigenvector signs are arbitrary; the deterministic output
         # convention must not bias the ensemble, so each vector enters
         # with a random orientation

@@ -1,5 +1,3 @@
-import datetime as dt
-
 import numpy as np
 import pytest
 
@@ -8,8 +6,6 @@ from corrspectra import (
     FactorSpec,
     NullConfig,
     NullEnsembleStats,
-    AssetComponentCorrelations,
-    WindowView,
     asset_component_correlations,
     correlation_matrix,
     eigendecompose,
@@ -26,8 +22,6 @@ from corrspectra import (
 from corrspectra.spectral import SpectralDecomposition
 
 from helpers import pearson_pop, random_correlation_window
-
-DATE = dt.date(2005, 6, 3)
 
 
 def _decomposition(eigenvalues, eigenvectors=None, index=0):
@@ -56,8 +50,8 @@ def _baseline(scree_mean):
 
 def _window_and_decomposition(seed, n_assets=8, n_steps=50):
     rng = np.random.default_rng(seed)
-    window = WindowView(0, DATE, random_correlation_window(rng, n_assets, n_steps))
-    return window, eigendecompose(correlation_matrix(window))
+    z_hat = random_correlation_window(rng, n_assets, n_steps)
+    return z_hat, eigendecompose(correlation_matrix(z_hat))
 
 
 class TestVarianceFractions:
@@ -158,30 +152,29 @@ class TestScreeCounts:
 class TestAssetComponentCorrelations:
     def test_two_identical_assets(self):
         z = np.array([[1.0, -1.0], [1.0, -1.0]])
-        window = WindowView(0, DATE, z)
-        d = eigendecompose(correlation_matrix(window))
-        corr = asset_component_correlations(d)
-        assert abs(corr.abs_r[0, 0] - 1.0) <= 1e-12
-        assert abs(corr.abs_r[1, 0] - 1.0) <= 1e-12
+        d = eigendecompose(correlation_matrix(z))
+        abs_r, _ = asset_component_correlations(d)
+        assert abs(abs_r[0, 0] - 1.0) <= 1e-12
+        assert abs(abs_r[1, 0] - 1.0) <= 1e-12
 
     def test_identity_matrix_gives_coefficients(self):
         d = _decomposition([1.0, 1.0, 1.0])
-        corr = asset_component_correlations(d)
-        assert np.allclose(corr.abs_r, np.eye(3))
+        abs_r, _ = asset_component_correlations(d)
+        assert np.allclose(abs_r, np.eye(3))
 
     def test_matches_direct_pearson(self):
-        window, d = _window_and_decomposition(12, n_assets=7, n_steps=40)
-        corr = asset_component_correlations(d)
-        components = d.eigenvectors @ window.z_hat
+        z_hat, d = _window_and_decomposition(12, n_assets=7, n_steps=40)
+        abs_r, _ = asset_component_correlations(d)
+        components = d.eigenvectors @ z_hat
         for i in range(7):
             for k in range(7):
-                direct = abs(pearson_pop(window.z_hat[i], components[k]))
-                assert abs(corr.abs_r[i, k] - direct) <= 1e-8
+                direct = abs(pearson_pop(z_hat[i], components[k]))
+                assert abs(abs_r[i, k] - direct) <= 1e-8
 
     def test_row_energy_is_one(self):
         _, d = _window_and_decomposition(13, n_assets=9, n_steps=60)
-        corr = asset_component_correlations(d)
-        assert np.abs((corr.abs_r**2).sum(axis=1) - 1.0).max() <= 1e-8
+        abs_r, _ = asset_component_correlations(d)
+        assert np.abs((abs_r**2).sum(axis=1) - 1.0).max() <= 1e-8
 
     def test_sign_convention_irrelevant(self):
         _, d = _window_and_decomposition(14, n_assets=5, n_steps=30)
@@ -189,8 +182,8 @@ class TestAssetComponentCorrelations:
             d.window_index, d.eigenvalues, -d.eigenvectors
         )
         assert np.allclose(
-            asset_component_correlations(d).abs_r,
-            asset_component_correlations(flipped).abs_r,
+            asset_component_correlations(d)[0],
+            asset_component_correlations(flipped)[0],
             atol=1e-14,
         )
 
@@ -198,32 +191,31 @@ class TestAssetComponentCorrelations:
 class TestAdjustedCorrelations:
     def test_fully_localized_component_is_undefined(self):
         d = _decomposition([1.0, 1.0, 1.0], np.eye(3))
-        corr = asset_component_correlations(d)
+        _, abs_r_adjusted = asset_component_correlations(d)
         # component k is asset k alone, so removing the asset leaves nothing
-        assert np.all(np.isnan(np.diag(corr.abs_r_adjusted)))
+        assert np.all(np.isnan(np.diag(abs_r_adjusted)))
 
     def test_two_identical_assets_keep_unit_correlation(self):
         z = np.array([[1.0, -1.0], [1.0, -1.0]])
-        window = WindowView(0, DATE, z)
-        d = eigendecompose(correlation_matrix(window))
-        corr = asset_component_correlations(d)
-        assert abs(corr.abs_r_adjusted[0, 0] - 1.0) <= 1e-12
-        assert abs(corr.abs_r_adjusted[1, 0] - 1.0) <= 1e-12
+        d = eigendecompose(correlation_matrix(z))
+        _, abs_r_adjusted = asset_component_correlations(d)
+        assert abs(abs_r_adjusted[0, 0] - 1.0) <= 1e-12
+        assert abs(abs_r_adjusted[1, 0] - 1.0) <= 1e-12
 
     # the second shape is the paper's, with T close to N
     @pytest.mark.parametrize("n_assets, n_steps", [(6, 35), (98, 100)])
     def test_matches_loop_oracle(self, n_assets, n_steps):
-        window, d = _window_and_decomposition(21, n_assets, n_steps)
-        corr = asset_component_correlations(d)
-        components = d.eigenvectors @ window.z_hat
+        z_hat, d = _window_and_decomposition(21, n_assets, n_steps)
+        _, abs_r_adjusted = asset_component_correlations(d)
+        components = d.eigenvectors @ z_hat
         for i in range(n_assets):
             for k in range(6):
-                adjusted_series = components[k] - d.eigenvectors[k, i] * window.z_hat[i]
+                adjusted_series = components[k] - d.eigenvectors[k, i] * z_hat[i]
                 if adjusted_series.var() <= 1e-14:
-                    assert np.isnan(corr.abs_r_adjusted[i, k])
+                    assert np.isnan(abs_r_adjusted[i, k])
                     continue
-                direct = abs(pearson_pop(window.z_hat[i], adjusted_series))
-                assert abs(corr.abs_r_adjusted[i, k] - direct) <= 1e-8
+                direct = abs(pearson_pop(z_hat[i], adjusted_series))
+                assert abs(abs_r_adjusted[i, k] - direct) <= 1e-8
 
 
 def _factor_window(length, seed):
@@ -237,29 +229,21 @@ def _factor_window(length, seed):
 class TestSelfCorrelationDeltas:
     def test_identical_matrices_give_zero(self):
         _, d = _window_and_decomposition(31, n_assets=5, n_steps=25)
-        corr = asset_component_correlations(d)
-        corr.abs_r_adjusted = corr.abs_r.copy()
-        deltas = self_correlation_deltas(corr, max_rank=3)
+        abs_r, _ = asset_component_correlations(d)
+        deltas = self_correlation_deltas(abs_r, abs_r.copy(), max_rank=3)
         assert all(np.allclose(sample, 0.0) for sample in deltas)
 
     def test_undefined_entries_skipped(self):
         d = _decomposition([1.0, 1.0, 1.0], np.eye(3))
-        corr = asset_component_correlations(d)
-        deltas = self_correlation_deltas(corr, max_rank=3)
+        deltas = self_correlation_deltas(*asset_component_correlations(d),
+                                         max_rank=3)
         assert all(len(sample) == 2 for sample in deltas)
-
-    def test_requires_adjusted(self):
-        _, d = _window_and_decomposition(32, n_assets=4, n_steps=20)
-        corr = AssetComponentCorrelations(
-            d.window_index, asset_component_correlations(d).abs_r)
-        with pytest.raises(ValueError):
-            self_correlation_deltas(corr, max_rank=2)
 
     def test_rank_one_self_correlation_is_small(self):
         window = _factor_window(2000, seed=50)
-        d = eigendecompose(correlation_matrix(window))
-        corr = asset_component_correlations(d)
-        deltas = self_correlation_deltas(corr, max_rank=1)
+        d = eigendecompose(correlation_matrix(window.z_hat))
+        deltas = self_correlation_deltas(*asset_component_correlations(d),
+                                         max_rank=1)
         assert np.median(np.abs(deltas[0])) <= 0.05
 
     def test_bulk_ranks_show_larger_self_correlation(self):
@@ -268,9 +252,9 @@ class TestSelfCorrelationDeltas:
         medians = []
         for seed in range(5):
             window = _factor_window(2000, seed=60 + seed)
-            d = eigendecompose(correlation_matrix(window))
-            corr = asset_component_correlations(d)
-            deltas = self_correlation_deltas(corr, max_rank=5)
+            d = eigendecompose(correlation_matrix(window.z_hat))
+            deltas = self_correlation_deltas(*asset_component_correlations(d),
+                                             max_rank=5)
             medians.append([np.median(np.abs(s)) for s in deltas])
         medians = np.array(medians)
         assert np.all(medians[:, :3].max(axis=1) < medians[:, 3:].min(axis=1))
@@ -279,8 +263,8 @@ class TestSelfCorrelationDeltas:
 class TestMaxCorrelationRank:
     def test_planted_blocks_align_with_leading_components(self):
         window = _factor_window(2000, seed=80)
-        d = eigendecompose(correlation_matrix(window))
-        corr = asset_component_correlations(d)
-        ranks = max_correlation_rank(corr)
+        d = eigendecompose(correlation_matrix(window.z_hat))
+        abs_r, _ = asset_component_correlations(d)
+        ranks = max_correlation_rank(abs_r)
         assert ranks.min() >= 1
         assert set(ranks) <= {1, 2, 3}

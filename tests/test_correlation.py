@@ -1,46 +1,40 @@
-import datetime as dt
-
 import numpy as np
 import pytest
 
 from corrspectra import (
-    WindowView,
+    analyze_window,
     coefficient_moments,
     correlation_matrix,
     simulate_gaussian_panel,
     roll_windows,
 )
-from corrspectra.correlation import CorrelationMatrix
 
 from helpers import pairwise_corr, random_correlation_window
 
-DATE = dt.date(2005, 6, 3)
 
-
-def _window(rows, index=0):
+def _window(rows):
     rows = np.asarray(rows, dtype=float)
-    z = (rows - rows.mean(axis=1, keepdims=True)) / rows.std(axis=1, keepdims=True)
-    return WindowView(window_index=index, end_date=DATE, z_hat=z)
+    return (rows - rows.mean(axis=1, keepdims=True)) / rows.std(axis=1, keepdims=True)
 
 
 class TestCorrelationMatrix:
     def test_identical_rows(self):
         m = correlation_matrix(_window([[1.0, -1.0, 2.0], [1.0, -1.0, 2.0]]))
-        assert np.allclose(m.values, [[1.0, 1.0], [1.0, 1.0]], atol=1e-12)
+        assert np.allclose(m, [[1.0, 1.0], [1.0, 1.0]], atol=1e-12)
 
     def test_anticorrelated_rows(self):
         m = correlation_matrix(_window([[1.0, -1.0, 2.0], [-1.0, 1.0, -2.0]]))
-        assert abs(m.values[0, 1] + 1.0) <= 1e-12
+        assert abs(m[0, 1] + 1.0) <= 1e-12
 
     def test_orthogonal_rows(self):
         m = correlation_matrix(_window([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]]))
-        assert abs(m.values[0, 1]) <= 1e-15
+        assert abs(m[0, 1]) <= 1e-15
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(42)
-        window = WindowView(0, DATE, random_correlation_window(rng, 8, 50))
-        m = correlation_matrix(window)
-        assert np.abs(m.values - pairwise_corr(window.z_hat)).max() <= 1e-12
+        z_hat = random_correlation_window(rng, 8, 50)
+        m = correlation_matrix(z_hat)
+        assert np.abs(m - pairwise_corr(z_hat)).max() <= 1e-12
 
     def test_shift_scale_invariance(self):
         rng = np.random.default_rng(9)
@@ -49,29 +43,33 @@ class TestCorrelationMatrix:
         scaled[2] = 3.5 * raw[2] + 0.7
         m_raw = correlation_matrix(_window(raw))
         m_scaled = correlation_matrix(_window(scaled))
-        assert np.abs(m_raw.values[2] - m_scaled.values[2]).max() <= 1e-12
+        assert np.abs(m_raw[2] - m_scaled[2]).max() <= 1e-12
 
     def test_trace_is_exactly_n(self):
         rng = np.random.default_rng(5)
-        m = correlation_matrix(WindowView(0, DATE, random_correlation_window(rng, 7, 30)))
-        assert np.trace(m.values) == 7.0
+        m = correlation_matrix(random_correlation_window(rng, 7, 30))
+        assert np.trace(m) == 7.0
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(6)
-        m = correlation_matrix(WindowView(0, DATE, random_correlation_window(rng, 9, 40)))
-        assert np.array_equal(m.values, m.values.T)
+        m = correlation_matrix(random_correlation_window(rng, 9, 40))
+        assert np.array_equal(m, m.T)
 
-    def test_nonfinite_rejected(self):
+    @pytest.mark.parametrize("analyse", [
+        correlation_matrix,
+        lambda z: analyze_window(z, max_rank=1, window_index=0),
+    ], ids=["correlation_matrix", "analyze_window"])
+    def test_nonfinite_rejected(self, analyse):
         z = np.array([[1.0, -1.0], [np.nan, 1.0]])
-        with pytest.raises(ValueError):
-            correlation_matrix(WindowView(0, DATE, z))
+        with pytest.raises(ValueError, match="non-finite"):
+            analyse(z)
 
 
 class TestCoefficientMoments:
     def test_degenerate_spread(self):
         values = np.full((3, 3), 0.5)
         np.fill_diagonal(values, 1.0)
-        m = coefficient_moments(CorrelationMatrix(0, DATE, values))
+        m = coefficient_moments(values)
         assert m.mean == 0.5
         assert m.std == 0.0
         assert np.isnan(m.skewness) and np.isnan(m.kurtosis)
@@ -82,13 +80,13 @@ class TestCoefficientMoments:
         values[0, 1] = values[1, 0] = -a
         values[0, 2] = values[2, 0] = 0.0
         values[1, 2] = values[2, 1] = a
-        m = coefficient_moments(CorrelationMatrix(0, DATE, values))
+        m = coefficient_moments(values)
         assert abs(m.skewness) <= 1e-12
         assert abs(m.mean) <= 1e-15
 
     def test_requires_three_assets(self):
         with pytest.raises(ValueError):
-            coefficient_moments(CorrelationMatrix(0, DATE, np.eye(2)))
+            coefficient_moments(np.eye(2))
 
     def test_null_ensemble_kurtosis_matches_sampling_law(self):
         # Independent Gaussian series of length T give coefficients whose
@@ -100,8 +98,8 @@ class TestCoefficientMoments:
         for s in range(n_windows):
             panel = simulate_gaussian_panel(n_assets, t_steps, seed=1000 + s)
             window = roll_windows(panel, t_steps)[0]
-            matrix = correlation_matrix(window)
-            coeffs = matrix.values[np.triu_indices(n_assets, k=1)]
+            matrix = correlation_matrix(window.z_hat)
+            coeffs = matrix[np.triu_indices(n_assets, k=1)]
             pooled.append(coeffs)
         pooled = np.concatenate(pooled)
         centered = pooled - pooled.mean()

@@ -424,6 +424,24 @@ class TestBaselineCache:
         assert capsys.readouterr().err == ""
         assert np.array_equal(rewritten.pr_mean, fresh.pr_mean)
 
+    @pytest.mark.parametrize("field", ["pr_mean", "pr_std", "scree_mean"])
+    def test_null_baseline_value_is_a_miss(self, tmp_path, capsys, field):
+        # a null in abs_corr_p99 marks a rank beyond max_rank; in these
+        # arrays it is corruption, and NaN scree means would zero every count
+        cache = tmp_path / "baselines.json"
+        config = NullConfig(n_assets=6, window_len=20, sims=30, master_seed=4)
+        fresh = cached_ensemble_stats(config, max_rank=2, cache_path=cache)
+        loaded = json.loads(cache.read_text())
+        [entry] = loaded["entries"].values()
+        entry[field][3] = None
+        cache.write_text(json.dumps(loaded))
+        stats = cached_ensemble_stats(config, max_rank=2, cache_path=cache)
+        warning = capsys.readouterr().err
+        assert warning.count("\n") == 1 and field in warning
+        assert np.array_equal(getattr(stats, field), getattr(fresh, field))
+        [entry] = json.loads(cache.read_text())["entries"].values()
+        assert None not in entry[field]
+
     def test_failed_write_keeps_old_cache(self, tmp_path, monkeypatch):
         cache = tmp_path / "baselines.json"
         a = NullConfig(n_assets=5, window_len=12, sims=10, master_seed=4)

@@ -1,4 +1,3 @@
-import datetime as dt
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from scipy import integrate
 from corrspectra import (
     EigenComputationError,
     NullConfig,
-    WindowView,
     correlation_matrix,
     eigendecompose,
     eigenvector_zscores,
@@ -16,26 +14,22 @@ from corrspectra import (
     mp_density,
     null_window,
 )
-from corrspectra.correlation import CorrelationMatrix
 
 from helpers import charpoly_roots_3x3, random_correlation_window
-
-DATE = dt.date(2005, 6, 3)
 
 
 def _random_matrix(seed, n_assets=6, n_steps=40):
     rng = np.random.default_rng(seed)
-    window = WindowView(0, DATE, random_correlation_window(rng, n_assets, n_steps))
-    return correlation_matrix(window)
+    return correlation_matrix(random_correlation_window(rng, n_assets, n_steps))
 
 
 class TestEigendecompose:
     def test_identity(self):
-        d = eigendecompose(CorrelationMatrix(0, DATE, np.eye(2)))
+        d = eigendecompose(np.eye(2))
         assert np.allclose(d.eigenvalues, [1.0, 1.0])
 
     def test_rank_one(self):
-        d = eigendecompose(CorrelationMatrix(0, DATE, np.ones((2, 2))))
+        d = eigendecompose(np.ones((2, 2)))
         assert np.allclose(d.eigenvalues, [2.0, 0.0], atol=1e-12)
         assert np.allclose(d.eigenvectors[0], [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
 
@@ -43,7 +37,7 @@ class TestEigendecompose:
         for seed in range(5):
             matrix = _random_matrix(seed, n_assets=3, n_steps=25)
             d = eigendecompose(matrix)
-            roots = charpoly_roots_3x3(matrix.values)
+            roots = charpoly_roots_3x3(matrix)
             assert len(roots) == 3
             assert np.abs(np.array(roots) - d.eigenvalues).max() <= 1e-8
 
@@ -55,7 +49,7 @@ class TestEigendecompose:
         off = d.eigenvectors @ d.eigenvectors.T - np.eye(n)
         assert np.abs(off).max() <= 1e-8
         recon = d.eigenvectors.T @ (d.eigenvalues[:, None] * d.eigenvectors)
-        assert np.abs(recon - matrix.values).max() <= 1e-8
+        assert np.abs(recon - matrix).max() <= 1e-8
         assert abs(d.eigenvalues.sum() - n) <= 1e-8
         assert d.eigenvalues[-1] >= -1e-8
         assert np.all(np.diff(d.eigenvalues) <= 1e-14)
@@ -76,7 +70,7 @@ class TestEigendecompose:
 
     def test_zero_sum_tiebreak(self):
         values = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        d = eigendecompose(CorrelationMatrix(0, DATE, values))
+        d = eigendecompose(values)
         # top eigenvector sums to zero; first largest-magnitude entry positive
         assert abs(d.eigenvectors[0].sum()) <= 1e-12
         assert d.eigenvectors[0][0] > 0
@@ -86,13 +80,13 @@ class TestEigendecompose:
         values[0, 0] = 1.0
         bad = values - 0.002 * np.eye(3)  # trace broken and slightly negative modes
         with pytest.raises(EigenComputationError):
-            eigendecompose(CorrelationMatrix(0, DATE, bad))
+            eigendecompose(bad)
 
     def test_non_finite_rejected(self):
         values = np.eye(3)
         values[0, 1] = values[1, 0] = np.nan
         with pytest.raises(EigenComputationError, match="window 4"):
-            eigendecompose(CorrelationMatrix(4, DATE, values))
+            eigendecompose(values, window_index=4)
 
 
 class TestMPBounds:
@@ -145,14 +139,14 @@ class TestMPDensity:
 
 class TestEigenvectorZscores:
     def _uniform_decomposition(self, n=16):
-        return eigendecompose(CorrelationMatrix(0, DATE, np.ones((n, n))))
+        return eigendecompose(np.ones((n, n)))
 
     def test_uniform_vector_gives_ones(self):
         d = self._uniform_decomposition()
         assert np.abs(eigenvector_zscores(d, 1) - 1.0).max() <= 1e-10
 
     def test_localized_vector(self):
-        d = eigendecompose(CorrelationMatrix(0, DATE, np.eye(9)))
+        d = eigendecompose(np.eye(9))
         scores = eigenvector_zscores(d, 1)
         assert abs(np.abs(scores).max() - 3.0) <= 1e-12
         assert np.sum(np.abs(scores) > 1e-12) == 1
@@ -170,9 +164,7 @@ class TestEigenvectorZscores:
         pooled = []
         for index in range(config.sims):
             z_hat = null_window(config, index)
-            d = eigendecompose(
-                correlation_matrix(WindowView(index, DATE, z_hat))
-            )
+            d = eigendecompose(correlation_matrix(z_hat), index)
             for rank in range(1, 51):
                 pooled.append(eigenvector_zscores(d, rank))
         pooled = np.concatenate(pooled)
