@@ -29,7 +29,6 @@ from .errors import (
     WorkerProcessError,
 )
 from .nulls import (
-    FactorSpec,
     NullConfig,
     NullEnsembleStats,
     cached_ensemble_stats,
@@ -38,8 +37,6 @@ from .nulls import (
     null_window,
     shuffle_panel,
     sim_rng,
-    simulate_gaussian_panel,
-    synthetic_factor_panel,
 )
 from .panel import (
     ASSET_CLASSES,
@@ -77,7 +74,6 @@ __all__ = [
     "CoefficientMoments",
     "DegenerateWindowError",
     "EigenComputationError",
-    "FactorSpec",
     "MPBounds",
     "NullConfig",
     "NullEnsembleStats",
@@ -113,10 +109,8 @@ __all__ = [
     "self_correlation_deltas",
     "shuffle_panel",
     "sim_rng",
-    "simulate_gaussian_panel",
     "standardize_window",
     "subset_by_class",
-    "synthetic_factor_panel",
     "variance_fractions",
     "write_reports",
 ]

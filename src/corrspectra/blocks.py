@@ -1,0 +1,220 @@
+"""The block runner: map_blocks maps a kernel over blocks of items, the
+null-ensemble sims or the rolling windows, in a pool of forked or spawned
+worker processes when there are CPUs for one, and pins OpenBLAS (through
+ctypes) to one thread in every process, so results do not depend on it."""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import itertools
+import os
+import signal
+import sys
+import threading
+from collections.abc import Callable
+from dataclasses import dataclass
+
+from .errors import WorkerProcessError
+
+# Thread-count variables of the common BLAS builds, which spawned pool
+# workers read at start-up. Pool workers already occupy every CPU, so each
+# runs BLAS on one thread: more threads per worker oversubscribe the CPUs
+# and run several times slower.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_POOL_ENV_LOCK = threading.Lock()
+# OpenBLAS's run-time thread controls are <prefix>_set_num_threads<suffix>
+# and so on: numpy's wheels bundle scipy-openblas with 64-bit integers
+# ("64_"), scipy's with 32-bit ones, and classic builds use "openblas".
+_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                   ("openblas", ""))
+_OPENBLAS_PTHREADS = 1  # openblas_get_parallel(): 0 serial, 1 pthreads, 2 OpenMP
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: the worker count of a pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class _OpenBLAS:
+    """The thread-count controls of one loaded OpenBLAS library."""
+
+    get_num_threads: Callable[[], int]
+    set_num_threads: Callable[[int], None]
+    pthreads: bool  # threads are pthreads, which OpenBLAS stops before a fork
+
+
+@functools.cache
+def _openblas_at(path: str) -> _OpenBLAS | None:
+    """The controls of the loaded library at `path`, or None when it exports
+    none of the _OPENBLAS_NAMES."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for prefix, suffix in _OPENBLAS_NAMES:
+        try:
+            get, set_, parallel = (getattr(lib, f"{prefix}_{name}{suffix}")
+                                   for name in ("get_num_threads",
+                                                "set_num_threads",
+                                                "get_parallel"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        parallel.argtypes, parallel.restype = [], ctypes.c_int
+        return _OpenBLAS(get, set_, parallel() == _OPENBLAS_PTHREADS)
+    return None
+
+
+def _openblas_libs() -> tuple[_OpenBLAS, ...]:
+    """The OpenBLAS libraries loaded in this process whose thread count
+    ctypes can set. They are found in /proc/self/maps, so only on Linux."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return ()
+    libs = (_openblas_at(path) for path in sorted(paths)
+            if "openblas" in os.path.basename(path))
+    return tuple(lib for lib in libs if lib is not None)
+
+
+class _OneBlasThread:
+    """Run the _openblas_libs on one thread in this process, so results do
+    not depend on the BLAS thread count, and restore their thread counts
+    afterwards. Nested and concurrent uses share one pin: the first to
+    enter sets it and the last to leave restores the counts."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._users == 0:
+                self._saved = tuple((lib, lib.get_num_threads())
+                                    for lib in _openblas_libs())
+                for lib, _ in self._saved:
+                    lib.set_num_threads(1)
+            self._users += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._users -= 1
+            if self._users == 0:
+                for lib, threads in self._saved:
+                    lib.set_num_threads(threads)
+        return False
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+def _pool_start_method() -> str:
+    """"fork" on Linux when every loaded OpenBLAS is a pthreads build that
+    _openblas_libs controls and no other Python thread runs; "spawn"
+    otherwise. OpenBLAS stops its own threads before a fork; other threads
+    could leave the child locks that nobody releases."""
+    libs = _openblas_libs()
+    if (sys.platform == "linux" and libs and all(lib.pthreads for lib in libs)
+            and threading.active_count() == 1):
+        return "fork"
+    return "spawn"
+
+
+def _init_worker(parent_pid: int) -> None:
+    """Pool initializer: run BLAS on one thread and, on Linux, die with the
+    pool's parent process."""
+    if sys.platform == "linux":
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        prctl.restype = ctypes.c_int
+        if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+            raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+        if os.getppid() != parent_pid:  # the parent died before the prctl
+            os._exit(1)
+    for lib in _openblas_libs():
+        lib.set_num_threads(1)
+
+
+@contextlib.contextmanager
+def _blas_environment_pinned():
+    """Set the _BLAS_THREAD_VARS to 1 in os.environ, for spawned workers to
+    inherit, and restore them afterwards. The lock keeps concurrent pools
+    from restoring each other's values."""
+    with _POOL_ENV_LOCK:
+        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            yield
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+
+
+@contextlib.contextmanager
+def map_blocks(kernel, shared: tuple, n_items: int, block: int):
+    """Yield an iterator over kernel(*shared, start, stop) for each block of
+    `block` items of range(n_items) in order: null-ensemble sims or rolling
+    windows. BLAS runs on one thread in this process until the with block
+    ends (_one_blas_thread). With two or more blocks and available CPUs,
+    the blocks run in a pool of worker processes, one per CPU, which lives
+    until the with block ends; otherwise in this process.
+
+    The workers are forked when _pool_start_method allows it: they inherit
+    the imported modules and run no `__main__` again. Otherwise they are
+    spawned, and take their BLAS thread count from the environment, so
+    _blas_environment_pinned holds _POOL_ENV_LOCK and pins it while the
+    pool lives; that lock and the environment change are used only then.
+    Either way _init_worker runs BLAS on one thread in each worker and, on
+    Linux, has the worker killed when this process dies.
+
+    The pool's processes have started when this yields. Forked ones
+    inherit this process's unflushed file buffers, so callers write no
+    report text before the with block is entered.
+    """
+    starts = range(0, n_items, block)
+    stops = [min(start + block, n_items) for start in starts]
+    args = (*map(itertools.repeat, shared), starts, stops)
+    workers = min(available_cpus(), len(starts))
+    with _one_blas_thread:
+        if workers < 2:
+            yield map(kernel, *args)
+            return
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        method = _pool_start_method()
+        cause = "killed, or out of memory"
+        if method == "spawn":
+            cause += (", or started from a script without an "
+                      "`if __name__ == \"__main__\":` guard")
+        with (_blas_environment_pinned() if method == "spawn"
+              else contextlib.nullcontext()):
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context(method),
+                initializer=_init_worker, initargs=(os.getpid(),),
+            )
+            try:
+                yield pool.map(kernel, *args)
+            except BrokenProcessPool as exc:
+                raise WorkerProcessError(
+                    f"a worker process ended abruptly ({cause})") from exc
+            finally:
+                # After an error, or Ctrl-C, drop the blocks not yet
+                # started instead of waiting for them. A finished map has
+                # none left.
+                pool.shutdown(cancel_futures=True)
+

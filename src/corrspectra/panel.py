@@ -105,6 +105,9 @@ def _read_meta(meta_path) -> list[AssetMeta]:
             ticker, klass = row[0], row[1].strip()
             if not ticker:
                 raise PanelFormatError(f"{meta_path}: row {lineno}: empty ticker")
+            if any(c in ticker for c in ',"\r\n'):  # reports are unquoted CSV
+                raise PanelFormatError(f"{meta_path}: row {lineno}: ticker {ticker!r} "
+                                       "holds a comma, quote or line break")
             if ticker in seen:
                 raise PanelFormatError(
                     f"{meta_path}: row {lineno}: duplicate ticker {ticker!r}"

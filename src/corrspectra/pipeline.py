@@ -33,13 +33,13 @@ from .analytics import (
     scree_significant_count,
     variance_fractions,
 )
+from .blocks import map_blocks
 from .correlation import CoefficientMoments, coefficient_moments
 from .nulls import (
     NULL_KINDS,
     NullConfig,
     NullEnsembleStats,
     cached_ensemble_stats,
-    map_blocks,
     stats_payload,
 )
 from .panel import (
@@ -195,7 +195,7 @@ def run_analysis(config: RunConfig) -> tuple[list[WindowReport], NullEnsembleSta
     """Execute the full pipeline in memory; reports come back ordered by
     window.
 
-    Windows run in blocks of WINDOW_BLOCK through nulls.map_blocks, and
+    Windows run in blocks of WINDOW_BLOCK through blocks.map_blocks, and
     their reports are collected in window order. The windows run before
     the null baseline, so a degenerate window ends the run before the
     ensemble starts.

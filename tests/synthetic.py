@@ -1,0 +1,87 @@
+"""Planted return panels for the tests: i.i.d. Gaussian panels and block
+factor panels, whose correlation structure is known by construction.
+
+Kept apart from helpers.py, which the benchmark loads without corrspectra
+on the path.
+"""
+
+import datetime as dt
+from dataclasses import dataclass
+
+import numpy as np
+
+from corrspectra import AssetMeta, ReturnPanel
+
+from helpers import weekly_dates
+
+_EPOCH = dt.date(2000, 1, 7)
+
+
+@dataclass(frozen=True)
+class FactorSpec:
+    """Block factor market: asset i in block b returns
+    loadings[b] * f_b(t) + noise_std * eps_i(t)."""
+
+    block_sizes: tuple[int, ...]
+    loadings: tuple[float, ...]
+    noise_std: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "block_sizes", tuple(self.block_sizes))
+        object.__setattr__(self, "loadings", tuple(self.loadings))
+        if not self.block_sizes or any(b < 1 for b in self.block_sizes):
+            raise ValueError("block_sizes must be positive integers")
+        if len(self.loadings) != len(self.block_sizes):
+            raise ValueError("need one loading per block")
+        if any(not 0.0 <= lam <= 1.0 for lam in self.loadings):
+            raise ValueError("loadings must lie in [0, 1]")
+        if self.noise_std <= 0.0:
+            raise ValueError("noise_std must be positive")
+
+    @property
+    def num_factors(self) -> int:
+        return len(self.block_sizes)
+
+    @property
+    def n_assets(self) -> int:
+        return sum(self.block_sizes)
+
+
+def _synthetic_meta(prefix: str, n_assets: int) -> list[AssetMeta]:
+    width = max(3, len(str(n_assets)))
+    return [
+        AssetMeta(ticker=f"{prefix}{i + 1:0{width}d}", asset_class="equities")
+        for i in range(n_assets)
+    ]
+
+
+def simulate_gaussian_panel(n_assets: int, length: int, seed: int) -> ReturnPanel:
+    """Panel of i.i.d. standard normal returns with synthetic SIM tickers."""
+    if n_assets < 2 or length < 2:
+        raise ValueError("need n_assets >= 2 and length >= 2")
+    rng = np.random.default_rng(seed)
+    return ReturnPanel(
+        dates=weekly_dates(length, _EPOCH),
+        returns=rng.standard_normal((n_assets, length)),
+        meta=_synthetic_meta("SIM", n_assets),
+    )
+
+
+def synthetic_factor_panel(spec: FactorSpec, length: int, seed: int) -> ReturnPanel:
+    """Planted block-factor panel for validating structure detectors."""
+    if length < 2:
+        raise ValueError("need length >= 2")
+    rng = np.random.default_rng(seed)
+    factors = rng.standard_normal((spec.num_factors, length))
+    noise = rng.standard_normal((spec.n_assets, length))
+    returns = np.empty((spec.n_assets, length))
+    row = 0
+    for b, (lam, size) in enumerate(zip(spec.loadings, spec.block_sizes)):
+        block = slice(row, row + size)
+        returns[block] = lam * factors[b] + spec.noise_std * noise[block]
+        row += size
+    return ReturnPanel(
+        dates=weekly_dates(length, _EPOCH),
+        returns=returns,
+        meta=_synthetic_meta("FAC", spec.n_assets),
+    )

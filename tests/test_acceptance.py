@@ -10,7 +10,6 @@ import numpy as np
 from scipy import integrate
 
 from corrspectra import (
-    FactorSpec,
     NullConfig,
     correlation_matrix,
     eigendecompose,
@@ -26,8 +25,6 @@ from corrspectra import (
     self_correlation_deltas,
     asset_component_correlations,
     shuffle_panel,
-    simulate_gaussian_panel,
-    synthetic_factor_panel,
 )
 from corrspectra.cli import main
 
@@ -39,6 +36,7 @@ from helpers import (
     write_meta_csv,
     write_prices_csv,
 )
+from synthetic import FactorSpec, simulate_gaussian_panel, synthetic_factor_panel
 
 
 def check(label, ok, detail):

@@ -3,7 +3,6 @@ import pytest
 
 from corrspectra import (
     BaselineMismatchError,
-    FactorSpec,
     NullConfig,
     NullEnsembleStats,
     asset_component_correlations,
@@ -16,12 +15,12 @@ from corrspectra import (
     scree_exceedance_count,
     scree_significant_count,
     self_correlation_deltas,
-    synthetic_factor_panel,
     variance_fractions,
 )
 from corrspectra.spectral import SpectralDecomposition
 
 from helpers import pearson_pop, random_correlation_window
+from synthetic import FactorSpec, synthetic_factor_panel
 
 
 def _decomposition(eigenvalues, eigenvectors=None, index=0):

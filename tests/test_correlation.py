@@ -5,11 +5,11 @@ from corrspectra import (
     analyze_window,
     coefficient_moments,
     correlation_matrix,
-    simulate_gaussian_panel,
     roll_windows,
 )
 
 from helpers import pairwise_corr, random_correlation_window
+from synthetic import simulate_gaussian_panel
 
 
 def _window(rows):

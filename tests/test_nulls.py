@@ -13,7 +13,6 @@ import pytest
 from corrspectra import (
     DegenerateWindowError,
     EigenComputationError,
-    FactorSpec,
     NullConfig,
     cached_ensemble_stats,
     nearest_rank_percentile,
@@ -21,10 +20,10 @@ from corrspectra import (
     null_window,
     shuffle_panel,
     sim_rng,
-    simulate_gaussian_panel,
-    synthetic_factor_panel,
 )
-from corrspectra import WorkerProcessError, nulls, spectral
+from corrspectra import WorkerProcessError, blocks, nulls, spectral
+
+from synthetic import FactorSpec, simulate_gaussian_panel, synthetic_factor_panel
 
 
 class TestShufflePanel:
@@ -135,7 +134,7 @@ def _dead_block(start, stop):
 
 
 def _blas_threads_block(start, stop):
-    return [lib.get_num_threads() for lib in nulls._openblas_libs()]
+    return [lib.get_num_threads() for lib in blocks._openblas_libs()]
 
 
 class TestParallelEnsemble:
@@ -149,7 +148,7 @@ class TestParallelEnsemble:
 
     @staticmethod
     def _stats_on_cpus(monkeypatch, config, cpus, max_rank=3):
-        monkeypatch.setattr(nulls, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(blocks, "available_cpus", lambda: cpus)
         return null_ensemble_stats(config, max_rank=max_rank)
 
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
@@ -165,7 +164,7 @@ class TestParallelEnsemble:
 
     def test_pool_restores_blas_environment(self, monkeypatch):
         # only spawned workers read the environment
-        monkeypatch.setattr(nulls, "_pool_start_method", lambda: "spawn")
+        monkeypatch.setattr(blocks, "_pool_start_method", lambda: "spawn")
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         self._stats_on_cpus(monkeypatch, self.CONFIG, 2, max_rank=1)
@@ -177,57 +176,57 @@ class TestParallelEnsemble:
         # after the first result must not wait for the rest. The result
         # iterator stays referenced, as in null_ensemble_stats, so closing
         # it cannot cancel the queued blocks.
-        monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
         begin = time.monotonic()
         with pytest.raises(RuntimeError, match="stop"):
-            with nulls.map_blocks(_half_second_block, (), 40, 1) as blocks:
-                next(blocks)
+            with blocks.map_blocks(_half_second_block, (), 40, 1) as results:
+                next(results)
                 raise RuntimeError("stop")
         assert time.monotonic() - begin < 5
 
     def test_error_in_worker_propagates_promptly(self, monkeypatch):
-        monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
         begin = time.monotonic()
         with pytest.raises(ValueError):
-            with nulls.map_blocks(_first_block_fails, (), 40, 1) as blocks:
-                list(blocks)
+            with blocks.map_blocks(_first_block_fails, (), 40, 1) as results:
+                list(results)
         assert time.monotonic() - begin < 5
 
     def test_dead_worker_raises_worker_process_error(self, monkeypatch):
-        monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
         with pytest.raises(WorkerProcessError, match="worker process"):
-            with nulls.map_blocks(_dead_block, (), 2, 1) as blocks:
-                list(blocks)
+            with blocks.map_blocks(_dead_block, (), 2, 1) as results:
+                list(results)
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_guard_advice_only_for_spawned_workers(self, monkeypatch, method):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method here")
-        monkeypatch.setattr(nulls, "_pool_start_method", lambda: method)
-        monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
+        monkeypatch.setattr(blocks, "_pool_start_method", lambda: method)
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
         with pytest.raises(WorkerProcessError) as excinfo:
-            with nulls.map_blocks(_dead_block, (), 2, 1) as blocks:
-                list(blocks)
+            with blocks.map_blocks(_dead_block, (), 2, 1) as results:
+                list(results)
         assert ("__main__" in str(excinfo.value)) == (method == "spawn")
 
     @pytest.mark.parametrize("method", [None, "fork", "spawn"],
                              ids=["in-process", "fork", "spawn"])
     def test_blocks_run_on_one_blas_thread(self, monkeypatch, method):
-        libs = nulls._openblas_libs()
+        libs = blocks._openblas_libs()
         if not libs:
             pytest.skip("no OpenBLAS thread control found")
         if method and method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method here")
-        monkeypatch.setattr(nulls, "_pool_start_method", lambda: method)
-        monkeypatch.setattr(nulls, "available_cpus",
+        monkeypatch.setattr(blocks, "_pool_start_method", lambda: method)
+        monkeypatch.setattr(blocks, "available_cpus",
                             lambda: 1 if method is None else 2)
         before = [lib.get_num_threads() for lib in libs]
         try:
             for lib in libs:  # so that a missing pin shows in this process
                 lib.set_num_threads(2)
             caller = [lib.get_num_threads() for lib in libs]
-            with nulls.map_blocks(_blas_threads_block, (), 2, 1) as blocks:
-                counts = list(blocks)
+            with blocks.map_blocks(_blas_threads_block, (), 2, 1) as results:
+                counts = list(results)
             # a spawned worker may load fewer OpenBLAS libraries than this
             # process, so each block's counts are checked on their own
             assert len(counts) == 2
@@ -242,24 +241,24 @@ class TestParallelEnsemble:
         or "libscipy_openblas64_" not in Path("/proc/self/maps").read_text(),
         reason="needs Linux and the OpenBLAS of numpy's wheels")
     def test_workers_fork_unless_another_thread_runs(self):
-        assert nulls._pool_start_method() == "fork"
+        assert blocks._pool_start_method() == "fork"
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(60,))
         thread.start()
         try:
-            assert nulls._pool_start_method() == "spawn"
+            assert blocks._pool_start_method() == "spawn"
         finally:
             release.set()
             thread.join(timeout=60)
         assert not thread.is_alive()
 
     def test_blas_pin_is_shared_and_restored(self):
-        libs = nulls._openblas_libs()
+        libs = blocks._openblas_libs()
         if not libs:
             pytest.skip("no OpenBLAS thread control found")
         before = [lib.get_num_threads() for lib in libs]
-        with nulls._one_blas_thread:
-            with nulls._one_blas_thread:
+        with blocks._one_blas_thread:
+            with blocks._one_blas_thread:
                 assert [lib.get_num_threads() for lib in libs] == [1] * len(libs)
             assert [lib.get_num_threads() for lib in libs] == [1] * len(libs)
         assert [lib.get_num_threads() for lib in libs] == before

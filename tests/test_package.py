@@ -1,4 +1,8 @@
+import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,8 @@ from helpers import (
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(corrspectra.__file__).resolve().parent
+HELPERS = Path(__file__).resolve().parent / "helpers.py"
 
 
 def test_all_exports_resolve_once():
@@ -41,3 +47,45 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     assert namespace["values"].shape == (n_assets, n_assets)
     assert namespace["abs_r"].shape == (n_assets, n_assets)
     assert namespace["abs_r_adjusted"].shape == (n_assets, n_assets)
+
+
+def _imports(path):
+    """(module, names) of each import statement in `path`; a relative
+    module keeps its leading dots."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, ()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield ("." * node.level + (node.module or ""),
+                   tuple(alias.name for alias in node.names))
+
+
+def test_module_boundaries():
+    # the block runner alone handles processes and BLAS threads, and
+    # needs nothing of the package but its errors
+    imports = {path.stem: list(_imports(path)) for path in SRC.glob("*.py")}
+    assert {m for m, _ in imports["blocks"] if m.startswith(".")} == {".errors"}
+    for stem, found in imports.items():
+        if stem == "blocks":
+            continue
+        dotted = {m for m, _ in found} | {f"{m}.{n}" for m, names in found
+                                          for n in names}
+        for banned in ("ctypes", "signal", "concurrent.futures"):
+            assert not any(d == banned or d.startswith(banned + ".")
+                           for d in dotted), (stem, banned)
+    for stem in ("nulls", "pipeline"):
+        assert {m for m, names in imports[stem]
+                if "map_blocks" in names} == {".blocks"}, stem
+
+
+def test_helpers_load_without_corrspectra(tmp_path):
+    # the benchmark execs helpers.py in a process with no src on its path
+    script = ("import importlib.util, sys\n"
+              "sys.modules['corrspectra'] = None  # any import of it fails\n"
+              "spec = importlib.util.spec_from_file_location('h', sys.argv[1])\n"
+              "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", script, str(HELPERS)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import math
 
@@ -141,6 +142,22 @@ class TestLoadPricePanel:
         write_prices_csv(prices, weekly_dates(2), [[1.0, 2.0]], ["AAA"])
         meta.write_text("ticker,asset_class\nAAA,equities\nAAA,metals\n")
         with pytest.raises(PanelFormatError, match="duplicate"):
+            load_price_panel(prices, meta)
+
+    @pytest.mark.parametrize("ticker", ["A,B", 'A"B', "A\rB", "A\nB"])
+    def test_ticker_that_needs_csv_quoting_names_row(self, tmp_path, ticker):
+        # the reports are written unquoted, so such a ticker would shift
+        # their fields; quoted in both inputs, it is valid CSV
+        prices = tmp_path / "p.csv"
+        meta = tmp_path / "m.csv"
+        with open(prices, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["date", "AAA", ticker],
+                                      ["2001-01-05", 1.0, 2.0],
+                                      ["2001-01-12", 1.5, 2.5]])
+        with open(meta, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["ticker", "asset_class"],
+                                      ["AAA", "equities"], [ticker, "metals"]])
+        with pytest.raises(PanelFormatError, match="row 3: ticker"):
             load_price_panel(prices, meta)
 
 

@@ -20,7 +20,7 @@ from corrspectra import (
     run_analysis,
     write_reports,
 )
-from corrspectra import nulls, pipeline
+from corrspectra import blocks, nulls, pipeline
 from corrspectra.cli import main
 from corrspectra.correlation import CoefficientMoments
 
@@ -281,7 +281,7 @@ class TestPooledWindows:
     # blocks run in a pool on any host
     @staticmethod
     def _report_bytes(monkeypatch, config, cpus, block=8):
-        monkeypatch.setattr(nulls, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(blocks, "available_cpus", lambda: cpus)
         monkeypatch.setattr(pipeline, "WINDOW_BLOCK", block)
         _, written = write_reports(config)
         return {path.name: path.read_bytes() for path in written}
@@ -421,7 +421,7 @@ class TestCLI:
     def test_degenerate_window_in_pool_exits_three(self, tmp_path, capsys,
                                                    monkeypatch):
         prices_path, meta_path = make_flat_asset_files(tmp_path)
-        monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
         monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
         args = self._args(tmp_path, prices_path, meta_path)
         assert main(args) == 3
@@ -452,7 +452,7 @@ class TestCLI:
         if failure == "window":
             # fails in the third pooled block, after two blocks are written
             prices_path, meta_path = make_flat_asset_files(tmp_path)
-            monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
+            monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
             monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
         else:
             # other prices, and a failure after every window's rows are
@@ -486,7 +486,7 @@ class TestCLI:
 
     def test_dead_worker_in_window_loop_exits_five(self, tmp_path, capsys,
                                                    monkeypatch):
-        monkeypatch.setattr(nulls, "available_cpus", lambda: 2)
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
         monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
         monkeypatch.setattr(pipeline, "_window_rows", _die_in_worker)
         prices_path, meta_path = make_input_files(tmp_path)
@@ -572,7 +572,7 @@ class TestCLI:
             fresh = (tmp_path / "fresh" / name).read_bytes()
             assert (tmp_path / "hit" / name).read_bytes() == fresh, name
 
-    @pytest.mark.skipif(nulls.available_cpus() < 2,
+    @pytest.mark.skipif(blocks.available_cpus() < 2,
                         reason="a worker pool needs at least 2 CPUs")
     def test_worker_count_does_not_change_report_bytes(self, tmp_path):
         # a fresh interpreter per run, so both runs use one BLAS thread; the
@@ -606,8 +606,9 @@ def _cli_env(**variables):
 # The CLI with its null ensemble in a pool of two workers, on any host.
 _TWO_WORKER_CLI = """\
 import sys
-from corrspectra import cli, nulls
-nulls.available_cpus = lambda: 2
+from corrspectra import blocks, cli
+assert hasattr(blocks, "available_cpus")
+blocks.available_cpus = lambda: 2
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -660,7 +661,7 @@ class TestWorkerProcesses:
                                                      sims):
         # 98 assets, window 100: 30 windows and one block of sims run in
         # the CLI's process, or one window there and three blocks in a pool
-        if not nulls._openblas_libs():
+        if not blocks._openblas_libs():
             pytest.skip("no OpenBLAS thread control found")
         prices_path, meta_path = make_input_files(
             tmp_path, n_assets=98, n_dates=n_dates, classes=["equities"] * 98)
@@ -683,13 +684,14 @@ class TestWorkerProcesses:
     def test_script_without_main_guard_runs_a_pool(self, tmp_path):
         # spawned workers would run this script again and fail; forked
         # workers do not
-        libs = nulls._openblas_libs()
+        libs = blocks._openblas_libs()
         if not libs or not all(lib.pthreads for lib in libs):
             pytest.skip("needs an OpenBLAS pthreads build")
         script = tmp_path / "no_guard.py"
         script.write_text(
-            "from corrspectra import nulls\n"
-            "nulls.available_cpus = lambda: 2\n"
+            "from corrspectra import blocks, nulls\n"
+            "assert hasattr(blocks, 'available_cpus')\n"
+            "blocks.available_cpus = lambda: 2\n"
             "config = nulls.NullConfig(n_assets=5, window_len=10, sims=600)\n"
             "print(nulls.null_ensemble_stats(config, max_rank=1).pr_mean[0])\n")
         proc = subprocess.run([sys.executable, str(script)], env=_cli_env(),
