@@ -32,7 +32,6 @@ from .nulls import (
     NullConfig,
     NullEnsembleStats,
     cached_ensemble_stats,
-    nearest_rank_percentile,
     null_ensemble_stats,
     null_window,
     shuffle_panel,
@@ -98,7 +97,6 @@ __all__ = [
     "max_correlation_rank",
     "mp_bounds",
     "mp_density",
-    "nearest_rank_percentile",
     "null_ensemble_stats",
     "null_window",
     "participation",

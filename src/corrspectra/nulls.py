@@ -118,21 +118,24 @@ def null_window(config: NullConfig, sim_index: int) -> np.ndarray:
     return standardize(x, sim_index)
 
 
-def nearest_rank_percentile(values: np.ndarray, pct: float) -> float:
-    """Nearest-rank percentile of a pooled sample (deterministic)."""
-    if values.size == 0:
-        raise ValueError("empty sample")
-    ordered = np.sort(values, axis=None)
-    rank = max(1, math.ceil(pct / 100.0 * ordered.size))
-    return float(ordered[rank - 1])
+def _largest(values: np.ndarray, keep: int) -> np.ndarray:
+    """The `keep` largest values of each row of `values`, in no order; all
+    of them when a row holds no more. Partitions `values` in place."""
+    columns = values.shape[1]
+    if columns <= keep:
+        return values
+    values.partition(columns - keep, axis=1)
+    return values[:, columns - keep:].copy()
 
 
-def _ensemble_block(config: NullConfig, max_rank: int, start: int, stop: int):
+def _ensemble_block(config: NullConfig, max_rank: int, keep: int,
+                    start: int, stop: int):
     """Per-sim results for sims start..stop-1 of the ensemble.
 
-    Returns (pr, beta, abs_corr): participation ratios and sorted
-    eigenvalues as (stop - start, N) arrays, and |omega_ki| sqrt(beta_k)
-    for ranks k < max_rank as a (max_rank, stop - start, N) array.
+    Returns (pr, beta, top): participation ratios and sorted eigenvalues
+    as (stop - start, N) arrays, and for each rank k < max_rank the `keep`
+    largest of the block's (stop - start) * N values of
+    |omega_ki| sqrt(beta_k), in no order, as a (max_rank, kept) array.
     """
     n = config.n_assets
     pr = np.empty((stop - start, n))
@@ -143,7 +146,8 @@ def _ensemble_block(config: NullConfig, max_rank: int, start: int, stop: int):
             null_window(config, s), max_rank, s)
         beta_rows[row] = decomposition.eigenvalues
         abs_corr[:, row] = abs_r.T
-    return pr, beta_rows, abs_corr
+    return pr, beta_rows, _largest(
+        abs_corr.reshape(max_rank, (stop - start) * n), keep)
 
 
 def null_ensemble_stats(config: NullConfig, max_rank: int = 0) -> NullEnsembleStats:
@@ -158,30 +162,33 @@ def null_ensemble_stats(config: NullConfig, max_rank: int = 0) -> NullEnsembleSt
     Simulations run in blocks of ENSEMBLE_BLOCK_SIMS through map_blocks,
     and the per-sim results are added up in sim-index order, so the output
     does not depend on the block size, the worker count or the BLAS thread
-    count.
+    count. The nearest-rank 99th percentile of a rank's size = sims * N
+    pooled |r| values is the value at r = ceil(0.99 * size) of the sorted
+    sample: the smallest of its keep = size - r + 1 largest values. So each
+    rank holds only the `keep` largest values seen so far, a hundredth of
+    the pooled sample, and the percentile is still exact.
     """
     n = config.n_assets
     if not 0 <= max_rank <= n:
         raise ValueError(f"max_rank must be in [0, {n}], got {max_rank}")
+    size = config.sims * n
+    keep = size - max(1, math.ceil(99.0 / 100.0 * size)) + 1
     pr_sum = np.zeros(n)
     pr_sq = np.zeros(n)
     scree_sum = np.zeros(n)
-    pooled = np.empty((max_rank, config.sims, n))
-    start = 0
-    with map_blocks(_ensemble_block, (config, max_rank), config.sims,
+    top = np.empty((max_rank, 0))
+    with map_blocks(_ensemble_block, (config, max_rank, keep), config.sims,
                     ENSEMBLE_BLOCK_SIMS) as blocks:
-        for pr, beta, abs_corr in blocks:
+        for pr, beta, block_top in blocks:
             for pr_row, beta_row in zip(pr, beta):
                 pr_sum += pr_row
                 pr_sq += pr_row * pr_row
                 scree_sum += beta_row
-            pooled[:, start:start + len(pr)] = abs_corr
-            start += len(pr)
+            top = _largest(np.concatenate((top, block_top), axis=1), keep)
     pr_mean = pr_sum / config.sims
     pr_var = np.clip(pr_sq / config.sims - pr_mean**2, 0.0, None)
     p99 = np.full(n, np.nan)
-    for k in range(max_rank):
-        p99[k] = nearest_rank_percentile(pooled[k], 99.0)
+    p99[:max_rank] = top.min(axis=1)
     return NullEnsembleStats(
         pr_mean=pr_mean,
         pr_std=np.sqrt(pr_var),

@@ -78,8 +78,9 @@ class WindowView:
 
 
 def _open_input(path):
+    # utf-8-sig drops the byte-order mark of spreadsheets' "CSV UTF-8"
     try:
-        return open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise PanelFormatError(f"cannot read {path}: {exc}") from exc
 

@@ -6,6 +6,7 @@ eigenvalues, so library results are checked against independent routes.
 """
 
 import datetime as dt
+import math
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,16 @@ def charpoly_roots_3x3(r, tol=1e-12):
                     left, fleft = mid, fmid
             roots.append((left + right) / 2)
     return sorted(roots, reverse=True)
+
+
+def nearest_rank_percentile(values, pct):
+    """Nearest-rank percentile of a pooled sample: the value at rank
+    ceil(pct / 100 * size) of the fully sorted sample."""
+    if values.size == 0:
+        raise ValueError("empty sample")
+    ordered = np.sort(values, axis=None)
+    rank = max(1, math.ceil(pct / 100.0 * ordered.size))
+    return float(ordered[rank - 1])
 
 
 def random_correlation_window(rng, n_assets, n_steps):

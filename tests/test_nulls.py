@@ -5,6 +5,7 @@ import pickle
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from corrspectra import (
     DegenerateWindowError,
     EigenComputationError,
     NullConfig,
+    analyze_window,
     cached_ensemble_stats,
-    nearest_rank_percentile,
     null_ensemble_stats,
     null_window,
     shuffle_panel,
@@ -23,6 +24,7 @@ from corrspectra import (
 )
 from corrspectra import WorkerProcessError, blocks, nulls, spectral
 
+from helpers import nearest_rank_percentile
 from synthetic import FactorSpec, simulate_gaussian_panel, synthetic_factor_panel
 
 
@@ -306,12 +308,60 @@ class TestScreeProfile:
         assert abs(stats.scree_mean.sum() - 4.0) <= 1e-6
 
 
+def _pooled_abs_r(config, max_rank, kernel=analyze_window):
+    """Every sim's |r| of ranks 1..max_rank pooled per rank, as a
+    (max_rank, sims * N) array: the sample the ensemble's p99 summarizes."""
+    rows = [kernel(null_window(config, s), max_rank, s)[3]
+            for s in range(config.sims)]
+    return np.concatenate(rows).T
+
+
+def _coarse_analyze_window(z_hat, max_rank, window_index):
+    """analyze_window with |r| rounded to 0.1, so its values tie."""
+    *head, abs_r = analyze_window(z_hat, max_rank, window_index)
+    return (*head, np.round(abs_r, 1))
+
+
 class TestAbsCorrPercentiles:
     def test_nearest_rank_definition(self):
         values = np.arange(1, 101, dtype=float)
         assert nearest_rank_percentile(values, 99.0) == 99.0
         assert nearest_rank_percentile(values, 50.0) == 50.0
         assert nearest_rank_percentile(np.array([5.0]), 99.0) == 5.0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n_assets, window_len, sims, max_rank, block", [
+        (10, 20, 10, 3, 250),  # 0.99 * sims * N is the integer 99
+        (5, 12, 300, 5, 2),  # max_rank = N; keep 16 > a block's 10 values
+        (20, 30, 600, 3, 250),
+        (20, 30, 600, 3, 7),
+        (6, 12, 30, 0, 250),  # no ranks, so no percentiles
+    ])
+    def test_streamed_p99_is_nearest_rank_of_pooled_sample(
+            self, monkeypatch, cpus, n_assets, window_len, sims, max_rank,
+            block):
+        monkeypatch.setattr(blocks, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(nulls, "ENSEMBLE_BLOCK_SIMS", block)
+        config = NullConfig(n_assets=n_assets, window_len=window_len,
+                            sims=sims, master_seed=31)
+        pooled = _pooled_abs_r(config, max_rank)
+        expected = [nearest_rank_percentile(pooled[k], 99.0)
+                    for k in range(max_rank)]
+        stats = null_ensemble_stats(config, max_rank)
+        assert stats.abs_corr_p99[:max_rank].tolist() == expected
+        assert np.isnan(stats.abs_corr_p99[max_rank:]).all()
+
+    def test_streamed_p99_with_tied_values(self, monkeypatch):
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 1)
+        monkeypatch.setattr(nulls, "ENSEMBLE_BLOCK_SIMS", 3)
+        monkeypatch.setattr(nulls, "analyze_window", _coarse_analyze_window)
+        config = NullConfig(n_assets=8, window_len=16, sims=40, master_seed=2)
+        pooled = _pooled_abs_r(config, 4, _coarse_analyze_window)
+        stats = null_ensemble_stats(config, max_rank=4)
+        for k in range(4):
+            p99 = nearest_rank_percentile(pooled[k], 99.0)
+            assert (pooled[k] == p99).sum() > 1  # the percentile is tied
+            assert stats.abs_corr_p99[k] == p99
 
     def test_percentiles_bounded_and_monotone(self):
         stats = null_ensemble_stats(
@@ -323,6 +373,26 @@ class TestAbsCorrPercentiles:
         assert np.all(np.diff(head) <= 1e-12)
         assert np.all(np.isnan(stats.abs_corr_p99[5:]))
         assert stats.p99_ranks == 5
+
+    def test_memory_does_not_grow_with_sims(self, monkeypatch):
+        # pooling every sim's |r| of 30 ranks x 30 assets would take
+        # 12.6 MB more at 2000 sims than at 250
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 1)
+        n_assets, max_rank, few, many = 30, 30, 250, 2000
+        pooled_growth = max_rank * (many - few) * n_assets * 8
+        assert pooled_growth >= 10e6
+
+        def peak(sims):
+            config = NullConfig(n_assets=n_assets, window_len=40, sims=sims,
+                                master_seed=3)
+            tracemalloc.start()
+            try:
+                null_ensemble_stats(config, max_rank)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(many) - peak(few) < pooled_growth / 5
 
 
 class TestSyntheticFactorPanel:

@@ -49,6 +49,15 @@ class TestLoadPricePanel:
         assert panel.prices.shape == (2, 3)
         assert panel.prices[0, 0] == 100.0
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["prices", "meta"])
+    def test_utf8_byte_order_mark_is_ignored(self, toy_files, which):
+        # spreadsheets save "CSV UTF-8" with a byte-order mark
+        path = toy_files[which]
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        panel = load_price_panel(*toy_files)
+        assert panel.tickers == ["AAA", "BBB"]
+        assert panel.meta[1].asset_class == "gov_bonds"
+
     def test_column_order_defines_asset_order(self, tmp_path):
         prices = tmp_path / "p.csv"
         meta = tmp_path / "m.csv"
