@@ -7,7 +7,8 @@ panel's shape. Reports are flat CSV/JSON with fixed headers; identical
 inputs, configuration, and seed produce byte-identical files.
 
 `write_reports`, the CLI's route, renders each block of windows in the
-process that analysed it and streams the text into the report files.
+process that analysed it (every CSV float through `_csv_lines`) and streams
+the text into the report files; windows.csv waits for the null baseline.
 `run_analysis` collects every window's WindowReport in memory instead.
 """
 
@@ -20,7 +21,7 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +111,8 @@ class WindowReport:
 
 
 def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
-    """The run's validated return panel and its number of windows."""
+    """The run's validated return panel and its number of windows. Makes
+    the cache's directory, so an unusable one fails before any window."""
     panel = load_price_panel(config.prices_path, config.meta_path)
     if config.classes is not None:
         panel = subset_by_class(panel, config.classes)
@@ -120,7 +122,10 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     if config.max_rank > n:
         raise ValueError(f"max-rank {config.max_rank} exceeds panel size {n}")
     returns = compute_log_returns(panel)
-    return returns, window_count(returns, config.window_len, config.step)
+    n_windows = window_count(returns, config.window_len, config.step)
+    if config.baseline_cache is not None:
+        Path(config.baseline_cache).parent.mkdir(parents=True, exist_ok=True)
+    return returns, n_windows
 
 
 def _baseline(config: RunConfig, n_assets: int) -> NullEnsembleStats:
@@ -171,17 +176,30 @@ def _window_block(
 
 def _window_rows(returns: ReturnPanel, config: RunConfig, start: int,
                  stop: int):
-    """Windows start..stop-1 analysed and rendered.
-
-    Returns their windows.csv rows without the scree counts, their
-    eigenvalues.csv and asset_pc_corr.csv text as one string per window,
-    and their eigenvalues as a (stop - start, N) array for the scree counts.
-    """
+    """Windows start..stop-1 analysed: each one's windows.csv key
+    ("index,end_date"), its numbers up to kaiser_count as a row of a
+    (stop - start, 5 + 2 * max_rank) array, its eigenvalues.csv and
+    asset_pc_corr.csv lines as one string each, and the (stop - start, N)
+    eigenvalues for the scree counts that end windows.csv."""
     reports = _window_block(returns, config, start, stop)
-    return ([_window_row(rep, config.max_rank) for rep in reports],
-            _eigenvalues_rows(reports),
-            _asset_corr_rows(reports, returns.tickers),
-            np.stack([rep.eigenvalues for rep in reports]))
+    max_rank = config.max_rank
+    keys = [f"{rep.window_index},{rep.end_date.isoformat()}" for rep in reports]
+    numbers = np.array([[*astuple(rep.moments),
+                         *rep.variance_fractions[:max_rank],
+                         *rep.pr[:max_rank], rep.kaiser_count]
+                        for rep in reports])
+    eigenvalues = np.stack([rep.eigenvalues for rep in reports])
+    pairs = np.stack([np.stack([rep.abs_r, rep.abs_r_adjusted], -1)
+                      for rep in reports])
+    return (keys, numbers,
+            _csv_lines([f"{key}," for key in keys],
+                       [str(k) for k in range(1, eigenvalues.shape[1] + 1)],
+                       eigenvalues[:, :, None]),
+            _csv_lines([f"{rep.window_index}," for rep in reports],
+                       [f"{name},{k}" for name in returns.tickers
+                        for k in range(1, max_rank + 1)],
+                       pairs.reshape(len(reports), -1, 2)),
+            eigenvalues)
 
 
 def _scree_counts(eigenvalues: np.ndarray,
@@ -213,10 +231,30 @@ def run_analysis(config: RunConfig) -> tuple[list[WindowReport], NullEnsembleSta
     return reports, stats
 
 
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and value != value:
-        return "NaN"
-    return format(value, ".15g")
+def _csv_lines(prefixes, keys, values: np.ndarray) -> list[str]:
+    """One string per prefix: line j of string i is prefixes[i], keys[j]
+    and values[i, j] as ",%.15g" fields, NaN as "NaN"; `values` has shape
+    (len(prefixes), len(keys), width).
+
+    A %-format renders each prefix's lines, so "%" in a prefix or key is
+    escaped; "%.15g" prints NaN as "nan", so a NaN's field is written into
+    the template instead.
+    """
+    keys = [key.replace("%", "%%") for key in keys]
+    field = ",%.15g"
+    keyed = [key + field * values.shape[2] + "\n" for key in keys]
+    texts = []
+    for prefix, rows in zip(prefixes, values):
+        prefix = prefix.replace("%", "%%")
+        undefined = np.isnan(rows)
+        if undefined.any():
+            fields = np.where(undefined, ",NaN", field).tolist()
+            template = "".join(prefix + key + "".join(row) + "\n"
+                               for key, row in zip(keys, fields))
+        else:
+            template = prefix + prefix.join(keyed)
+        texts.append(template % tuple(rows[~undefined].tolist()))
+    return texts
 
 
 def _windows_columns(max_rank: int) -> list[str]:
@@ -226,69 +264,6 @@ def _windows_columns(max_rank: int) -> list[str]:
     header += [f"pr_{k}" for k in range(1, max_rank + 1)]
     header += ["kaiser_count", "scree_count", "scree_exceedance_count"]
     return header
-
-
-def _window_row(rep: WindowReport, max_rank: int) -> str:
-    """A windows.csv row up to kaiser_count. The two scree counts that end
-    it need the null baseline, which _windows_csv takes them from."""
-    row = [
-        str(rep.window_index),
-        rep.end_date.isoformat(),
-        _fmt(rep.moments.mean),
-        _fmt(rep.moments.std),
-        _fmt(rep.moments.skewness),
-        _fmt(rep.moments.kurtosis),
-    ]
-    row += [_fmt(v) for v in rep.variance_fractions[:max_rank]]
-    row += [_fmt(v) for v in rep.pr[:max_rank]]
-    row.append(str(rep.kaiser_count))
-    return ",".join(row)
-
-
-def _windows_csv(rows, counts, max_rank: int) -> str:
-    """windows.csv from _window_row rows and each row's two scree counts."""
-    lines = [",".join(_windows_columns(max_rank)) + "\n"]
-    lines += [f"{row},{scree},{exceedance}\n"
-              for row, (scree, exceedance) in zip(rows, counts)]
-    return "".join(lines)
-
-
-def _window_lines(prefix: str, keys, templates, values: np.ndarray) -> str:
-    """One window's CSV lines: line i is `prefix`, keys[i] and row i of
-    `values`, where templates[i] is keys[i] with its value fields as %.15g.
-
-    A single %-format renders the window. "%.15g" prints the digits _fmt
-    prints, but NaN as "nan", so a window holding a NaN goes through _fmt.
-    """
-    if np.isnan(values).any():
-        return "".join(f"{prefix}{key},{','.join(map(_fmt, row))}\n"
-                       for key, row in zip(keys, values.tolist()))
-    template = prefix + ("\n" + prefix).join(templates) + "\n"
-    return template % tuple(values.ravel().tolist())
-
-
-def _templates(keys, width: int) -> list[str]:
-    return [key.replace("%", "%%") + ",%.15g" * width for key in keys]
-
-
-def _eigenvalues_rows(reports) -> list[str]:
-    """Each report's eigenvalues.csv lines, one string per window."""
-    keys = [str(k) for k in range(1, len(reports[0].eigenvalues) + 1)]
-    templates = _templates(keys, 1)
-    return [_window_lines(f"{rep.window_index},{rep.end_date.isoformat()},",
-                          keys, templates, rep.eigenvalues[:, None])
-            for rep in reports]
-
-
-def _asset_corr_rows(reports, tickers) -> list[str]:
-    """Each report's asset_pc_corr.csv lines, one string per window."""
-    n_ranks = reports[0].abs_r.shape[1]
-    keys = [f"{name},{k}" for name in tickers for k in range(1, n_ranks + 1)]
-    templates = _templates(keys, 2)
-    return [_window_lines(f"{rep.window_index},", keys, templates,
-                          np.stack([rep.abs_r, rep.abs_r_adjusted],
-                                   -1).reshape(-1, 2))
-            for rep in reports]
 
 
 def _baselines_json(stats: NullEnsembleStats) -> str:
@@ -412,15 +387,16 @@ def _staged_reports(output_dir: Path):
 def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
     """Run the pipeline and write its five report files: the CLI's route.
 
-    Each block of windows is rendered in the process that analysed it, and
-    the blocks' text is appended in window order to report files staged
-    beside `config.output_dir` (see _staged_reports). The windows run
-    before the null baseline, whose scree counts complete windows.csv.
+    Each block's eigenvalues.csv and asset_pc_corr.csv lines are rendered
+    in the process that analysed it and appended in window order to report
+    files staged beside `config.output_dir` (see _staged_reports). The
+    windows run before the null baseline, whose scree counts end the
+    windows.csv rows rendered here from the blocks' numbers.
     Returns the number of windows and the written paths.
     """
     returns, n_windows = _load_returns(config)
     output_dir = Path(config.output_dir)
-    rows, eigenvalues = [], []
+    keys, numbers, eigenvalues = [], [], []
     with _staged_reports(output_dir) as staging:
         with _open_report(staging / "eigenvalues.csv") as eig_file, \
                 _open_report(staging / "asset_pc_corr.csv") as corr_file, \
@@ -430,15 +406,19 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
             # report text in these files' buffers.
             eig_file.write(_EIGENVALUES_HEADER)
             corr_file.write(_ASSET_CORR_HEADER)
-            for block_rows, eig_texts, corr_texts, block_eigenvalues in blocks:
-                rows += block_rows
+            for block_keys, block_numbers, eig_texts, corr_texts, \
+                    block_eigenvalues in blocks:
+                keys += block_keys
+                numbers.append(block_numbers)
                 eigenvalues.extend(block_eigenvalues)
                 eig_file.writelines(eig_texts)
                 corr_file.writelines(corr_texts)
         stats = _baseline(config, returns.n_assets)
         counts = [_scree_counts(values, stats) for values in eigenvalues]
+        rows = np.column_stack([np.concatenate(numbers), counts])
         _write_texts(staging, {
-            "windows.csv": _windows_csv(rows, counts, config.max_rank),
+            "windows.csv": ",".join(_windows_columns(config.max_rank)) + "\n"
+            + _csv_lines([""], keys, rows[None])[0],
             "null_baselines.json": _baselines_json(stats),
             "run_manifest.json": _manifest_json(config, n_windows,
                                                 returns.tickers),

@@ -78,6 +78,38 @@ def test_module_boundaries():
                 if "map_blocks" in names} == {".blocks"}, stem
 
 
+def _spec_scopes(node, scope, prose):
+    """The innermost function (or "<module>") around each string constant
+    under `node` that holds ".15g", skipping the constants in `prose`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and ".15g" in node.value and id(node) not in prose):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _spec_scopes(child, scope, prose)
+
+
+def test_one_float_serializer():
+    # every CSV float is rendered in one function; docstrings and the
+    # manifest's float_format value only name the spec it uses
+    holders = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        prose = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Expr):
+                prose.add(id(node.value))
+            elif isinstance(node, ast.Dict):
+                prose.update(id(value) for key, value in
+                             zip(node.keys, node.values)
+                             if isinstance(key, ast.Constant)
+                             and key.value == "float_format")
+        holders.update((path.stem, scope)
+                       for scope in _spec_scopes(tree, "<module>", prose))
+    assert holders == {("pipeline", "_csv_lines")}
+
+
 def test_helpers_load_without_corrspectra(tmp_path):
     # the benchmark execs helpers.py in a process with no src on its path
     script = ("import importlib.util, sys\n"

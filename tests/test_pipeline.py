@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,25 +318,30 @@ class TestRenderers:
         adjusted = values[::-1].copy()
         if adjusted_nan:
             adjusted[2, 1] = np.nan
+        # window 1 has constant coefficients: NaN skewness and kurtosis
+        moments = (CoefficientMoments(0.5, 0.0, np.nan, np.nan) if adjusted_nan
+                   else CoefficientMoments(0.1, 0.2, 0.3, 3.0))
         return pipeline.WindowReport(
             window_index=index,
             end_date=weekly_dates(index + 1)[-1],
-            moments=CoefficientMoments(0.1, 0.2, 0.3, 3.0),
+            moments=moments,
             eigenvalues=np.array([2.0 - 2.0**-51, 1.0, 0.1, 1e-300]),
-            variance_fractions=np.full(4, 0.25),
+            variance_fractions=np.roll(self.VALUES, index)[:4],
             pr=np.full(4, 2.0),
-            kaiser_count=1,
-            scree_count=1,
-            scree_exceedance_count=1,
+            kaiser_count=index + 1,
+            scree_count=10 * index,
+            scree_exceedance_count=123456,
             abs_r=values,
             abs_r_adjusted=adjusted,
         )
 
-    def test_templates_match_per_value_formatting(self):
+    def test_templates_match_per_value_formatting(self, monkeypatch):
         reports = [self._report(0, False), self._report(1, True),
                    self._report(2, False)]
+        n_ranks = 2
         expected_corr = ["window_index,asset,rank,abs_r,abs_r_adjusted"]
         expected_eig = ["window_index,end_date,rank,eigenvalue"]
+        expected_win = []
         for rep in reports:
             for i, name in enumerate(self.TICKERS):
                 for k in range(rep.abs_r.shape[1]):
@@ -347,15 +353,38 @@ class TestRenderers:
                 expected_eig.append(f"{rep.window_index},"
                                     f"{rep.end_date.isoformat()},{k},"
                                     f"{_fmt_oracle(beta)}")
-        corr = pipeline._ASSET_CORR_HEADER + "".join(
-            pipeline._asset_corr_rows(reports, self.TICKERS))
-        eig = pipeline._EIGENVALUES_HEADER + "".join(
-            pipeline._eigenvalues_rows(reports))
+            m = rep.moments
+            floats = [m.mean, m.std, m.skewness, m.kurtosis,
+                      *rep.variance_fractions[:n_ranks], *rep.pr[:n_ranks]]
+            counts = [rep.kaiser_count, rep.scree_count,
+                      rep.scree_exceedance_count]
+            expected_win.append(",".join(
+                [str(rep.window_index), rep.end_date.isoformat()]
+                + [_fmt_oracle(v) for v in floats] + [str(c) for c in counts]))
+        # the rendering half of the window loop, on the reports above
+        monkeypatch.setattr(pipeline, "_window_block", lambda *args: reports)
+        config = RunConfig(prices_path="p.csv", meta_path="m.csv",
+                           output_dir="out", max_rank=n_ranks)
+        returns = SimpleNamespace(tickers=self.TICKERS)
+        keys, numbers, eig_texts, corr_texts, eigenvalues = \
+            pipeline._window_rows(returns, config, 0, len(reports))
+        assert np.array_equal(eigenvalues,
+                              [rep.eigenvalues for rep in reports])
+        scree = [[rep.scree_count, rep.scree_exceedance_count]
+                 for rep in reports]
+        [windows] = pipeline._csv_lines(
+            [""], keys, np.column_stack([numbers, scree])[None])
+        corr = pipeline._ASSET_CORR_HEADER + "".join(corr_texts)
+        eig = pipeline._EIGENVALUES_HEADER + "".join(eig_texts)
         assert corr == "\n".join(expected_corr) + "\n"
         assert eig == "\n".join(expected_eig) + "\n"
+        assert windows == "\n".join(expected_win) + "\n"
         assert "1,x%sy,2,0,NaN\n" in corr
-        assert all("nan" not in line.split(",")[3:]
-                   for line in corr.splitlines())
+        assert f"1,{reports[1].end_date.isoformat()},0.5,0,NaN,NaN," in windows
+        assert windows.endswith(",3,20,123456\n")
+        for text in (corr, windows):
+            assert all("nan" not in line.split(",")[2:]
+                       for line in text.splitlines())
 
 
 def _die_in_worker(*args):
@@ -508,6 +537,23 @@ class TestCLI:
             "--max-rank", "3",
         ]
         assert main(args) == 4
+
+    def test_unusable_cache_location_exits_four_before_the_windows(
+            self, tmp_path, capsys, monkeypatch):
+        def analyze_window(*args):
+            raise AssertionError("a window ran before the cache was checked")
+
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 1)
+        monkeypatch.setattr(pipeline, "analyze_window", analyze_window)
+        prices_path, meta_path = make_input_files(tmp_path)
+        blocker = tmp_path / "blocked"
+        blocker.write_text("not a directory")
+        args = self._args(tmp_path, prices_path, meta_path,
+                          baseline_cache=blocker / "cache.json")
+        assert main(args) == 4
+        assert "I/O error" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory"
+        assert not (tmp_path / "cli_out").exists()
 
     def test_baseline_cache_reused(self, tmp_path, capsys):
         prices_path, meta_path = make_input_files(tmp_path)
