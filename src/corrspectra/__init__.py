@@ -49,12 +49,7 @@ from .panel import (
     standardize_window,
     subset_by_class,
 )
-from .pipeline import (
-    RunConfig,
-    WindowReport,
-    run_analysis,
-    write_reports,
-)
+from .pipeline import RunConfig, write_reports
 from .spectral import (
     MPBounds,
     SpectralDecomposition,
@@ -81,7 +76,6 @@ __all__ = [
     "ReturnPanel",
     "RunConfig",
     "SpectralDecomposition",
-    "WindowReport",
     "WindowView",
     "WorkerProcessError",
     "analyze_window",
@@ -101,7 +95,6 @@ __all__ = [
     "null_window",
     "participation",
     "roll_windows",
-    "run_analysis",
     "scree_exceedance_count",
     "scree_significant_count",
     "self_correlation_deltas",

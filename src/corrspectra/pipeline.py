@@ -6,22 +6,22 @@ and computes (or loads from cache) the Monte Carlo null baselines for the
 panel's shape. Reports are flat CSV/JSON with fixed headers; identical
 inputs, configuration, and seed produce byte-identical files.
 
-`write_reports`, the CLI's route, renders each block of windows in the
-process that analysed it (every CSV float through `_csv_lines`) and streams
-the text into the report files; windows.csv waits for the null baseline.
-`run_analysis` collects every window's WindowReport in memory instead.
+`write_reports`, the CLI's route and the only one here, analyses each block
+of windows with `_window_rows`, renders it in the process that analysed it
+(every CSV float through `_csv_lines`) and streams the text into the
+report files; windows.csv waits for the null baseline. In-memory results
+come from the per-window functions the kernel calls (see the README).
 """
 
 from __future__ import annotations
 
 import contextlib
-import datetime as dt
 import json
 import os
 import re
 import shutil
 import tempfile
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .analytics import (
     variance_fractions,
 )
 from .blocks import map_blocks
-from .correlation import CoefficientMoments, coefficient_moments
+from .correlation import coefficient_moments
 from .nulls import (
     NULL_KINDS,
     NullConfig,
@@ -94,25 +94,10 @@ class RunConfig:
             self.classes = tuple(self.classes)
 
 
-@dataclass
-class WindowReport:
-    window_index: int
-    end_date: dt.date
-    moments: CoefficientMoments
-    eigenvalues: np.ndarray  # all N ranks
-    variance_fractions: np.ndarray  # all N ranks
-    pr: np.ndarray  # all N ranks
-    kaiser_count: int
-    scree_count: int
-    scree_exceedance_count: int
-    abs_r: np.ndarray  # assets x max_rank
-    abs_r_adjusted: np.ndarray  # assets x max_rank
-    tickers: list[str] = field(default_factory=list)
-
-
 def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     """The run's validated return panel and its number of windows. Makes
-    the cache's directory, so an unusable one fails before any window."""
+    the cache's directory and rejects a cache path that is a directory, so
+    an unusable cache fails before any window."""
     panel = load_price_panel(config.prices_path, config.meta_path)
     if config.classes is not None:
         panel = subset_by_class(panel, config.classes)
@@ -124,54 +109,11 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     returns = compute_log_returns(panel)
     n_windows = window_count(returns, config.window_len, config.step)
     if config.baseline_cache is not None:
-        Path(config.baseline_cache).parent.mkdir(parents=True, exist_ok=True)
+        cache = Path(config.baseline_cache)
+        cache.parent.mkdir(parents=True, exist_ok=True)
+        if cache.is_dir():
+            raise IsADirectoryError(f"baseline cache {cache} is a directory")
     return returns, n_windows
-
-
-def _baseline(config: RunConfig, n_assets: int) -> NullEnsembleStats:
-    null_config = NullConfig(
-        n_assets=n_assets,
-        window_len=config.window_len,
-        sims=config.sims,
-        master_seed=config.master_seed,
-        kind=config.null_kind,
-    )
-    return cached_ensemble_stats(
-        null_config, config.max_rank, config.baseline_cache
-    )
-
-
-def _window_block(
-    returns: ReturnPanel, config: RunConfig, start: int, stop: int
-) -> list[WindowReport]:
-    """Reports for windows start..stop-1 of the roll, without tickers and
-    with zero scree counts: those need the null baseline."""
-    reports = []
-    max_rank = config.max_rank
-    for index in range(start, stop):
-        window = standardize_window(
-            returns, index * config.step, config.window_len, index
-        )
-        values, decomposition, pr, abs_r = analyze_window(
-            window.z_hat, max_rank, index)
-        beta, omega = decomposition.eigenvalues, decomposition.eigenvectors
-        reports.append(
-            WindowReport(
-                window_index=index,
-                end_date=window.end_date,
-                moments=coefficient_moments(values),
-                eigenvalues=beta,
-                variance_fractions=variance_fractions(decomposition),
-                pr=pr,
-                kaiser_count=kaiser_guttman_count(decomposition),
-                scree_count=0,
-                scree_exceedance_count=0,
-                abs_r=abs_r,
-                abs_r_adjusted=_abs_r_adjusted(beta[:max_rank],
-                                               omega[:max_rank]),
-            )
-        )
-    return reports
 
 
 def _window_rows(returns: ReturnPanel, config: RunConfig, start: int,
@@ -180,55 +122,38 @@ def _window_rows(returns: ReturnPanel, config: RunConfig, start: int,
     ("index,end_date"), its numbers up to kaiser_count as a row of a
     (stop - start, 5 + 2 * max_rank) array, its eigenvalues.csv and
     asset_pc_corr.csv lines as one string each, and the (stop - start, N)
-    eigenvalues for the scree counts that end windows.csv."""
-    reports = _window_block(returns, config, start, stop)
-    max_rank = config.max_rank
-    keys = [f"{rep.window_index},{rep.end_date.isoformat()}" for rep in reports]
-    numbers = np.array([[*astuple(rep.moments),
-                         *rep.variance_fractions[:max_rank],
-                         *rep.pr[:max_rank], rep.kaiser_count]
-                        for rep in reports])
-    eigenvalues = np.stack([rep.eigenvalues for rep in reports])
-    pairs = np.stack([np.stack([rep.abs_r, rep.abs_r_adjusted], -1)
-                      for rep in reports])
+    eigenvalues for the scree counts that end windows.csv: those need the
+    null baseline."""
+    max_rank, n_assets = config.max_rank, returns.n_assets
+    indices = range(start, stop)
+    keys = []
+    numbers = np.empty((len(indices), 5 + 2 * max_rank))
+    eigenvalues = np.empty((len(indices), n_assets))
+    pairs = np.empty((len(indices), n_assets, max_rank, 2))  # |r|, adjusted
+    for row, index in enumerate(indices):
+        window = standardize_window(
+            returns, index * config.step, config.window_len, index
+        )
+        values, decomposition, pr, abs_r = analyze_window(
+            window.z_hat, max_rank, index)
+        beta, omega = decomposition.eigenvalues, decomposition.eigenvectors
+        keys.append(f"{index},{window.end_date.isoformat()}")
+        numbers[row] = [*astuple(coefficient_moments(values)),
+                        *variance_fractions(decomposition)[:max_rank],
+                        *pr[:max_rank], kaiser_guttman_count(decomposition)]
+        eigenvalues[row] = beta
+        pairs[row, :, :, 0] = abs_r
+        pairs[row, :, :, 1] = _abs_r_adjusted(beta[:max_rank],
+                                              omega[:max_rank])
     return (keys, numbers,
             _csv_lines([f"{key}," for key in keys],
-                       [str(k) for k in range(1, eigenvalues.shape[1] + 1)],
+                       [str(k) for k in range(1, n_assets + 1)],
                        eigenvalues[:, :, None]),
-            _csv_lines([f"{rep.window_index}," for rep in reports],
+            _csv_lines([f"{index}," for index in indices],
                        [f"{name},{k}" for name in returns.tickers
                         for k in range(1, max_rank + 1)],
-                       pairs.reshape(len(reports), -1, 2)),
+                       pairs.reshape(len(indices), -1, 2)),
             eigenvalues)
-
-
-def _scree_counts(eigenvalues: np.ndarray,
-                  stats: NullEnsembleStats) -> tuple[int, int]:
-    """scree_count and scree_exceedance_count of one window's spectrum."""
-    return (scree_significant_count(eigenvalues, stats),
-            scree_exceedance_count(eigenvalues, stats))
-
-
-def run_analysis(config: RunConfig) -> tuple[list[WindowReport], NullEnsembleStats]:
-    """Execute the full pipeline in memory; reports come back ordered by
-    window.
-
-    Windows run in blocks of WINDOW_BLOCK through blocks.map_blocks, and
-    their reports are collected in window order. The windows run before
-    the null baseline, so a degenerate window ends the run before the
-    ensemble starts.
-    """
-    returns, n_windows = _load_returns(config)
-    with map_blocks(_window_block, (returns, config), n_windows,
-                    WINDOW_BLOCK) as blocks:
-        reports = [report for block in blocks for report in block]
-    stats = _baseline(config, returns.n_assets)
-    tickers = returns.tickers
-    for report in reports:
-        report.scree_count, report.scree_exceedance_count = _scree_counts(
-            report.eigenvalues, stats)
-        report.tickers = tickers
-    return reports, stats
 
 
 def _csv_lines(prefixes, keys, values: np.ndarray) -> list[str]:
@@ -387,8 +312,9 @@ def _staged_reports(output_dir: Path):
 def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
     """Run the pipeline and write its five report files: the CLI's route.
 
-    Each block's eigenvalues.csv and asset_pc_corr.csv lines are rendered
-    in the process that analysed it and appended in window order to report
+    Windows run in blocks of WINDOW_BLOCK through blocks.map_blocks. Each
+    block's eigenvalues.csv and asset_pc_corr.csv lines are rendered in the
+    process that analysed it and appended in window order to report
     files staged beside `config.output_dir` (see _staged_reports). The
     windows run before the null baseline, whose scree counts end the
     windows.csv rows rendered here from the blocks' numbers.
@@ -413,8 +339,14 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
                 eigenvalues.extend(block_eigenvalues)
                 eig_file.writelines(eig_texts)
                 corr_file.writelines(corr_texts)
-        stats = _baseline(config, returns.n_assets)
-        counts = [_scree_counts(values, stats) for values in eigenvalues]
+        stats = cached_ensemble_stats(
+            NullConfig(n_assets=returns.n_assets,
+                       window_len=config.window_len, sims=config.sims,
+                       master_seed=config.master_seed, kind=config.null_kind),
+            config.max_rank, config.baseline_cache)
+        counts = [(scree_significant_count(values, stats),
+                   scree_exceedance_count(values, stats))
+                  for values in eigenvalues]
         rows = np.column_stack([np.concatenate(numbers), counts])
         _write_texts(staging, {
             "windows.csv": ",".join(_windows_columns(config.max_rank)) + "\n"

@@ -110,6 +110,16 @@ def test_one_float_serializer():
     assert holders == {("pipeline", "_csv_lines")}
 
 
+def test_one_window_route():
+    # write_reports is the only route from a panel to reports: one block
+    # loop over the windows, and one per-window kernel call inside it
+    tree = ast.parse((SRC / "pipeline.py").read_text(encoding="utf-8"))
+    called = [getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert called.count("map_blocks") == 1
+    assert called.count("analyze_window") == 1
+
+
 def test_helpers_load_without_corrspectra(tmp_path):
     # the benchmark execs helpers.py in a process with no src on its path
     script = ("import importlib.util, sys\n"

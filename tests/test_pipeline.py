@@ -16,9 +16,15 @@ import pytest
 import corrspectra
 from corrspectra import (
     DegenerateWindowError,
+    NullConfig,
     RunConfig,
     WorkerProcessError,
-    run_analysis,
+    cached_ensemble_stats,
+    compute_log_returns,
+    correlation_matrix,
+    eigendecompose,
+    load_price_panel,
+    roll_windows,
     write_reports,
 )
 from corrspectra import blocks, nulls, pipeline
@@ -88,7 +94,16 @@ EXPECTED_FILES = [
 ]
 
 
-class TestRunAnalysis:
+# make_config's run: 4 assets, 29 returns, 10-return windows, max-rank 3
+N_WINDOWS = 29 - 10 + 1
+
+
+def _report_rows(path):
+    """The rows of a report CSV below its header, split at commas."""
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+class TestWriteReports:
     def test_smallest_multiwindow_run(self, tmp_path):
         prices_path, meta_path = make_input_files(
             tmp_path, n_assets=3, n_dates=5, classes=["equities"] * 3
@@ -101,24 +116,69 @@ class TestRunAnalysis:
             sims=5,
             max_rank=3,
         )
-        reports, stats = run_analysis(config)
-        assert len(reports) == 2
-        for rep in reports:
-            assert abs(rep.eigenvalues.sum() - 3.0) <= 1e-8
-            assert np.all(rep.pr >= 1.0 - 1e-10)
-            assert rep.abs_r.shape == (3, 3)
-        assert stats.config.n_assets == 3
+        n_windows, _ = write_reports(config)
+        assert n_windows == 2
+        out = tmp_path / "out"
+        windows = _report_rows(out / "windows.csv")
+        assert len(windows) == 2
+        for row in windows:
+            assert all(float(pr) >= 1.0 - 1e-10 for pr in row[9:12])  # pr_1..3
+        sums = {}
+        for index, _, _, value in _report_rows(out / "eigenvalues.csv"):
+            sums[index] = sums.get(index, 0.0) + float(value)
+        assert len(sums) == 2
+        assert all(abs(total - 3.0) <= 1e-8 for total in sums.values())
+        corr = _report_rows(out / "asset_pc_corr.csv")
+        # |r| is assets x max_rank, 3 x 3, in each window
+        assert [(row[0], row[1], row[2]) for row in corr] == [
+            (str(w), f"A{i:02d}", str(k)) for w in range(2) for i in range(3)
+            for k in range(1, 4)]
+        payload = json.loads((out / "null_baselines.json").read_text())
+        assert payload["config"]["n_assets"] == 3
 
     def test_reports_are_ordered_and_complete(self, tmp_path):
         config = make_config(tmp_path)
-        reports, _ = run_analysis(config)
-        assert [r.window_index for r in reports] == list(range(len(reports)))
-        assert len(reports) == 29 - 10 + 1  # L = 29 returns
+        assert write_reports(config)[0] == N_WINDOWS
+        out = tmp_path / "out"
+        order = list(range(N_WINDOWS))
+        assert [int(row[0]) for row in _report_rows(out / "windows.csv")] \
+            == order
+        assert [int(row[0]) for row in _report_rows(out / "eigenvalues.csv")] \
+            == [w for w in order for _ in range(4)]
+        assert [int(row[0]) for row in _report_rows(out / "asset_pc_corr.csv")] \
+            == [w for w in order for _ in range(4 * 3)]
+
+    def test_step_three_dates_windows_by_price_row(self, tmp_path):
+        config = make_config(tmp_path, step=3)
+        write_reports(config)
+        # the prices file read with plain numpy: one row per date
+        lines = Path(config.prices_path).read_text().splitlines()[1:]
+        dates = [line.split(",", 1)[0] for line in lines]
+        prices = np.array([line.split(",")[1:] for line in lines], dtype=float)
+        n_returns, length = len(lines) - 1, config.window_len
+        out = tmp_path / "out"
+        windows = _report_rows(out / "windows.csv")
+        assert len(windows) == (n_returns - length) // 3 + 1
+        # window w spans returns 3w..3w+T-1, which end at price row 3w+T
+        assert [row[1] for row in windows] == [
+            dates[3 * w + length] for w in range(len(windows))]
+        eig_dates, eigenvalues = {}, {}
+        for index, end_date, _, value in _report_rows(out / "eigenvalues.csv"):
+            eig_dates.setdefault(int(index), set()).add(end_date)
+            eigenvalues.setdefault(int(index), []).append(float(value))
+        assert eig_dates == {w: {dates[3 * w + length]}
+                             for w in range(len(windows))}
+        for w in (0, len(windows) - 1):
+            block = np.log(prices[3 * w:3 * w + length + 1])
+            expected = np.linalg.eigvalsh(np.corrcoef(np.diff(block, axis=0).T))
+            assert np.allclose(eigenvalues[w], expected[::-1], rtol=0,
+                               atol=1e-9)
 
     def test_max_rank_capped_by_panel(self, tmp_path):
         config = make_config(tmp_path, max_rank=9)
         with pytest.raises(ValueError, match="max-rank"):
-            run_analysis(config)
+            write_reports(config)
+        assert not (tmp_path / "out").exists()
 
     def test_degenerate_window_raises_before_the_null_ensemble(
             self, tmp_path, monkeypatch):
@@ -130,8 +190,9 @@ class TestRunAnalysis:
                            output_dir=str(tmp_path / "out"), window_len=10,
                            sims=10, max_rank=3, baseline_cache=str(cache))
         with pytest.raises(DegenerateWindowError, match="window 20 "):
-            run_analysis(config)
+            write_reports(config)
         assert not cache.exists()
+        assert not (tmp_path / "out").exists()
 
     def test_needs_three_assets(self, tmp_path):
         prices_path, meta_path = make_input_files(
@@ -146,15 +207,15 @@ class TestRunAnalysis:
             max_rank=2,
         )
         with pytest.raises(ValueError, match="3 assets"):
-            run_analysis(config)
+            write_reports(config)
+        assert not (tmp_path / "out").exists()
 
 
 class TestEmitReports:
     def test_files_and_headers(self, tmp_path):
         config = make_config(tmp_path)
-        reports, _ = run_analysis(config)
         n_windows, written = write_reports(config)
-        assert n_windows == len(reports)
+        assert n_windows == N_WINDOWS
         assert [p.name for p in written] == EXPECTED_FILES
         windows_lines = (tmp_path / "out" / "windows.csv").read_text().splitlines()
         assert windows_lines[0] == (
@@ -163,31 +224,31 @@ class TestEmitReports:
             "variance_fraction_3,pr_1,pr_2,pr_3,kaiser_count,scree_count,"
             "scree_exceedance_count"
         )
-        assert len(windows_lines) == 1 + len(reports)
+        assert len(windows_lines) == 1 + N_WINDOWS
         eig_lines = (tmp_path / "out" / "eigenvalues.csv").read_text().splitlines()
         assert eig_lines[0] == "window_index,end_date,rank,eigenvalue"
-        assert len(eig_lines) == 1 + len(reports) * 4
+        assert len(eig_lines) == 1 + N_WINDOWS * 4
         corr_lines = (tmp_path / "out" / "asset_pc_corr.csv").read_text().splitlines()
         assert corr_lines[0] == "window_index,asset,rank,abs_r,abs_r_adjusted"
-        assert len(corr_lines) == 1 + len(reports) * 4 * 3
+        assert len(corr_lines) == 1 + N_WINDOWS * 4 * 3
         assert corr_lines[1].split(",")[1] == "A00"
 
     def test_manifest_documents_schema(self, tmp_path):
         config = make_config(tmp_path)
-        reports, _ = run_analysis(config)
         write_reports(config)
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
         assert manifest["schema_version"] == "1"
         assert manifest["config"]["window_len"] == 10
         assert manifest["config"]["master_seed"] == 5
-        assert manifest["n_windows"] == len(reports)
+        assert manifest["n_windows"] == N_WINDOWS
         assert "windows.csv" in manifest["files"]
         assert "conventions" in manifest
 
     def test_baselines_json_roundtrip(self, tmp_path):
         config = make_config(tmp_path)
-        _, stats = run_analysis(config)
         write_reports(config)
+        stats = cached_ensemble_stats(
+            NullConfig(n_assets=4, window_len=10, sims=15, master_seed=5), 3)
         payload = json.loads((tmp_path / "out" / "null_baselines.json").read_text())
         assert payload["config"]["sims"] == 15
         assert payload["pr_mean"] == [float(v) for v in stats.pr_mean]
@@ -195,16 +256,21 @@ class TestEmitReports:
 
     def test_csv_floats_roundtrip_at_15_digits(self, tmp_path):
         config = make_config(tmp_path)
-        reports, _ = run_analysis(config)
         write_reports(config)
         eig_lines = (tmp_path / "out" / "eigenvalues.csv").read_text().splitlines()
         parsed = {}
         for line in eig_lines[1:]:
             index, _, rank, value = line.split(",")
             parsed[(int(index), int(rank))] = float(value)
-        for rep in reports:
-            for k, beta in enumerate(rep.eigenvalues, start=1):
-                stored = parsed[(rep.window_index, k)]
+        returns = compute_log_returns(
+            load_price_panel(config.prices_path, config.meta_path))
+        windows = roll_windows(returns, 10)
+        assert len(windows) == N_WINDOWS
+        for window in windows:
+            decomposition = eigendecompose(correlation_matrix(window.z_hat),
+                                           window.window_index)
+            for k, beta in enumerate(decomposition.eigenvalues, start=1):
+                stored = parsed[(window.window_index, k)]
                 assert stored == pytest.approx(beta, rel=1e-14, abs=1e-15)
 
     def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
@@ -312,7 +378,7 @@ class TestRenderers:
     TICKERS = ["nan", "NaN", "x%sy", "50%"]
     VALUES = [1e-300, 0.1, 1.0 - 2.0**-52, 0.5, 1.0, 0.0, 2.0 / 3.0, 1e-17]
 
-    def _report(self, index, adjusted_nan):
+    def _window(self, index, adjusted_nan):
         n_ranks = 2
         values = np.resize(self.VALUES, (4, n_ranks))
         adjusted = values[::-1].copy()
@@ -321,7 +387,7 @@ class TestRenderers:
         # window 1 has constant coefficients: NaN skewness and kurtosis
         moments = (CoefficientMoments(0.5, 0.0, np.nan, np.nan) if adjusted_nan
                    else CoefficientMoments(0.1, 0.2, 0.3, 3.0))
-        return pipeline.WindowReport(
+        return SimpleNamespace(
             window_index=index,
             end_date=weekly_dates(index + 1)[-1],
             moments=moments,
@@ -335,9 +401,41 @@ class TestRenderers:
             abs_r_adjusted=adjusted,
         )
 
+    def _patch_window_functions(self, monkeypatch, windows, config):
+        """Stand in for each per-window function that _window_rows looks up
+        in pipeline: the hand-built window passes through in place of the
+        arrays, and the decomposition's eigenvectors hold its index."""
+        def standardize_window(returns, start, length, index):
+            assert (start, length) == (index * config.step, config.window_len)
+            return SimpleNamespace(z_hat=windows[index],
+                                   end_date=windows[index].end_date)
+
+        def analyze_window(z_hat, max_rank, index):
+            assert z_hat is windows[index] and max_rank == config.max_rank
+            decomposition = SimpleNamespace(
+                eigenvalues=z_hat.eigenvalues, window=z_hat,
+                eigenvectors=np.full((4, 4), float(index)))
+            return z_hat, decomposition, z_hat.pr, z_hat.abs_r
+
+        def abs_r_adjusted(beta, omega):
+            assert beta.shape == (config.max_rank,)
+            assert omega.shape == (config.max_rank, 4)
+            return windows[int(omega[0, 0])].abs_r_adjusted
+
+        for name, function in [
+                ("standardize_window", standardize_window),
+                ("analyze_window", analyze_window),
+                ("coefficient_moments", lambda window: window.moments),
+                ("variance_fractions",
+                 lambda decomposition: decomposition.window.variance_fractions),
+                ("kaiser_guttman_count",
+                 lambda decomposition: decomposition.window.kaiser_count),
+                ("_abs_r_adjusted", abs_r_adjusted)]:
+            monkeypatch.setattr(pipeline, name, function)
+
     def test_templates_match_per_value_formatting(self, monkeypatch):
-        reports = [self._report(0, False), self._report(1, True),
-                   self._report(2, False)]
+        reports = [self._window(0, False), self._window(1, True),
+                   self._window(2, False)]
         n_ranks = 2
         expected_corr = ["window_index,asset,rank,abs_r,abs_r_adjusted"]
         expected_eig = ["window_index,end_date,rank,eigenvalue"]
@@ -361,11 +459,11 @@ class TestRenderers:
             expected_win.append(",".join(
                 [str(rep.window_index), rep.end_date.isoformat()]
                 + [_fmt_oracle(v) for v in floats] + [str(c) for c in counts]))
-        # the rendering half of the window loop, on the reports above
-        monkeypatch.setattr(pipeline, "_window_block", lambda *args: reports)
+        # the window loop, on the windows above
         config = RunConfig(prices_path="p.csv", meta_path="m.csv",
                            output_dir="out", max_rank=n_ranks)
-        returns = SimpleNamespace(tickers=self.TICKERS)
+        self._patch_window_functions(monkeypatch, reports, config)
+        returns = SimpleNamespace(tickers=self.TICKERS, n_assets=4)
         keys, numbers, eig_texts, corr_texts, eigenvalues = \
             pipeline._window_rows(returns, config, 0, len(reports))
         assert np.array_equal(eigenvalues,
@@ -553,6 +651,25 @@ class TestCLI:
         assert main(args) == 4
         assert "I/O error" in capsys.readouterr().err
         assert blocker.read_text() == "not a directory"
+        assert not (tmp_path / "cli_out").exists()
+
+    def test_cache_path_that_is_a_directory_exits_four_before_the_windows(
+            self, tmp_path, capsys, monkeypatch):
+        def analyze_window(*args):
+            raise AssertionError("a window ran before the cache was checked")
+
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 1)
+        monkeypatch.setattr(pipeline, "analyze_window", analyze_window)
+        prices_path, meta_path = make_input_files(tmp_path)
+        cache = tmp_path / "cache.json"
+        cache.mkdir()
+        (cache / "kept.txt").write_text("kept")
+        args = self._args(tmp_path, prices_path, meta_path,
+                          baseline_cache=cache)
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "I/O error" in err and "is a directory" in err
+        assert [path.name for path in cache.iterdir()] == ["kept.txt"]
         assert not (tmp_path / "cli_out").exists()
 
     def test_baseline_cache_reused(self, tmp_path, capsys):
