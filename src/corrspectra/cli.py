@@ -19,7 +19,6 @@ from .errors import (
     PanelFormatError,
     WorkerProcessError,
 )
-from .nulls import NULL_KINDS
 from .panel import ASSET_CLASSES
 from .pipeline import RunConfig, write_reports
 
@@ -40,13 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--step", type=int, default=1,
                         help="window step (default 1)")
     parser.add_argument("--sims", type=int, default=10000,
-                        help="null-model simulations (default 10000)")
+                        help="Gaussian null-model simulations (default 10000)")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed, unsigned 64-bit (default 0)")
-    parser.add_argument("--null", choices=NULL_KINDS, default="gaussian",
-                        help="null-model kind (default gaussian); shuffled "
-                        "permutes i.i.d. Gaussian draws, not the panel's "
-                        "returns, so it has the Gaussian null's distribution")
     parser.add_argument("--max-rank", type=int, default=6,
                         help="components kept in reports (default 6)")
     parser.add_argument("--classes", default=None,
@@ -70,7 +65,6 @@ def main(argv=None) -> int:
             step=args.step,
             sims=args.sims,
             master_seed=args.seed,
-            null_kind=args.null,
             max_rank=args.max_rank,
             classes=classes,
             baseline_cache=args.baseline_cache,

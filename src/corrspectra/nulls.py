@@ -2,11 +2,10 @@
 
 Baselines summarize ensembles of single null windows: participation-ratio
 statistics, the mean sorted eigenvalue profile, and 99th percentiles of
-absolute asset-component correlations. Both null kinds draw i.i.d. standard
-Gaussian windows; "shuffled" also permutes each asset's draws in time,
-which leaves them i.i.d. Gaussian. No panel's returns enter a baseline, so
-the "shuffled" baseline has the Gaussian null's distribution. shuffle_panel
-permutes the series of a real panel (keeps marginals, destroys alignment).
+absolute asset-component correlations. The null is the paper's
+uncorrelated random price changes: each window is i.i.d. standard Gaussian
+draws, so no panel's returns enter a baseline. shuffle_panel permutes the
+series of a real panel (keeps marginals, destroys alignment).
 
 Reproducibility contract: simulation s draws from
 ``numpy.random.default_rng(SeedSequence(master_seed, spawn_key=(s,)))``,
@@ -30,7 +29,9 @@ from .analytics import analyze_window
 from .blocks import map_blocks
 from .panel import ReturnPanel, standardize
 
-NULL_KINDS = ("shuffled", "gaussian")
+# The one null model; it stays in the cache key and the reports' config
+# so that caches and reports written by earlier versions keep their bytes.
+NULL_KIND = "gaussian"
 CACHE_SCHEMA_VERSION = "2"
 # Sims per unit of work handed to a worker process. Results are reduced
 # per sim in sim-index order, so neither this nor the worker count changes
@@ -40,14 +41,12 @@ ENSEMBLE_BLOCK_SIMS = 250
 
 @dataclass(frozen=True)
 class NullConfig:
-    """`sims` null windows of n_assets x window_len. Both kinds are i.i.d.
-    Gaussian draws, so they share one distribution (see null_window)."""
+    """`sims` i.i.d. Gaussian null windows of n_assets x window_len."""
 
     n_assets: int
     window_len: int
     sims: int = 1
     master_seed: int = 0
-    kind: str = "gaussian"
 
     def __post_init__(self):
         if self.n_assets < 2:
@@ -58,8 +57,6 @@ class NullConfig:
             raise ValueError(f"sims must be >= 1, got {self.sims}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
-        if self.kind not in NULL_KINDS:
-            raise ValueError(f"kind must be one of {NULL_KINDS}, got {self.kind!r}")
 
 
 @dataclass
@@ -107,14 +104,10 @@ def shuffle_panel(returns: ReturnPanel, seed: int) -> ReturnPanel:
 
 def null_window(config: NullConfig, sim_index: int) -> np.ndarray:
     """The standardized null window (n_assets x window_len) of simulation
-    `sim_index`, drawn from sim_rng(config.master_seed, sim_index): i.i.d.
-    standard Gaussian draws, which kind "shuffled" permutes per asset in
-    time. That leaves them i.i.d. Gaussian; no panel's returns enter."""
-    rng = sim_rng(config.master_seed, sim_index)
-    x = rng.standard_normal((config.n_assets, config.window_len))
-    if config.kind == "shuffled":
-        for i in range(config.n_assets):
-            x[i] = rng.permutation(x[i])
+    `sim_index`: i.i.d. standard Gaussian draws from
+    sim_rng(config.master_seed, sim_index)."""
+    x = sim_rng(config.master_seed, sim_index).standard_normal(
+        (config.n_assets, config.window_len))
     return standardize(x, sim_index)
 
 
@@ -201,7 +194,7 @@ def null_ensemble_stats(config: NullConfig, max_rank: int = 0) -> NullEnsembleSt
 def _cache_key(config: NullConfig) -> str:
     return (
         f"N={config.n_assets},T={config.window_len},sims={config.sims},"
-        f"kind={config.kind},seed={config.master_seed}"
+        f"kind={NULL_KIND},seed={config.master_seed}"
     )
 
 
@@ -287,14 +280,14 @@ def cached_ensemble_stats(
 ) -> NullEnsembleStats:
     """null_ensemble_stats with an optional JSON file cache.
 
-    Entries are keyed by (N, T, sims, kind, master_seed) within a cache
-    schema version that changes whenever the computed values can. A hit
-    is reused only if it covers at least `max_rank` percentile ranks, and
-    its ranks beyond `max_rank` are dropped (NaN); otherwise the entry is
-    recomputed and overwritten. An unreadable or
-    corrupt cache counts as a miss: a warning goes to stderr and the file
-    is rewritten. Cached floats round-trip exactly, so cache hits and
-    fresh computations produce identical downstream bytes.
+    Entries are keyed by (N, T, sims, kind, master_seed), kind always
+    NULL_KIND, within a cache schema version that changes whenever the
+    computed values can. A hit is reused only if it covers at least
+    `max_rank` percentile ranks, and its ranks beyond `max_rank` are
+    dropped (NaN); otherwise the entry is recomputed and overwritten. An
+    unreadable or corrupt cache counts as a miss: a warning goes to stderr
+    and the file is rewritten. Cached floats round-trip exactly, so cache
+    hits and fresh computations produce identical downstream bytes.
     """
     if cache_path is None:
         return null_ensemble_stats(config, max_rank)

@@ -2,8 +2,9 @@
 
 A panel is an assets x dates matrix of weekly prices plus per-asset class
 labels. All functions here are pure: they validate, never mutate, and never
-resample or impute. Missing or non-positive prices are rejected at load time
-because silently filling gaps would corrupt downstream correlation estimates.
+resample or impute. Missing, non-finite or non-positive prices are rejected
+at load time because silently filling gaps would corrupt downstream
+correlation estimates.
 """
 
 from __future__ import annotations
@@ -130,8 +131,9 @@ def load_price_panel(prices_path, meta_path) -> PricePanel:
 
     The prices file has header ``date,<ticker>,...`` and ISO dates; column
     order of the prices file defines the asset order of the panel. Every
-    cell must be a positive decimal; any gap, zero, negative, or
-    non-numeric value raises PanelFormatError naming the row and column.
+    cell must be a finite positive decimal; any gap, zero, negative,
+    non-finite or non-numeric value raises PanelFormatError naming the row
+    and column.
     """
     meta_by_ticker = {m.ticker: m for m in _read_meta(meta_path)}
 
@@ -198,8 +200,10 @@ def load_price_panel(prices_path, meta_path) -> PricePanel:
                         f"in column {ticker!r}"
                     ) from None
                 if not math.isfinite(value) or value <= 0.0:
+                    problem = ("non-positive" if math.isfinite(value)
+                               else "non-finite")
                     raise PanelFormatError(
-                        f"{prices_path}: row {lineno}: non-positive price {cell} "
+                        f"{prices_path}: row {lineno}: {problem} price {cell} "
                         f"in column {ticker!r}"
                     )
                 values.append(value)

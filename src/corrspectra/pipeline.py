@@ -37,7 +37,7 @@ from .analytics import (
 from .blocks import map_blocks
 from .correlation import coefficient_moments
 from .nulls import (
-    NULL_KINDS,
+    NULL_KIND,
     NullConfig,
     NullEnsembleStats,
     cached_ensemble_stats,
@@ -72,7 +72,6 @@ class RunConfig:
     step: int = 1
     sims: int = 10000
     master_seed: int = 0
-    null_kind: str = "gaussian"
     max_rank: int = 6
     classes: tuple[str, ...] | None = None
     baseline_cache: str | None = None
@@ -88,16 +87,15 @@ class RunConfig:
             raise ValueError(f"max-rank must be >= 1, got {self.max_rank}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.null_kind not in NULL_KINDS:
-            raise ValueError(f"null kind must be one of {NULL_KINDS}")
         if self.classes is not None:
             self.classes = tuple(self.classes)
 
 
 def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
-    """The run's validated return panel and its number of windows. Makes
-    the cache's directory and rejects a cache path that is a directory, so
-    an unusable cache fails before any window."""
+    """The run's validated return panel and its number of windows. Rejects
+    an output path that is not a directory, and a cache path that is an
+    input file or a directory, and makes the cache's directory, so an
+    unusable output or cache fails before any window."""
     panel = load_price_panel(config.prices_path, config.meta_path)
     if config.classes is not None:
         panel = subset_by_class(panel, config.classes)
@@ -108,8 +106,14 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
         raise ValueError(f"max-rank {config.max_rank} exceeds panel size {n}")
     returns = compute_log_returns(panel)
     n_windows = window_count(returns, config.window_len, config.step)
+    output_dir = Path(config.output_dir)
+    if output_dir.exists() and not output_dir.is_dir():
+        raise FileExistsError(f"output {output_dir} is not a directory")
     if config.baseline_cache is not None:
         cache = Path(config.baseline_cache)
+        if cache.exists() and any(os.path.samefile(cache, path) for path
+                                  in (config.prices_path, config.meta_path)):
+            raise ValueError(f"baseline cache {cache} is an input file")
         cache.parent.mkdir(parents=True, exist_ok=True)
         if cache.is_dir():
             raise IsADirectoryError(f"baseline cache {cache} is a directory")
@@ -201,7 +205,7 @@ def _baselines_json(stats: NullEnsembleStats) -> str:
             "num_windows": 1,
             "sims": stats.config.sims,
             "master_seed": stats.config.master_seed,
-            "kind": stats.config.kind,
+            "kind": NULL_KIND,
         },
         **stats_payload(stats),
     }
@@ -219,7 +223,7 @@ def _manifest_json(config: RunConfig, n_windows: int, tickers) -> str:
             "step": config.step,
             "sims": config.sims,
             "master_seed": config.master_seed,
-            "null_kind": config.null_kind,
+            "null_kind": NULL_KIND,
             "max_rank": config.max_rank,
             "classes": list(config.classes) if config.classes else None,
             "baseline_cache": (
@@ -342,7 +346,7 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
         stats = cached_ensemble_stats(
             NullConfig(n_assets=returns.n_assets,
                        window_len=config.window_len, sims=config.sims,
-                       master_seed=config.master_seed, kind=config.null_kind),
+                       master_seed=config.master_seed),
             config.max_rank, config.baseline_cache)
         counts = [(scree_significant_count(values, stats),
                    scree_exceedance_count(values, stats))

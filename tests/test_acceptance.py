@@ -54,8 +54,7 @@ def test_criterion_01_mp_upper_bound():
 
 def test_criterion_02_pr_baselines():
     stats = null_ensemble_stats(
-        NullConfig(n_assets=98, window_len=100, sims=10000, master_seed=7,
-                   kind="gaussian")
+        NullConfig(n_assets=98, window_len=100, sims=10000, master_seed=7)
     )
     mean_targets = (38.3, 37.7, 37.3)
     std_targets = (4.0, 4.1, 4.2)
@@ -74,8 +73,7 @@ def test_criterion_02_pr_baselines():
 
 def test_criterion_03_abs_corr_percentiles():
     stats = null_ensemble_stats(
-        NullConfig(n_assets=98, window_len=100, sims=2000, master_seed=7,
-                   kind="gaussian"),
+        NullConfig(n_assets=98, window_len=100, sims=2000, master_seed=7),
         max_rank=5,
     )
     head = stats.abs_corr_p99[:5]
@@ -90,7 +88,7 @@ def test_criterion_03_abs_corr_percentiles():
 
 def test_criterion_04_mp_density_fit():
     config = NullConfig(n_assets=98, window_len=100, sims=200,
-                        master_seed=11, kind="gaussian")
+                        master_seed=11)
     eigenvalues = []
     for s in range(config.sims):
         z_hat = null_window(config, s)
@@ -263,7 +261,7 @@ def test_criterion_10b_adjusted_medians_nondecreasing():
 
 def test_criterion_11_eigenvector_goe_zscores():
     config = NullConfig(n_assets=98, window_len=100, sims=200,
-                        master_seed=23, kind="gaussian")
+                        master_seed=23)
     sign_rng = np.random.default_rng(24)
     total = 0.0
     total_sq = 0.0

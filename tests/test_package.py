@@ -1,6 +1,7 @@
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import corrspectra
+from corrspectra import cli
 
 from helpers import (
     random_walk_prices,
@@ -47,6 +49,19 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     assert namespace["values"].shape == (n_assets, n_assets)
     assert namespace["abs_r"].shape == (n_assets, n_assets)
     assert namespace["abs_r_adjusted"].shape == (n_assets, n_assets)
+
+
+def test_readme_cli_example_parses():
+    # the README's CLI command, with its bracketed optional flags unwrapped,
+    # so the README cannot show an option the parser does not have
+    cli_section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    command = re.search(r"```bash\n(.*?)```", cli_section, re.DOTALL).group(1)
+    words = shlex.split(command.replace("\\\n", " "))
+    assert words[0] == "corrspectra"
+    args = cli.build_parser().parse_args([word.strip("[]")
+                                          for word in words[1:]])
+    assert args.classes == "gov_bonds,corp_bonds"
+    assert args.baseline_cache == "cache.json"
 
 
 def _imports(path):

@@ -16,6 +16,7 @@ from corrspectra import (
     standardize_window,
     subset_by_class,
 )
+from corrspectra.cli import main
 
 from helpers import (
     EXAMPLE_META,
@@ -88,6 +89,20 @@ class TestLoadPricePanel:
         write_meta_csv(meta, ["AAA"], ["equities"])
         with pytest.raises(PanelFormatError, match="AAA"):
             load_price_panel(prices, meta)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_price_exits_two(self, tmp_path, capsys, cell):
+        prices = tmp_path / "p.csv"
+        meta = tmp_path / "m.csv"
+        prices.write_text("date,AAA,BBB\n2001-01-05,1.0,2.0\n"
+                          f"2001-01-12,1.5,{cell}\n2001-01-19,1.2,2.5\n")
+        write_meta_csv(meta, ["AAA", "BBB"], ["equities", "equities"])
+        args = ["--prices", str(prices), "--meta", str(meta),
+                "--out", str(tmp_path / "out"), "--window", "2", "--sims", "2"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"row 3: non-finite price {cell} in column 'BBB'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_meta_ticker_missing_from_header(self, tmp_path):
         prices = tmp_path / "p.csv"

@@ -622,10 +622,17 @@ class TestCLI:
         assert "worker process" in capsys.readouterr().err
         assert not (tmp_path / "cli_out").exists()
 
-    def test_unwritable_output_exit_four(self, tmp_path, capsys):
+    def test_unwritable_output_exit_four(self, tmp_path, capsys, monkeypatch):
+        # an output path that is a regular file fails before any window
+        def analyze_window(*args):
+            raise AssertionError("a window ran before the output was checked")
+
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 1)
+        monkeypatch.setattr(pipeline, "analyze_window", analyze_window)
         prices_path, meta_path = make_input_files(tmp_path)
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
+        entries = sorted(path.name for path in tmp_path.iterdir())
         args = [
             "--prices", str(prices_path),
             "--meta", str(meta_path),
@@ -635,6 +642,10 @@ class TestCLI:
             "--max-rank", "3",
         ]
         assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "I/O error" in err and "not a directory" in err
+        assert blocker.read_text() == "not a directory"
+        assert sorted(path.name for path in tmp_path.iterdir()) == entries
 
     def test_unusable_cache_location_exits_four_before_the_windows(
             self, tmp_path, capsys, monkeypatch):
@@ -670,6 +681,37 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "I/O error" in err and "is a directory" in err
         assert [path.name for path in cache.iterdir()] == ["kept.txt"]
+        assert not (tmp_path / "cli_out").exists()
+
+    @pytest.mark.parametrize("linked", [False, True])
+    @pytest.mark.parametrize("which", ["prices", "meta"])
+    def test_cache_path_that_is_an_input_exits_two(self, tmp_path, capsys,
+                                                   monkeypatch, which, linked):
+        def analyze_window(*args):
+            raise AssertionError("a window ran before the cache was checked")
+
+        monkeypatch.setattr(pipeline, "analyze_window", analyze_window)
+        prices_path, meta_path = make_input_files(tmp_path)
+        cache = {"prices": prices_path, "meta": meta_path}[which]
+        before = cache.read_bytes()
+        if linked:  # the same file under another name
+            (tmp_path / "cache.json").symlink_to(cache)
+            cache = tmp_path / "cache.json"
+        entries = sorted(path.name for path in tmp_path.iterdir())
+        args = self._args(tmp_path, prices_path, meta_path,
+                          baseline_cache=cache)
+        assert main(args) == 2
+        assert "is an input file" in capsys.readouterr().err
+        assert cache.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == entries
+
+    def test_null_option_is_gone(self, tmp_path, capsys):
+        prices_path, meta_path = make_input_files(tmp_path)
+        args = self._args(tmp_path, prices_path, meta_path, null="gaussian")
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        assert "--null" in capsys.readouterr().err
         assert not (tmp_path / "cli_out").exists()
 
     def test_baseline_cache_reused(self, tmp_path, capsys):

@@ -160,7 +160,7 @@ class TestEigenvectorZscores:
 
     def test_null_ensemble_variance_near_one(self):
         config = NullConfig(n_assets=50, window_len=60, sims=40,
-                            master_seed=31, kind="gaussian")
+                            master_seed=31)
         pooled = []
         for index in range(config.sims):
             z_hat = null_window(config, index)
