@@ -9,11 +9,9 @@ from .analytics import (
     analyze_window,
     asset_component_correlations,
     kaiser_guttman_count,
-    max_correlation_rank,
     participation,
     scree_exceedance_count,
     scree_significant_count,
-    self_correlation_deltas,
     variance_fractions,
 )
 from .correlation import (
@@ -34,7 +32,6 @@ from .nulls import (
     cached_ensemble_stats,
     null_ensemble_stats,
     null_window,
-    shuffle_panel,
     sim_rng,
 )
 from .panel import (
@@ -54,7 +51,6 @@ from .spectral import (
     MPBounds,
     SpectralDecomposition,
     eigendecompose,
-    eigenvector_zscores,
     mp_bounds,
     mp_density,
 )
@@ -85,10 +81,8 @@ __all__ = [
     "compute_log_returns",
     "correlation_matrix",
     "eigendecompose",
-    "eigenvector_zscores",
     "kaiser_guttman_count",
     "load_price_panel",
-    "max_correlation_rank",
     "mp_bounds",
     "mp_density",
     "null_ensemble_stats",
@@ -97,8 +91,6 @@ __all__ = [
     "roll_windows",
     "scree_exceedance_count",
     "scree_significant_count",
-    "self_correlation_deltas",
-    "shuffle_panel",
     "sim_rng",
     "standardize_window",
     "subset_by_class",

@@ -139,25 +139,3 @@ def asset_component_correlations(
     beta, omega = decomposition.eigenvalues, decomposition.eigenvectors
     return _abs_r(beta, omega), _abs_r_adjusted(beta, omega)
 
-
-def self_correlation_deltas(
-    abs_r: np.ndarray, abs_r_adjusted: np.ndarray, max_rank: int
-) -> list[np.ndarray]:
-    """Per rank k <= max_rank, the samples abs_r[:, k] - abs_r_adjusted[:, k].
-
-    Assets whose adjusted correlation is undefined are skipped, so a
-    sample can be shorter than N. Index 0 corresponds to rank 1.
-    """
-    n_ranks = abs_r.shape[1]
-    if not 1 <= max_rank <= n_ranks:
-        raise ValueError(f"max_rank must be in [1, {n_ranks}], got {max_rank}")
-    deltas = []
-    for k in range(max_rank):
-        diff = abs_r[:, k] - abs_r_adjusted[:, k]
-        deltas.append(diff[np.isfinite(diff)])
-    return deltas
-
-
-def max_correlation_rank(abs_r: np.ndarray) -> np.ndarray:
-    """For each asset (row of `abs_r`), the 1-based rank of its largest |r|."""
-    return abs_r.argmax(axis=1) + 1

@@ -13,10 +13,8 @@ import argparse
 import sys
 
 from .errors import (
-    BaselineMismatchError,
     DegenerateWindowError,
     EigenComputationError,
-    PanelFormatError,
     WorkerProcessError,
 )
 from .panel import ASSET_CLASSES
@@ -73,7 +71,7 @@ def main(argv=None) -> int:
     except (DegenerateWindowError, EigenComputationError) as exc:
         print(f"corrspectra: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (PanelFormatError, BaselineMismatchError, ValueError) as exc:
+    except ValueError as exc:  # PanelFormatError, BaselineMismatchError too
         print(f"corrspectra: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

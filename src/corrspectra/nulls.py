@@ -4,8 +4,7 @@ Baselines summarize ensembles of single null windows: participation-ratio
 statistics, the mean sorted eigenvalue profile, and 99th percentiles of
 absolute asset-component correlations. The null is the paper's
 uncorrelated random price changes: each window is i.i.d. standard Gaussian
-draws, so no panel's returns enter a baseline. shuffle_panel permutes the
-series of a real panel (keeps marginals, destroys alignment).
+draws, so no panel's returns enter a baseline.
 
 Reproducibility contract: simulation s draws from
 ``numpy.random.default_rng(SeedSequence(master_seed, spawn_key=(s,)))``,
@@ -25,9 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import fcntl
+except ImportError:  # not POSIX: the cache is merged without a lock
+    fcntl = None
+
 from .analytics import analyze_window
 from .blocks import map_blocks
-from .panel import ReturnPanel, standardize
+from .panel import standardize
 
 # The one null model; it stays in the cache key and the reports' config
 # so that caches and reports written by earlier versions keep their bytes.
@@ -81,24 +85,6 @@ def sim_rng(master_seed: int, sim_index: int) -> np.random.Generator:
     """Child generator for one simulation; the documented seed contract."""
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(sim_index,))
-    )
-
-
-def shuffle_panel(returns: ReturnPanel, seed: int) -> ReturnPanel:
-    """Independently permute each asset's return series in time.
-
-    Kills temporal alignment between assets while preserving every asset's
-    return distribution. Rows are permuted in panel order from a single
-    seeded generator, so output is a pure function of (panel, seed).
-    """
-    if returns.returns.shape[1] < 2:
-        raise ValueError("need at least 2 returns to shuffle")
-    rng = np.random.default_rng(seed)
-    shuffled = np.empty_like(returns.returns)
-    for i in range(returns.returns.shape[0]):
-        shuffled[i] = rng.permutation(returns.returns[i])
-    return ReturnPanel(
-        dates=list(returns.dates), returns=shuffled, meta=list(returns.meta)
     )
 
 
@@ -240,9 +226,9 @@ def _warn_cache(cache_path: Path, problem) -> None:
           f"({problem}); recomputing and rewriting it", file=sys.stderr)
 
 
-def _read_cache(cache_path: Path) -> dict:
+def _read_cache(cache_path: Path, warn=_warn_cache) -> dict:
     """The cache file's contents, or an empty cache when the file is
-    missing, of another schema version, or unreadable."""
+    missing, of another schema version, or unreadable (told to `warn`)."""
     empty = {"schema_version": CACHE_SCHEMA_VERSION, "entries": {}}
     if not cache_path.exists():
         return empty
@@ -250,29 +236,38 @@ def _read_cache(cache_path: Path) -> dict:
         with open(cache_path, encoding="utf-8") as fh:
             loaded = json.load(fh)
     except (OSError, ValueError) as exc:
-        _warn_cache(cache_path, exc)
+        warn(cache_path, exc)
         return empty
     if not isinstance(loaded, dict) or not isinstance(loaded.get("entries"), dict):
-        _warn_cache(cache_path, "not a baseline cache")
+        warn(cache_path, "not a baseline cache")
         return empty
     if loaded.get("schema_version") != CACHE_SCHEMA_VERSION:
         return empty
     return loaded
 
 
-def _write_cache(cache_path: Path, cache: dict) -> None:
-    """Replace the cache file in one step, so readers never see half of it."""
+def _write_entry(cache_path: Path, key: str, payload: dict) -> None:
+    """Store `payload` under `key` in the cache file as it is now, so the
+    entries other runs stored since this one read it are kept. The file is
+    replaced in one step, so readers never see half of it. On POSIX the
+    re-read and the replace hold an flock on the hidden sidecar file
+    `.<name>.lock`, which stays in place, so concurrent writers take turns."""
     cache_path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_path.parent,
-                               prefix=f".{cache_path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, cache_path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+    with open(cache_path.with_name(f".{cache_path.name}.lock"), "a") as lock:
+        if fcntl is not None:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+        cache = _read_cache(cache_path, warn=lambda *problem: None)
+        cache["entries"][key] = payload
+        fd, tmp = tempfile.mkstemp(dir=cache_path.parent,
+                                   prefix=f".{cache_path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(cache, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, cache_path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
 
 def cached_ensemble_stats(
@@ -284,17 +279,17 @@ def cached_ensemble_stats(
     NULL_KIND, within a cache schema version that changes whenever the
     computed values can. A hit is reused only if it covers at least
     `max_rank` percentile ranks, and its ranks beyond `max_rank` are
-    dropped (NaN); otherwise the entry is recomputed and overwritten. An
-    unreadable or corrupt cache counts as a miss: a warning goes to stderr
-    and the file is rewritten. Cached floats round-trip exactly, so cache
-    hits and fresh computations produce identical downstream bytes.
+    dropped (NaN); otherwise the entry is recomputed and overwritten,
+    merged into the file as it is then (see _write_entry). An unreadable or
+    corrupt cache counts as a miss: a warning goes to stderr and the file
+    is rewritten. Cached floats round-trip exactly, so cache hits and fresh
+    computations produce identical downstream bytes.
     """
     if cache_path is None:
         return null_ensemble_stats(config, max_rank)
     cache_path = Path(cache_path)
     key = _cache_key(config)
-    cache = _read_cache(cache_path)
-    entry = cache["entries"].get(key)
+    entry = _read_cache(cache_path)["entries"].get(key)
     if entry is not None:
         try:
             stats = _payload_to_stats(entry, config)
@@ -305,6 +300,5 @@ def cached_ensemble_stats(
                 stats.abs_corr_p99[max_rank:] = np.nan  # as computed fresh
                 return stats
     stats = null_ensemble_stats(config, max_rank)
-    cache["entries"][key] = stats_payload(stats)
-    _write_cache(cache_path, cache)
+    _write_entry(cache_path, key, stats_payload(stats))
     return stats

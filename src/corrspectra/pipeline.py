@@ -94,8 +94,9 @@ class RunConfig:
 def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     """The run's validated return panel and its number of windows. Rejects
     an output path that is not a directory, and a cache path that is an
-    input file or a directory, and makes the cache's directory, so an
-    unusable output or cache fails before any window."""
+    input file, one of the output's REPORT_FILES or a directory, and makes
+    the cache's directory, so an unusable output or cache fails before any
+    window."""
     panel = load_price_panel(config.prices_path, config.meta_path)
     if config.classes is not None:
         panel = subset_by_class(panel, config.classes)
@@ -114,6 +115,9 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
         if cache.exists() and any(os.path.samefile(cache, path) for path
                                   in (config.prices_path, config.meta_path)):
             raise ValueError(f"baseline cache {cache} is an input file")
+        if (cache.name in REPORT_FILES
+                and cache.parent.resolve() == output_dir.resolve()):
+            raise ValueError(f"baseline cache {cache} is a report file")
         cache.parent.mkdir(parents=True, exist_ok=True)
         if cache.is_dir():
             raise IsADirectoryError(f"baseline cache {cache} is a directory")

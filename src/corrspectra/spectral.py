@@ -141,15 +141,3 @@ def mp_density(gamma: float, bounds: MPBounds) -> float:
         / gamma
     )
 
-
-def eigenvector_zscores(decomposition: SpectralDecomposition, rank: int) -> np.ndarray:
-    """sqrt(N)-scaled elements of the rank-th eigenvector (rank is 1-based).
-
-    Elements of a unit eigenvector have variance 1/N, so this scaling makes
-    them directly comparable with the unit-variance Gaussian expected for
-    eigenvectors of random symmetric matrices.
-    """
-    n = decomposition.n_assets
-    if rank < 1 or rank > n:
-        raise ValueError(f"rank must be in [1, {n}], got {rank}")
-    return math.sqrt(n) * decomposition.eigenvectors[rank - 1]

@@ -1,16 +1,19 @@
 """Planted return panels for the tests: i.i.d. Gaussian panels and block
-factor panels, whose correlation structure is known by construction.
+factor panels, whose correlation structure is known by construction; a
+per-asset permutation of a panel; and the eigenvector statistics that the
+acceptance criteria read off a window's decomposition.
 
 Kept apart from helpers.py, which the benchmark loads without corrspectra
 on the path.
 """
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from corrspectra import AssetMeta, ReturnPanel
+from corrspectra import AssetMeta, ReturnPanel, SpectralDecomposition
 
 from helpers import weekly_dates
 
@@ -85,3 +88,57 @@ def synthetic_factor_panel(spec: FactorSpec, length: int, seed: int) -> ReturnPa
         returns=returns,
         meta=_synthetic_meta("FAC", spec.n_assets),
     )
+
+
+def shuffle_panel(returns: ReturnPanel, seed: int) -> ReturnPanel:
+    """Independently permute each asset's return series in time.
+
+    Kills temporal alignment between assets while preserving every asset's
+    return distribution. Rows are permuted in panel order from a single
+    seeded generator, so output is a pure function of (panel, seed).
+    """
+    if returns.returns.shape[1] < 2:
+        raise ValueError("need at least 2 returns to shuffle")
+    rng = np.random.default_rng(seed)
+    shuffled = np.empty_like(returns.returns)
+    for i in range(returns.returns.shape[0]):
+        shuffled[i] = rng.permutation(returns.returns[i])
+    return ReturnPanel(
+        dates=list(returns.dates), returns=shuffled, meta=list(returns.meta)
+    )
+
+
+def eigenvector_zscores(decomposition: SpectralDecomposition, rank: int) -> np.ndarray:
+    """sqrt(N)-scaled elements of the rank-th eigenvector (rank is 1-based).
+
+    Elements of a unit eigenvector have variance 1/N, so this scaling makes
+    them directly comparable with the unit-variance Gaussian expected for
+    eigenvectors of random symmetric matrices.
+    """
+    n = decomposition.n_assets
+    if rank < 1 or rank > n:
+        raise ValueError(f"rank must be in [1, {n}], got {rank}")
+    return math.sqrt(n) * decomposition.eigenvectors[rank - 1]
+
+
+def self_correlation_deltas(
+    abs_r: np.ndarray, abs_r_adjusted: np.ndarray, max_rank: int
+) -> list[np.ndarray]:
+    """Per rank k <= max_rank, the samples abs_r[:, k] - abs_r_adjusted[:, k].
+
+    Assets whose adjusted correlation is undefined are skipped, so a
+    sample can be shorter than N. Index 0 corresponds to rank 1.
+    """
+    n_ranks = abs_r.shape[1]
+    if not 1 <= max_rank <= n_ranks:
+        raise ValueError(f"max_rank must be in [1, {n_ranks}], got {max_rank}")
+    deltas = []
+    for k in range(max_rank):
+        diff = abs_r[:, k] - abs_r_adjusted[:, k]
+        deltas.append(diff[np.isfinite(diff)])
+    return deltas
+
+
+def max_correlation_rank(abs_r: np.ndarray) -> np.ndarray:
+    """For each asset (row of `abs_r`), the 1-based rank of its largest |r|."""
+    return abs_r.argmax(axis=1) + 1

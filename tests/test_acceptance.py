@@ -13,8 +13,6 @@ from corrspectra import (
     NullConfig,
     correlation_matrix,
     eigendecompose,
-    eigenvector_zscores,
-    max_correlation_rank,
     mp_bounds,
     mp_density,
     null_ensemble_stats,
@@ -22,9 +20,7 @@ from corrspectra import (
     participation,
     roll_windows,
     scree_significant_count,
-    self_correlation_deltas,
     asset_component_correlations,
-    shuffle_panel,
 )
 from corrspectra.cli import main
 
@@ -36,7 +32,15 @@ from helpers import (
     write_meta_csv,
     write_prices_csv,
 )
-from synthetic import FactorSpec, simulate_gaussian_panel, synthetic_factor_panel
+from synthetic import (
+    FactorSpec,
+    eigenvector_zscores,
+    max_correlation_rank,
+    self_correlation_deltas,
+    shuffle_panel,
+    simulate_gaussian_panel,
+    synthetic_factor_panel,
+)
 
 
 def check(label, ok, detail):

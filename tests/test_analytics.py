@@ -9,18 +9,21 @@ from corrspectra import (
     correlation_matrix,
     eigendecompose,
     kaiser_guttman_count,
-    max_correlation_rank,
     participation,
     roll_windows,
     scree_exceedance_count,
     scree_significant_count,
-    self_correlation_deltas,
     variance_fractions,
 )
 from corrspectra.spectral import SpectralDecomposition
 
 from helpers import pearson_pop, random_correlation_window
-from synthetic import FactorSpec, synthetic_factor_panel
+from synthetic import (
+    FactorSpec,
+    max_correlation_rank,
+    self_correlation_deltas,
+    synthetic_factor_panel,
+)
 
 
 def _decomposition(eigenvalues, eigenvectors=None, index=0):

@@ -19,13 +19,17 @@ from corrspectra import (
     cached_ensemble_stats,
     null_ensemble_stats,
     null_window,
-    shuffle_panel,
     sim_rng,
 )
 from corrspectra import WorkerProcessError, blocks, nulls, spectral
 
 from helpers import nearest_rank_percentile
-from synthetic import FactorSpec, simulate_gaussian_panel, synthetic_factor_panel
+from synthetic import (
+    FactorSpec,
+    shuffle_panel,
+    simulate_gaussian_panel,
+    synthetic_factor_panel,
+)
 
 
 class TestShufflePanel:
@@ -463,7 +467,8 @@ class TestBaselineCache:
             fresh.abs_corr_p99[:3], reloaded.abs_corr_p99[:3]
         )
         assert np.all(np.isnan(reloaded.abs_corr_p99[3:]))
-        assert [p.name for p in tmp_path.iterdir()] == ["baselines.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".baselines.json.lock", "baselines.json"]
 
     @pytest.mark.parametrize("content", [
         "{\"schema_version\": \"2\", \"entr",
@@ -543,7 +548,8 @@ class TestBaselineCache:
         with pytest.raises(OSError):
             cached_ensemble_stats(b, max_rank=1, cache_path=cache)
         assert cache.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["baselines.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".baselines.json.lock", "baselines.json"]
 
     def test_distinct_keys_coexist(self, tmp_path):
         cache = tmp_path / "baselines.json"
@@ -554,6 +560,48 @@ class TestBaselineCache:
         assert not np.array_equal(stats_a.scree_mean, stats_b.scree_mean)
         again_a = cached_ensemble_stats(a, max_rank=1, cache_path=cache)
         assert np.array_equal(stats_a.scree_mean, again_a.scree_mean)
+
+    def test_run_inside_another_keeps_both_entries(self, tmp_path,
+                                                   monkeypatch):
+        # run b starts and ends while run a computes; a must merge its
+        # entry into the file as b left it, not write back what it read
+        cache = tmp_path / "baselines.json"
+        a = NullConfig(n_assets=5, window_len=12, sims=10, master_seed=4)
+        b = NullConfig(n_assets=5, window_len=12, sims=10, master_seed=5)
+        compute = nulls.null_ensemble_stats
+
+        def interleaved(config, max_rank=0):
+            if config == a:
+                cached_ensemble_stats(b, max_rank, cache_path=cache)
+            return compute(config, max_rank)
+
+        monkeypatch.setattr(nulls, "null_ensemble_stats", interleaved)
+        cached_ensemble_stats(a, max_rank=1, cache_path=cache)
+        entries = json.loads(cache.read_text())["entries"]
+        assert sorted(entries) == sorted(map(nulls._cache_key, (a, b)))
+        for config in (a, b):
+            assert entries[nulls._cache_key(config)] == nulls.stats_payload(
+                compute(config, max_rank=1))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".baselines.json.lock", "baselines.json"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="the lock is POSIX flock")
+    def test_write_waits_for_the_cache_lock(self, tmp_path):
+        import fcntl
+
+        cache = tmp_path / "baselines.json"
+        config = NullConfig(n_assets=5, window_len=12, sims=10, master_seed=4)
+        with open(tmp_path / ".baselines.json.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            writer = threading.Thread(target=cached_ensemble_stats,
+                                      args=(config, 1, cache))
+            writer.start()
+            writer.join(timeout=0.5)
+            assert writer.is_alive() and not cache.exists()
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert list(json.loads(cache.read_text())["entries"]) == [
+            nulls._cache_key(config)]
 
     def test_deeper_max_rank_recomputes(self, tmp_path):
         cache = tmp_path / "baselines.json"

@@ -31,6 +31,14 @@ def test_all_exports_resolve_once():
         assert getattr(corrspectra, name, None) is not None, name
 
 
+def test_acceptance_statistics_are_not_exported():
+    # statistics only the tests read live in tests/synthetic.py
+    for name in ("eigenvector_zscores", "max_correlation_rank",
+                 "self_correlation_deltas", "shuffle_panel"):
+        assert not hasattr(corrspectra, name), name
+        assert name not in corrspectra.__all__
+
+
 def test_readme_library_example_runs(tmp_path, monkeypatch):
     # the first code block of the README's Library section, run as written
     library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]

@@ -705,6 +705,33 @@ class TestCLI:
         assert cache.read_bytes() == before
         assert sorted(path.name for path in tmp_path.iterdir()) == entries
 
+    @pytest.mark.parametrize("earlier_run", [False, True])
+    @pytest.mark.parametrize("name", EXPECTED_FILES)
+    def test_cache_path_that_is_a_report_exits_two(self, tmp_path, capsys,
+                                                   monkeypatch, name,
+                                                   earlier_run):
+        # the report of the same name would replace the cache every run,
+        # so it could never hit; a dotted spelling names the same file
+        def analyze_window(*args):
+            raise AssertionError("a window ran before the cache was checked")
+
+        def tree():
+            return {path: path.read_bytes() if path.is_file() else None
+                    for path in tmp_path.rglob("*")}
+
+        prices_path, meta_path = make_input_files(tmp_path)
+        if earlier_run:
+            assert main(self._args(tmp_path, prices_path, meta_path)) == 0
+        before = tree()
+        monkeypatch.setattr(pipeline, "analyze_window", analyze_window)
+        for cache in (tmp_path / "cli_out" / name,
+                      tmp_path / "cli_out" / ".." / "cli_out" / name):
+            args = self._args(tmp_path, prices_path, meta_path,
+                              baseline_cache=cache)
+            assert main(args) == 2
+            assert "is a report file" in capsys.readouterr().err
+            assert tree() == before
+
     def test_null_option_is_gone(self, tmp_path, capsys):
         prices_path, meta_path = make_input_files(tmp_path)
         args = self._args(tmp_path, prices_path, meta_path, null="gaussian")

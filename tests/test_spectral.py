@@ -9,13 +9,13 @@ from corrspectra import (
     NullConfig,
     correlation_matrix,
     eigendecompose,
-    eigenvector_zscores,
     mp_bounds,
     mp_density,
     null_window,
 )
 
 from helpers import charpoly_roots_3x3, random_correlation_window
+from synthetic import eigenvector_zscores
 
 
 def _random_matrix(seed, n_assets=6, n_steps=40):
