@@ -11,6 +11,9 @@ of windows with `_window_rows`, renders it in the process that analysed it
 (every CSV float through `_csv_lines`) and streams the text into the
 report files; windows.csv waits for the null baseline. In-memory results
 come from the per-window functions the kernel calls (see the README).
+`_csv_lines` writes each float as `'%.15g' % x` would, byte for byte, but
+builds most fields in numpy from the float's exactly rounded 15-digit
+mantissa, since CPython's dtoa is slow at 15 digits.
 """
 
 from __future__ import annotations
@@ -61,6 +64,20 @@ REPORT_FILES = ("windows.csv", "eigenvalues.csv", "asset_pc_corr.csv",
                 "null_baselines.json", "run_manifest.json")
 _EIGENVALUES_HEADER = "window_index,end_date,rank,eigenvalue\n"
 _ASSET_CORR_HEADER = "window_index,asset,rank,abs_r,abs_r_adjusted\n"
+# Values per chunk of _csv_lines: larger chunks spread numpy's per-call
+# cost wider but raise a worker's peak memory.
+_CHUNK = 2048
+# 10**0 .. 10**18, each exact, for _mantissas.
+_POW10 = np.array([float(10**k) for k in range(19)])
+# The text before a field's digits, by 5 * negative - min(e, 0), for
+# _digit_words: "," and "-", then "0." and zeros where e < 0; its
+# little-endian bytes and its length in bits.
+_LEADS = [b"," + b"-" * negative + (b"0." + b"0" * (zeros - 1) if zeros else b"")
+          for negative in (0, 1) for zeros in range(5)]
+_LEAD_WORDS = np.frombuffer(b"".join(lead.ljust(8, b"\0") for lead in _LEADS),
+                            "<u8").astype(np.uint64)
+_LEAD_BITS = np.array([8 * len(lead) for lead in _LEADS], np.uint64)
+_ZEROS = np.uint64(0x3030303030303030)  # "0" in every byte
 
 
 @dataclass
@@ -94,9 +111,10 @@ class RunConfig:
 def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     """The run's validated return panel and its number of windows. Rejects
     an output path that is not a directory, and a cache path that is an
-    input file, one of the output's REPORT_FILES or a directory, and makes
-    the cache's directory, so an unusable output or cache fails before any
-    window."""
+    input file, one of the output's REPORT_FILES or a directory, or whose
+    missing directories cannot be made, so an unusable output or cache
+    fails before any window. The cache's directory is made only when the
+    cache is written."""
     panel = load_price_panel(config.prices_path, config.meta_path)
     if config.classes is not None:
         panel = subset_by_class(panel, config.classes)
@@ -118,7 +136,13 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
         if (cache.name in REPORT_FILES
                 and cache.parent.resolve() == output_dir.resolve()):
             raise ValueError(f"baseline cache {cache} is a report file")
-        cache.parent.mkdir(parents=True, exist_ok=True)
+        base = next(parent for parent in cache.parents if parent.exists())
+        if not base.is_dir():
+            raise NotADirectoryError(f"baseline cache {cache}: {base} is not "
+                                     "a directory")
+        if base != cache.parent and not os.access(base, os.W_OK | os.X_OK):
+            raise PermissionError(f"baseline cache {cache}: cannot make a "
+                                  f"directory in {base}")
         if cache.is_dir():
             raise IsADirectoryError(f"baseline cache {cache} is a directory")
     return returns, n_windows
@@ -164,29 +188,129 @@ def _window_rows(returns: ReturnPanel, config: RunConfig, start: int,
             eigenvalues)
 
 
+def _mantissas(x: np.ndarray):
+    """(n, e, ok) for each float of `x`: where ok, |x| rounded to 15
+    significant digits is exactly n * 10**(e - 14), with n an integer float
+    in [1e14, 1e15) and -4 <= e <= 6, the range where %.15g writes no
+    exponent and _digit_words places the point. ok is False for NaN, inf,
+    zero, values out of that range and near-ties; there n is 1e14, e 0.
+
+    e comes from log10; the Dekker two-product of |x| and 10**(14 - e)
+    (exact up to 10**22) gives the exact residual of rint, which corrects
+    n by one where needed and must stay clear of 0.5.
+    """
+    a = np.abs(x)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(a))
+        ok = (e >= -4) & (e <= 6)
+        p = _POW10[np.where(ok, 14 - e, 0).astype(np.intp)]
+        hi = a * p
+        split = a * 134217729.0  # 2**27 + 1
+        a_hi = split - (split - a)
+        a_lo = a - a_hi
+        split = p * 134217729.0
+        p_hi = split - (split - p)
+        p_lo = p - p_hi
+        lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+        n = np.rint(hi)
+        residual = (hi - n) + lo
+        step = np.rint(residual)
+        n += step
+        residual -= step
+        # n == 1e14 below the product: log10 overstated e
+        ok &= ((np.abs(residual) < 0.5 - 2.0**-30) & (n <= 1e15)
+               & ((n > 1e14) | (residual >= 0)))
+        carry = n == 1e15
+        e += carry
+        ok &= e <= 6
+        return (np.where(ok & ~carry, n, 1e14), np.where(ok, e, 0).astype(int),
+                ok)
+
+
+def _digit_words(n: np.ndarray, e: np.ndarray, negative: np.ndarray):
+    """The ",%.15g" text of each value n * 10**(e - 14) of _mantissas
+    (negated where `negative`) as three little-endian uint64 words, the
+    text's ASCII bytes first and NULs after them.
+
+    n is split in float into four 4-digit groups, the last scaled by 10,
+    and each group into digits in its own uint32 (SWAR), so byte k of the
+    two words (w0, w1) holds digit k of n. Trailing zero digits stay 0,
+    the shown digits get "0" added, a "." is shifted in after digit e for
+    e >= 0, and the words move up by the length of the text before the
+    digits ("," "-" "0." "000").
+    """
+    groups = np.empty((len(n), 4))
+    for column, scale in enumerate((1e11, 1e7, 1e3)):
+        groups[:, column] = np.floor(n / scale)
+        n = n - groups[:, column] * scale
+    groups[:, 3] = n * 10
+    g = groups.astype(np.uint32)
+    q = (g * np.uint32(5243)) >> np.uint32(19)  # g // 100
+    g = q | ((g - q * np.uint32(100)) << np.uint32(16))
+    q = ((g * np.uint32(103)) >> np.uint32(10)) & np.uint32(0x000F000F)
+    g = q | ((g - q * np.uint32(10)) << np.uint32(8))
+    w0, w1 = g.astype("<u4", copy=False).view("<u8").T.astype(np.uint64)
+    last = np.where(w1 != 0, w1, w0)  # the word with the last nonzero digit
+    length = (np.frexp(last.astype(float))[1] + 7) // 8 + 8 * (w1 != 0)
+    shown = np.where(e >= 0, np.maximum(length, e + 1), length)
+    # numpy shifts by 64 bits or more give 0
+    w0 |= _ZEROS >> (64 - 8 * np.minimum(shown, 8)).astype(np.uint64)
+    w1 |= _ZEROS >> (128 - 8 * np.maximum(shown, 8)).astype(np.uint64)
+    dotted = np.flatnonzero((e >= 0) & (length > e + 1))
+    at = (8 * e[dotted] + 8).astype(np.uint64)
+    low = (np.uint64(1) << at) - np.uint64(1)
+    a, b = w0[dotted], w1[dotted]
+    w1[dotted] = (b << np.uint64(8)) | (a >> np.uint64(56))
+    w0[dotted] = (a & low) | (np.uint64(0x2E) << at) | ((a & ~low) << np.uint64(8))
+    lead = 5 * negative - np.minimum(e, 0)
+    bits = _LEAD_BITS[lead]
+    words = np.empty((len(n), 3), "<u8")
+    words[:, 0] = _LEAD_WORDS[lead] | (w0 << bits)
+    words[:, 1] = (w0 >> (np.uint64(64) - bits)) | (w1 << bits)
+    words[:, 2] = w1 >> (np.uint64(64) - bits)
+    return words
+
+
 def _csv_lines(prefixes, keys, values: np.ndarray) -> list[str]:
     """One string per prefix: line j of string i is prefixes[i], keys[j]
     and values[i, j] as ",%.15g" fields, NaN as "NaN"; `values` has shape
     (len(prefixes), len(keys), width).
 
-    A %-format renders each prefix's lines, so "%" in a prefix or key is
-    escaped; "%.15g" prints NaN as "nan", so a NaN's field is written into
-    the template instead.
+    CPython's 15-digit dtoa is slow, so the fields are built in numpy, in
+    chunks of about _CHUNK values: _mantissas rounds each float exactly to
+    15 digits and _digit_words writes the field's bytes. A value that is
+    not certified there (NaN, inf, zero, |x| < 1e-4 or >= 1e7, near-ties)
+    is formatted with "%.15g". A bytes %-template per prefix joins the
+    fields, so "%" in a prefix or key is escaped.
     """
-    keys = [key.replace("%", "%%") for key in keys]
-    field = ",%.15g"
-    keyed = [key + field * values.shape[2] + "\n" for key in keys]
-    texts = []
-    for prefix, rows in zip(prefixes, values):
-        prefix = prefix.replace("%", "%%")
-        undefined = np.isnan(rows)
-        if undefined.any():
-            fields = np.where(undefined, ",NaN", field).tolist()
-            template = "".join(prefix + key + "".join(row) + "\n"
-                               for key, row in zip(keys, fields))
-        else:
-            template = prefix + prefix.join(keyed)
-        texts.append(template % tuple(rows[~undefined].tolist()))
+    n_keys, width = values.shape[1:]
+    keyed = [key.replace("%", "%%").encode() + b"%b" * width + b"\n"
+             for key in keys]
+    prefixes = [prefix.replace("%", "%%").encode() for prefix in prefixes]
+    texts, parts = [""] * len(prefixes), []
+    lines = values.reshape(-1, width)
+    step = max(1, _CHUNK // width)
+    for start in range(0, len(lines), step):
+        x = lines[start:start + step].ravel()
+        n, e, ok = _mantissas(x)
+        words = _digit_words(n, e, x < 0)
+        for i in np.flatnonzero(~ok):
+            text = "NaN" if np.isnan(x[i]) else "%.15g" % x[i]
+            words[i] = np.frombuffer(f",{text}".encode().ljust(24, b"\0"),
+                                     "<u8")
+        fields = words.view("S24").ravel().tolist()
+        stop = start + len(x) // width
+        for row in range(start // n_keys, (stop - 1) // n_keys + 1):
+            first = max(start, row * n_keys)
+            last = min(stop, (row + 1) * n_keys)
+            prefix = prefixes[row]
+            template = prefix + prefix.join(
+                keyed[first - row * n_keys:last - row * n_keys])
+            parts.append(template % tuple(
+                fields[(first - start) * width:(last - start) * width]))
+            if last == (row + 1) * n_keys:
+                texts[row] = b"".join(parts).decode()
+                parts = []
     return texts
 
 
@@ -302,19 +426,29 @@ def _staged_reports(output_dir: Path):
     When the with block ends cleanly, `output_dir` is created if missing
     and the files are moved into it with os.replace. Either way the staging
     directory is then removed, so a failed run leaves no partial reports,
-    and the reports of an earlier run in `output_dir` keep their bytes.
+    and the reports of an earlier run in `output_dir` keep their bytes. A
+    failed run also removes the missing parents of `output_dir` it made,
+    where they are still empty.
     """
-    output_dir.parent.mkdir(parents=True, exist_ok=True)
-    _remove_stale_staging(output_dir)
-    staging = Path(tempfile.mkdtemp(prefix=f".{output_dir.name}.{os.getpid()}.",
-                                    suffix=".staging", dir=output_dir.parent))
+    made = [parent for parent in output_dir.parents if not parent.exists()]
+    staging = None
     try:
+        output_dir.parent.mkdir(parents=True, exist_ok=True)
+        _remove_stale_staging(output_dir)
+        staging = Path(tempfile.mkdtemp(
+            prefix=f".{output_dir.name}.{os.getpid()}.", suffix=".staging",
+            dir=output_dir.parent))
         yield staging
         output_dir.mkdir(exist_ok=True)
         for name in REPORT_FILES:
             os.replace(staging / name, output_dir / name)
+        made = []
     finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
+        for directory in made:  # the deepest first
+            with contextlib.suppress(OSError):
+                directory.rmdir()
 
 
 def write_reports(config: RunConfig) -> tuple[int, list[Path]]:

@@ -133,6 +133,38 @@ def test_one_float_serializer():
     assert holders == {("pipeline", "_csv_lines")}
 
 
+def _scoped(node, scope="<module>"):
+    """(innermost function name or "<module>", node) for every node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    yield scope, node
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped(child, scope)
+
+
+def test_float_digits_are_built_only_for_csv_lines():
+    # _csv_lines builds most fields without a ".15g" literal, so its digit
+    # helpers are called from it alone, and their primitives (log10 for the
+    # exponent, the "S24" view of the field bytes) are used nowhere else
+    helpers = {"_mantissas", "_digit_words"}
+    calls, defined, primitives = set(), set(), set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, node in _scoped(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in helpers:
+                    calls.add((path.stem, scope, name))
+            elif isinstance(node, ast.FunctionDef) and node.name in helpers:
+                defined.add((path.stem, node.name))
+            elif (getattr(node, "id", getattr(node, "attr", None)) == "log10"
+                  or isinstance(node, ast.Constant) and node.value == "S24"):
+                primitives.add((path.stem, scope))
+    assert defined == {("pipeline", name) for name in helpers}
+    assert calls == {("pipeline", "_csv_lines", name) for name in helpers}
+    assert primitives == {("pipeline", "_mantissas"), ("pipeline", "_csv_lines")}
+
+
 def test_one_window_route():
     # write_reports is the only route from a panel to reports: one block
     # loop over the windows, and one per-window kernel call inside it

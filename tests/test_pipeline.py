@@ -485,6 +485,43 @@ class TestRenderers:
                        for line in text.splitlines())
 
 
+    def test_csv_lines_match_the_per_value_oracle(self):
+        # the numpy renderer against "%.15g" one value at a time, on edge
+        # values, 15-digit ties and random values of every exponent; the
+        # lines cross _csv_lines's chunks and prefixes
+        rng = np.random.default_rng(11)
+        exponents = np.arange(-10, 21)
+        spread = rng.uniform(1.0, 10.0, (len(exponents), 600)) \
+            * 10.0 ** exponents[:, None]
+        ties = [float(f"{rng.integers(1, 10)}.{rng.integers(10**13):014d}5"
+                      f"e{exponent}")
+                for exponent in exponents for _ in range(100)]
+        ties += [float("0.123456789012345" + "5"), 1 + 2.0**-15]
+        for d in range(-4, 7):  # exact ties: 16 digits, the last a 5
+            odd = 2 * rng.integers(int(10.0**d * 2**(14 - d)),
+                                   int(10.0**(d + 1) * 2**(14 - d)), 100) + 1
+            ties += list(odd / 2.0**(15 - d))
+        edges = np.array([1e-4, 1e7, 1e15, 0.1, 1.0, 10.0, 1e6,
+                          9999999.999999999, 999999.9999999999,
+                          2.0**-1074, 2.0**-1022 * 0.75, 1e-300, 1e300])
+        finite = np.concatenate([spread.ravel(), np.hstack(ties), edges])
+        finite = np.concatenate([finite, np.nextafter(finite, 0),
+                                 np.nextafter(finite, np.inf)])
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf,
+                   *np.arange(0.0, 2000.0)]  # counts
+        values = rng.permutation(np.concatenate([finite, -finite, special]))
+        values = np.append(values, np.zeros(-len(values) % 6)).reshape(3, -1, 2)
+        assert values.size >= 10**5
+        prefixes = ["0,", "1,50%,", "2,2001-01-05,"]
+        keys = [f"A{j:05d},{j % 6 + 1}" for j in range(values.shape[1])]
+        keys[:3] = ["x%sy,1", "Zürich,2", "100%,3"]
+        texts = pipeline._csv_lines(prefixes, keys, values)
+        assert texts == ["".join(f"{prefix}{key},{_fmt_oracle(a)},"
+                                 f"{_fmt_oracle(b)}\n"
+                                 for key, (a, b) in zip(keys, rows))
+                         for prefix, rows in zip(prefixes, values)]
+
+
 def _die_in_worker(*args):
     if multiprocessing.parent_process() is None:
         raise AssertionError("expected to run in a pool worker")
@@ -567,6 +604,27 @@ class TestCLI:
         assert "window 20 " in capsys.readouterr().err
         assert not cache.exists()
         assert not (tmp_path / "cli_out").exists()
+
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path,
+                                                         capsys, flat):
+        # the missing parents of --out and --baseline-cache: a run that
+        # fails on a flat asset leaves none of them, a good run keeps both
+        prices_path, meta_path = (make_flat_asset_files if flat
+                                  else make_input_files)(tmp_path)
+        entries = sorted(path.name for path in tmp_path.iterdir())
+        cache = tmp_path / "newcache" / "sub" / "cache.json"
+        args = self._args(tmp_path, prices_path, meta_path,
+                          out="newout/sub/out", baseline_cache=cache)
+        if flat:
+            assert main(args) == 3
+            assert sorted(path.name for path in tmp_path.iterdir()) == entries
+        else:
+            assert main(args) == 0
+            assert cache.is_file()
+            assert sorted(path.name for path in
+                          (tmp_path / "newout" / "sub" / "out").iterdir()) \
+                == sorted(EXPECTED_FILES)
 
     @pytest.mark.parametrize("failure, code", [("window", 3), ("ensemble", 5)])
     def test_failed_run_keeps_earlier_reports(self, tmp_path, capsys,
