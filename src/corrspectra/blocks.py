@@ -1,7 +1,8 @@
 """The block runner: map_blocks maps a kernel over blocks of items, the
 null-ensemble sims or the rolling windows, in a pool of forked or spawned
-worker processes when there are CPUs for one, and pins OpenBLAS (through
-ctypes) to one thread in every process, so results do not depend on it."""
+worker processes when there are CPUs for one. One pin, _one_blas_thread,
+runs BLAS on one thread in every process that runs a block, so results do
+not depend on the BLAS thread count."""
 
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .errors import WorkerProcessError
 # runs BLAS on one thread: more threads per worker oversubscribe the CPUs
 # and run several times slower.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_POOL_ENV_LOCK = threading.Lock()
 # OpenBLAS's run-time thread controls are <prefix>_set_num_threads<suffix>
 # and so on: numpy's wheels bundle scipy-openblas with 64-bit integers
 # ("64_"), scipy's with 32-bit ones, and classic builds use "openblas".
@@ -86,23 +86,29 @@ def _openblas_libs() -> tuple[_OpenBLAS, ...]:
 
 
 class _OneBlasThread:
-    """Run the _openblas_libs on one thread in this process, so results do
-    not depend on the BLAS thread count, and restore their thread counts
-    afterwards. Nested and concurrent uses share one pin: the first to
-    enter sets it and the last to leave restores the counts."""
+    """Run BLAS on one thread in this process and in the pool workers it
+    starts, so results do not depend on the BLAS thread count: set the
+    thread counts of the _openblas_libs (through ctypes) and the
+    _BLAS_THREAD_VARS in os.environ, which spawned workers read at
+    start-up, to 1, and restore both afterwards. Nested and concurrent uses
+    share one pin: the first to enter sets it and the last to leave
+    restores it."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._users = 0
-        self._saved = ()
+        self._saved = ((), {})
 
     def __enter__(self):
         with self._lock:
             if self._users == 0:
-                self._saved = tuple((lib, lib.get_num_threads())
-                                    for lib in _openblas_libs())
-                for lib, _ in self._saved:
+                libs = _openblas_libs()
+                self._saved = ([(lib, lib.get_num_threads()) for lib in libs],
+                               {name: os.environ.get(name)
+                                for name in _BLAS_THREAD_VARS})
+                for lib in libs:
                     lib.set_num_threads(1)
+                os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
             self._users += 1
         return self
 
@@ -110,8 +116,14 @@ class _OneBlasThread:
         with self._lock:
             self._users -= 1
             if self._users == 0:
-                for lib, threads in self._saved:
-                    lib.set_num_threads(threads)
+                threads, environment = self._saved
+                for lib, count in threads:
+                    lib.set_num_threads(count)
+                for name, value in environment.items():
+                    if value is None:
+                        os.environ.pop(name, None)
+                    else:
+                        os.environ[name] = value
         return False
 
 
@@ -131,8 +143,9 @@ def _pool_start_method() -> str:
 
 
 def _init_worker(parent_pid: int) -> None:
-    """Pool initializer: run BLAS on one thread and, on Linux, die with the
-    pool's parent process."""
+    """Pool initializer: on Linux, die with the pool's parent process. The
+    pool starts inside _one_blas_thread, so forked workers inherit its
+    BLAS thread count and spawned ones read it from the environment."""
     if sys.platform == "linux":
         prctl = ctypes.CDLL(None, use_errno=True).prctl
         prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
@@ -141,44 +154,23 @@ def _init_worker(parent_pid: int) -> None:
             raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
         if os.getppid() != parent_pid:  # the parent died before the prctl
             os._exit(1)
-    for lib in _openblas_libs():
-        lib.set_num_threads(1)
-
-
-@contextlib.contextmanager
-def _blas_environment_pinned():
-    """Set the _BLAS_THREAD_VARS to 1 in os.environ, for spawned workers to
-    inherit, and restore them afterwards. The lock keeps concurrent pools
-    from restoring each other's values."""
-    with _POOL_ENV_LOCK:
-        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-        try:
-            yield
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
 
 
 @contextlib.contextmanager
 def map_blocks(kernel, shared: tuple, n_items: int, block: int):
     """Yield an iterator over kernel(*shared, start, stop) for each block of
     `block` items of range(n_items) in order: null-ensemble sims or rolling
-    windows. BLAS runs on one thread in this process until the with block
-    ends (_one_blas_thread). With two or more blocks and available CPUs,
-    the blocks run in a pool of worker processes, one per CPU, which lives
-    until the with block ends; otherwise in this process.
+    windows. With two or more blocks and available CPUs, the blocks run in
+    a pool of worker processes, one per CPU, which lives until the with
+    block ends; otherwise in this process. _one_blas_thread holds until
+    the with block ends and the pool starts inside it, so BLAS runs on one
+    thread in every process that runs a block.
 
     The workers are forked when _pool_start_method allows it: they inherit
     the imported modules and run no `__main__` again. Otherwise they are
-    spawned, and take their BLAS thread count from the environment, so
-    _blas_environment_pinned holds _POOL_ENV_LOCK and pins it while the
-    pool lives; that lock and the environment change are used only then.
-    Either way _init_worker runs BLAS on one thread in each worker and, on
-    Linux, has the worker killed when this process dies.
+    spawned, and a script that starts them needs a `__main__` guard.
+    Either way _init_worker has each worker killed, on Linux, when this
+    process dies.
 
     The pool's processes have started when this yields. Forked ones
     inherit this process's unflushed file buffers, so callers write no
@@ -201,20 +193,17 @@ def map_blocks(kernel, shared: tuple, n_items: int, block: int):
         if method == "spawn":
             cause += (", or started from a script without an "
                       "`if __name__ == \"__main__\":` guard")
-        with (_blas_environment_pinned() if method == "spawn"
-              else contextlib.nullcontext()):
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context(method),
-                initializer=_init_worker, initargs=(os.getpid(),),
-            )
-            try:
-                yield pool.map(kernel, *args)
-            except BrokenProcessPool as exc:
-                raise WorkerProcessError(
-                    f"a worker process ended abruptly ({cause})") from exc
-            finally:
-                # After an error, or Ctrl-C, drop the blocks not yet
-                # started instead of waiting for them. A finished map has
-                # none left.
-                pool.shutdown(cancel_futures=True)
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context(method),
+            initializer=_init_worker, initargs=(os.getpid(),),
+        )
+        try:
+            yield pool.map(kernel, *args)
+        except BrokenProcessPool as exc:
+            raise WorkerProcessError(
+                f"a worker process ended abruptly ({cause})") from exc
+        finally:
+            # After an error, or Ctrl-C, drop the blocks not yet started
+            # instead of waiting for them. A finished map has none left.
+            pool.shutdown(cancel_futures=True)
 

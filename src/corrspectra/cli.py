@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     classes = None
-    if args.classes:
+    if args.classes is not None:  # "" names no class, as "," does
         classes = tuple(c.strip() for c in args.classes.split(",") if c.strip())
     try:
         config = RunConfig(

@@ -110,11 +110,12 @@ class RunConfig:
 
 def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     """The run's validated return panel and its number of windows. Rejects
-    an output path that is not a directory, and a cache path that is an
-    input file, one of the output's REPORT_FILES or a directory, or whose
-    missing directories cannot be made, so an unusable output or cache
-    fails before any window. The cache's directory is made only when the
-    cache is written."""
+    an output path that is not a directory or whose REPORT_FILES include an
+    input file or a directory, and a cache path that is an input file, one
+    of the output's REPORT_FILES or a directory, or whose missing
+    directories cannot be made, so an unusable output or cache fails
+    before any window and no report is moved in. The cache's directory is
+    made only when the cache is written."""
     panel = load_price_panel(config.prices_path, config.meta_path)
     if config.classes is not None:
         panel = subset_by_class(panel, config.classes)
@@ -128,10 +129,17 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     output_dir = Path(config.output_dir)
     if output_dir.exists() and not output_dir.is_dir():
         raise FileExistsError(f"output {output_dir} is not a directory")
+    inputs = (config.prices_path, config.meta_path)
+    for report in (output_dir / name for name in REPORT_FILES):
+        if report.exists() and any(os.path.samefile(report, path)
+                                   for path in inputs):
+            raise ValueError(f"report {report} is an input file")
+        if report.is_dir() and not report.is_symlink():  # os.replace fails
+            raise IsADirectoryError(f"report {report} is a directory")
     if config.baseline_cache is not None:
         cache = Path(config.baseline_cache)
-        if cache.exists() and any(os.path.samefile(cache, path) for path
-                                  in (config.prices_path, config.meta_path)):
+        if cache.exists() and any(os.path.samefile(cache, path)
+                                  for path in inputs):
             raise ValueError(f"baseline cache {cache} is an input file")
         if (cache.name in REPORT_FILES
                 and cache.parent.resolve() == output_dir.resolve()):

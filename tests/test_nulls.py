@@ -143,6 +143,27 @@ def _blas_threads_block(start, stop):
     return [lib.get_num_threads() for lib in blocks._openblas_libs()]
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_environment_block(start, stop):
+    return [os.environ.get(name) for name in _BLAS_VARS]
+
+
+def _blocks_run_by(monkeypatch, method):
+    """Make map_blocks run two blocks in this process (method None) or in a
+    pool of two workers started by `method`."""
+    if method and method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    monkeypatch.setattr(blocks, "_pool_start_method", lambda: method)
+    monkeypatch.setattr(blocks, "available_cpus",
+                        lambda: 1 if method is None else 2)
+
+
+_BLOCK_RUNNERS = pytest.mark.parametrize(
+    "method", [None, "fork", "spawn"], ids=["in-process", "fork", "spawn"])
+
+
 class TestParallelEnsemble:
     # 600 sims make three blocks, so with two CPUs the blocks run in a pool
     CONFIG = NullConfig(n_assets=20, window_len=30, sims=600, master_seed=8)
@@ -168,12 +189,15 @@ class TestParallelEnsemble:
         small_blocks = self._stats_on_cpus(monkeypatch, self.CONFIG, 1)
         assert self._arrays(default) == self._arrays(small_blocks)
 
-    def test_pool_restores_blas_environment(self, monkeypatch):
-        # only spawned workers read the environment
-        monkeypatch.setattr(blocks, "_pool_start_method", lambda: "spawn")
+    @_BLOCK_RUNNERS
+    def test_pool_restores_blas_environment(self, monkeypatch, method):
+        # every process that runs a block reads 1, spawned workers at
+        # start-up; the caller's values come back, unset ones included
+        _blocks_run_by(monkeypatch, method)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        self._stats_on_cpus(monkeypatch, self.CONFIG, 2, max_rank=1)
+        with blocks.map_blocks(_blas_environment_block, (), 2, 1) as results:
+            assert list(results) == [["1"] * 3] * 2
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
         assert "OMP_NUM_THREADS" not in os.environ
 
@@ -215,17 +239,12 @@ class TestParallelEnsemble:
                 list(results)
         assert ("__main__" in str(excinfo.value)) == (method == "spawn")
 
-    @pytest.mark.parametrize("method", [None, "fork", "spawn"],
-                             ids=["in-process", "fork", "spawn"])
+    @_BLOCK_RUNNERS
     def test_blocks_run_on_one_blas_thread(self, monkeypatch, method):
         libs = blocks._openblas_libs()
         if not libs:
             pytest.skip("no OpenBLAS thread control found")
-        if method and method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"no {method} start method here")
-        monkeypatch.setattr(blocks, "_pool_start_method", lambda: method)
-        monkeypatch.setattr(blocks, "available_cpus",
-                            lambda: 1 if method is None else 2)
+        _blocks_run_by(monkeypatch, method)
         before = [lib.get_num_threads() for lib in libs]
         try:
             for lib in libs:  # so that a missing pin shows in this process
@@ -258,16 +277,57 @@ class TestParallelEnsemble:
             thread.join(timeout=60)
         assert not thread.is_alive()
 
-    def test_blas_pin_is_shared_and_restored(self):
+    def test_blas_pin_is_shared_and_restored(self, monkeypatch):
+        # the thread counts and the environment are pinned together, and
+        # restored after the outer pin, unset variables included
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
         libs = blocks._openblas_libs()
-        if not libs:
-            pytest.skip("no OpenBLAS thread control found")
-        before = [lib.get_num_threads() for lib in libs]
+
+        def state():
+            return ([lib.get_num_threads() for lib in libs],
+                    [os.environ.get(name) for name in _BLAS_VARS])
+
+        before = state()
+        pinned = ([1] * len(libs), ["1"] * 3)
         with blocks._one_blas_thread:
             with blocks._one_blas_thread:
-                assert [lib.get_num_threads() for lib in libs] == [1] * len(libs)
-            assert [lib.get_num_threads() for lib in libs] == [1] * len(libs)
+                assert state() == pinned
+            assert state() == pinned
+        assert state() == before
+        assert before[1] == ["3", None, "2"]
+
+    def test_concurrent_pins_share_one_pin(self, monkeypatch):
+        # threads entering and leaving at once each find the pin set, and
+        # the last to leave restores the caller's values
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        libs = blocks._openblas_libs()
+        before = [lib.get_num_threads() for lib in libs]
+        seen = []
+
+        def pin_often():
+            for _ in range(100):
+                with blocks._one_blas_thread:
+                    seen.append(([lib.get_num_threads() for lib in libs],
+                                 [os.environ.get(name) for name in _BLAS_VARS]))
+
+        threads = [threading.Thread(target=pin_often) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [([1] * len(libs), ["1"] * 3)] * 800
         assert [lib.get_num_threads() for lib in libs] == before
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        assert "OMP_NUM_THREADS" not in os.environ
 
     def test_worker_errors_survive_pickling(self):
         # pool workers raise these, and the CLI maps them to exit code 3

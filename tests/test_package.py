@@ -165,6 +165,21 @@ def test_float_digits_are_built_only_for_csv_lines():
     assert primitives == {("pipeline", "_mantissas"), ("pipeline", "_csv_lines")}
 
 
+def test_one_blas_pin():
+    # one place sets a BLAS thread count: in this process through ctypes,
+    # and in the environment that spawned workers read at start-up
+    holders = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if (name in ("environ", "putenv", "unsetenv")
+                        or isinstance(node, ast.Call) and getattr(
+                            node.func, "attr", None) == "set_num_threads"):
+                    holders.add((path.stem, getattr(top, "name", "<module>")))
+    assert holders == {("blocks", "_OneBlasThread")}
+
+
 def test_one_window_route():
     # write_reports is the only route from a panel to reports: one block
     # loop over the windows, and one per-window kernel call inside it

@@ -69,6 +69,16 @@ def _no_ensemble(config, max_rank=0):
     raise AssertionError("the null ensemble ran before the windows")
 
 
+def _no_window(*args):
+    raise AssertionError("a window ran before the paths were checked")
+
+
+def _file_bytes(root):
+    """Every path under `root`, with its bytes or None for a directory."""
+    return {path: path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
 def make_config(tmp_path, out="out", **overrides):
     prices_path, meta_path = make_input_files(tmp_path)
     defaults = dict(
@@ -770,25 +780,68 @@ class TestCLI:
                                                    earlier_run):
         # the report of the same name would replace the cache every run,
         # so it could never hit; a dotted spelling names the same file
-        def analyze_window(*args):
-            raise AssertionError("a window ran before the cache was checked")
-
-        def tree():
-            return {path: path.read_bytes() if path.is_file() else None
-                    for path in tmp_path.rglob("*")}
-
         prices_path, meta_path = make_input_files(tmp_path)
         if earlier_run:
             assert main(self._args(tmp_path, prices_path, meta_path)) == 0
-        before = tree()
-        monkeypatch.setattr(pipeline, "analyze_window", analyze_window)
+        before = _file_bytes(tmp_path)
+        monkeypatch.setattr(pipeline, "analyze_window", _no_window)
         for cache in (tmp_path / "cli_out" / name,
                       tmp_path / "cli_out" / ".." / "cli_out" / name):
             args = self._args(tmp_path, prices_path, meta_path,
                               baseline_cache=cache)
             assert main(args) == 2
             assert "is a report file" in capsys.readouterr().err
-            assert tree() == before
+            assert _file_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("name", EXPECTED_FILES)
+    def test_report_path_that_is_a_directory_exits_four(self, tmp_path,
+                                                        capsys, monkeypatch,
+                                                        name):
+        # os.replace cannot move a report onto a directory, and the reports
+        # moved in before it would mix two runs' reports
+        prices_path, meta_path = make_input_files(tmp_path)
+        assert main(self._args(tmp_path, prices_path, meta_path)) == 0
+        report = tmp_path / "cli_out" / name
+        report.unlink()
+        report.mkdir()
+        (report / "kept.txt").write_text("kept")
+        before = _file_bytes(tmp_path)
+        monkeypatch.setattr(pipeline, "analyze_window", _no_window)
+        args = self._args(tmp_path, prices_path, meta_path) + ["--seed", "6"]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "I/O error" in err and "is a directory" in err
+        assert _file_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("linked", [False, True])
+    @pytest.mark.parametrize("which, name", [("prices", "windows.csv"),
+                                             ("meta", "run_manifest.json")])
+    def test_report_path_that_is_an_input_exits_two(self, tmp_path, capsys,
+                                                    monkeypatch, which, name,
+                                                    linked):
+        # the report would replace the input, and the next run would fail
+        inputs = dict(zip(("prices", "meta"), make_input_files(tmp_path)))
+        (tmp_path / "cli_out").mkdir()
+        report = tmp_path / "cli_out" / name
+        inputs[which].rename(report)
+        inputs[which] = report
+        if linked:  # the same file under another name
+            inputs[which] = tmp_path / f"{which}_link.csv"
+            inputs[which].symlink_to(report)
+        before = _file_bytes(tmp_path)
+        monkeypatch.setattr(pipeline, "analyze_window", _no_window)
+        assert main(self._args(tmp_path, inputs["prices"],
+                               inputs["meta"])) == 2
+        assert "is an input file" in capsys.readouterr().err
+        assert _file_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("classes", ["", ",", " "])
+    def test_empty_classes_exit_two(self, tmp_path, capsys, classes):
+        prices_path, meta_path = make_input_files(tmp_path)
+        args = self._args(tmp_path, prices_path, meta_path, classes=classes)
+        assert main(args) == 2
+        assert "classes must be nonempty" in capsys.readouterr().err
+        assert not (tmp_path / "cli_out").exists()
 
     def test_null_option_is_gone(self, tmp_path, capsys):
         prices_path, meta_path = make_input_files(tmp_path)
