@@ -131,8 +131,10 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
         raise FileExistsError(f"output {output_dir} is not a directory")
     inputs = (config.prices_path, config.meta_path)
     for report in (output_dir / name for name in REPORT_FILES):
-        if report.exists() and any(os.path.samefile(report, path)
-                                   for path in inputs):
+        # os.replace swaps the report's own directory entry, so only an
+        # input whose file lives there is lost, not one linked to it
+        if any(Path(path).resolve() == output_dir.resolve() / report.name
+               for path in inputs):
             raise ValueError(f"report {report} is an input file")
         if report.is_dir() and not report.is_symlink():  # os.replace fails
             raise IsADirectoryError(f"report {report} is a directory")

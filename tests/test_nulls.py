@@ -192,12 +192,15 @@ class TestParallelEnsemble:
     @_BLOCK_RUNNERS
     def test_pool_restores_blas_environment(self, monkeypatch, method):
         # every process that runs a block reads 1, spawned workers at
-        # start-up; the caller's values come back, unset ones included
+        # start-up; the caller's values come back, unset ones included.
+        # The real ensemble then runs the same way end to end, so its
+        # kernel and shared arrays must pickle and import in the workers.
         _blocks_run_by(monkeypatch, method)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         with blocks.map_blocks(_blas_environment_block, (), 2, 1) as results:
             assert list(results) == [["1"] * 3] * 2
+        null_ensemble_stats(self.CONFIG, max_rank=1)
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
         assert "OMP_NUM_THREADS" not in os.environ
 

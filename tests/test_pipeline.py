@@ -835,6 +835,20 @@ class TestCLI:
         assert "is an input file" in capsys.readouterr().err
         assert _file_bytes(tmp_path) == before
 
+    @pytest.mark.parametrize("link", ["symlink_to", "hardlink_to"])
+    def test_report_name_linked_to_an_input_is_replaced(self, tmp_path,
+                                                        link):
+        # os.replace swaps the link itself, so the input keeps its bytes
+        prices_path, meta_path = make_input_files(tmp_path)
+        before = prices_path.read_bytes()
+        (tmp_path / "cli_out").mkdir()
+        report = tmp_path / "cli_out" / "windows.csv"
+        getattr(report, link)(prices_path)
+        assert main(self._args(tmp_path, prices_path, meta_path)) == 0
+        assert prices_path.read_bytes() == before
+        assert not report.is_symlink()
+        assert report.read_bytes().startswith(b"window_index,")
+
     @pytest.mark.parametrize("classes", ["", ",", " "])
     def test_empty_classes_exit_two(self, tmp_path, capsys, classes):
         prices_path, meta_path = make_input_files(tmp_path)
