@@ -78,49 +78,65 @@ class WindowView:
     z_hat: np.ndarray  # N x T
 
 
-def _open_input(path):
-    # utf-8-sig drops the byte-order mark of spreadsheets' "CSV UTF-8"
+def _csv_rows(path, kind):
+    """Yield the header of the `kind` CSV file at `path`, then (row number,
+    fields) for each later row: rows are CSV records, the header is row 1,
+    and blank rows are skipped but counted. Every other row must be as wide
+    as the header. An unreadable, non-UTF-8 or malformed file raises
+    PanelFormatError naming the file, and the row for a CSV error."""
+    lineno = 0
     try:
-        return open(path, newline="", encoding="utf-8-sig")
+        # utf-8-sig drops the byte-order mark of spreadsheets' "CSV UTF-8"
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise PanelFormatError(f"{path}: empty {kind} file")
+            yield header
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise PanelFormatError(f"{path}: row {lineno}: expected "
+                                           f"{len(header)} fields, got {len(row)}")
+                yield lineno, row
     except OSError as exc:
         raise PanelFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # its position counts from a chunk
+        raise PanelFormatError(
+            f"{path}: not UTF-8 (byte {exc.object[exc.start]:#x}: {exc.reason})"
+        ) from None
+    except csv.Error as exc:
+        raise PanelFormatError(f"{path}: row {lineno + 1}: {exc}") from None
 
 
 def _read_meta(meta_path) -> list[AssetMeta]:
-    with _open_input(meta_path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{meta_path}: empty metadata file") from None
-        if [h.strip() for h in header] != ["ticker", "asset_class"]:
+    records = _csv_rows(meta_path, "metadata")
+    header = next(records)
+    if [h.strip() for h in header] != ["ticker", "asset_class"]:
+        raise PanelFormatError(
+            f"{meta_path}: expected header 'ticker,asset_class', got {header!r}"
+        )
+    seen: set[str] = set()
+    meta = []
+    for lineno, (ticker, klass) in records:
+        klass = klass.strip()
+        if not ticker:
+            raise PanelFormatError(f"{meta_path}: row {lineno}: empty ticker")
+        if any(c in ticker for c in ',"\r\n\0'):  # reports are unquoted CSV
+            raise PanelFormatError(f"{meta_path}: row {lineno}: ticker {ticker!r} "
+                                   "holds a comma, quote, line break or NUL")
+        if ticker in seen:
             raise PanelFormatError(
-                f"{meta_path}: expected header 'ticker,asset_class', got {header!r}"
+                f"{meta_path}: row {lineno}: duplicate ticker {ticker!r}"
             )
-        seen: set[str] = set()
-        meta = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise PanelFormatError(
-                    f"{meta_path}: row {lineno}: expected 2 fields, got {len(row)}"
-                )
-            ticker, klass = row[0], row[1].strip()
-            if not ticker:
-                raise PanelFormatError(f"{meta_path}: row {lineno}: empty ticker")
-            if any(c in ticker for c in ',"\r\n'):  # reports are unquoted CSV
-                raise PanelFormatError(f"{meta_path}: row {lineno}: ticker {ticker!r} "
-                                       "holds a comma, quote or line break")
-            if ticker in seen:
-                raise PanelFormatError(
-                    f"{meta_path}: row {lineno}: duplicate ticker {ticker!r}"
-                )
-            seen.add(ticker)
-            if klass not in ASSET_CLASSES:
-                raise PanelFormatError(
-                    f"{meta_path}: row {lineno}: unknown asset_class {klass!r} "
-                    f"for ticker {ticker!r}"
-                )
-            meta.append(AssetMeta(ticker=ticker, asset_class=klass))
+        seen.add(ticker)
+        if klass not in ASSET_CLASSES:
+            raise PanelFormatError(
+                f"{meta_path}: row {lineno}: unknown asset_class {klass!r} "
+                f"for ticker {ticker!r}"
+            )
+        meta.append(AssetMeta(ticker=ticker, asset_class=klass))
     if not meta:
         raise PanelFormatError(f"{meta_path}: no assets listed")
     return meta
@@ -137,77 +153,68 @@ def load_price_panel(prices_path, meta_path) -> PricePanel:
     """
     meta_by_ticker = {m.ticker: m for m in _read_meta(meta_path)}
 
-    with _open_input(prices_path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{prices_path}: empty prices file") from None
-        if not header or header[0].strip() != "date":
+    records = _csv_rows(prices_path, "prices")
+    header = next(records)
+    if not header or header[0].strip() != "date":
+        raise PanelFormatError(
+            f"{prices_path}: first header column must be 'date', got {header[:1]!r}"
+        )
+    tickers = header[1:]
+    if not tickers:
+        raise PanelFormatError(f"{prices_path}: no asset columns in header")
+    if len(set(tickers)) != len(tickers):
+        dupes = sorted({t for t in tickers if tickers.count(t) > 1})
+        raise PanelFormatError(f"{prices_path}: duplicate columns {dupes}")
+
+    for ticker in tickers:
+        if ticker not in meta_by_ticker:
             raise PanelFormatError(
-                f"{prices_path}: first header column must be 'date', got {header[:1]!r}"
+                f"{prices_path}: column {ticker!r} has no entry in {meta_path}"
             )
-        tickers = header[1:]
-        if not tickers:
-            raise PanelFormatError(f"{prices_path}: no asset columns in header")
-        if len(set(tickers)) != len(tickers):
-            dupes = sorted({t for t in tickers if tickers.count(t) > 1})
-            raise PanelFormatError(f"{prices_path}: duplicate columns {dupes}")
+    for ticker in meta_by_ticker:
+        if ticker not in tickers:
+            raise PanelFormatError(
+                f"{meta_path}: ticker {ticker!r} is not a column of {prices_path}"
+            )
 
-        for ticker in tickers:
-            if ticker not in meta_by_ticker:
+    dates: list[dt.date] = []
+    rows: list[list[float]] = []
+    for lineno, row in records:
+        try:
+            date = dt.date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise PanelFormatError(
+                f"{prices_path}: row {lineno}: bad date {row[0]!r}"
+            ) from None
+        if dates and date <= dates[-1]:
+            raise PanelFormatError(
+                f"{prices_path}: row {lineno}: date {date.isoformat()} is not "
+                f"after {dates[-1].isoformat()}"
+            )
+        dates.append(date)
+        values = []
+        for ticker, cell in zip(tickers, row[1:]):
+            cell = cell.strip()
+            if not cell:
                 raise PanelFormatError(
-                    f"{prices_path}: column {ticker!r} has no entry in {meta_path}"
-                )
-        for ticker in meta_by_ticker:
-            if ticker not in tickers:
-                raise PanelFormatError(
-                    f"{meta_path}: ticker {ticker!r} is not a column of {prices_path}"
-                )
-
-        dates: list[dt.date] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise PanelFormatError(
-                    f"{prices_path}: row {lineno}: expected {len(header)} fields, "
-                    f"got {len(row)} (missing cells are not allowed)"
+                    f"{prices_path}: row {lineno}: missing value in column {ticker!r}"
                 )
             try:
-                date = dt.date.fromisoformat(row[0].strip())
+                value = float(cell)
             except ValueError:
                 raise PanelFormatError(
-                    f"{prices_path}: row {lineno}: bad date {row[0]!r}"
+                    f"{prices_path}: row {lineno}: non-numeric price {cell!r} "
+                    f"in column {ticker!r}"
                 ) from None
-            if dates and date <= dates[-1]:
+            if not math.isfinite(value) or value <= 0.0:
+                problem = ("non-positive" if math.isfinite(value)
+                           else "non-finite")
                 raise PanelFormatError(
-                    f"{prices_path}: row {lineno}: date {date.isoformat()} is not "
-                    f"after {dates[-1].isoformat()}"
+                    f"{prices_path}: row {lineno}: {problem} price {cell} "
+                    f"in column {ticker!r}"
                 )
-            dates.append(date)
-            values = []
-            for ticker, cell in zip(tickers, row[1:]):
-                cell = cell.strip()
-                if not cell:
-                    raise PanelFormatError(
-                        f"{prices_path}: row {lineno}: missing value in column {ticker!r}"
-                    )
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise PanelFormatError(
-                        f"{prices_path}: row {lineno}: non-numeric price {cell!r} "
-                        f"in column {ticker!r}"
-                    ) from None
-                if not math.isfinite(value) or value <= 0.0:
-                    problem = ("non-positive" if math.isfinite(value)
-                               else "non-finite")
-                    raise PanelFormatError(
-                        f"{prices_path}: row {lineno}: {problem} price {cell} "
-                        f"in column {ticker!r}"
-                    )
-                values.append(value)
-            rows.append(values)
+            values.append(value)
+        rows.append(values)
 
     if not rows:
         raise PanelFormatError(f"{prices_path}: no price rows")

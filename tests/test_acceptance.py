@@ -6,6 +6,9 @@ the lines for passing criteria too). All Monte Carlo inputs use pinned
 seeds, so every number below is reproducible bit for bit.
 """
 
+import datetime as dt
+import json
+
 import numpy as np
 from scipy import integrate
 
@@ -348,3 +351,94 @@ def test_criterion_13_window_count(tmp_path):
     check("criterion 13", n_reports == 475,
           f"575 weekly prices, window 100, step 1 -> {n_reports} reports "
           "(need exactly 475)")
+
+
+def test_planted_correlation_shift_is_dated_and_attributed(tmp_path):
+    # The paper's headline is temporal: when correlations strengthened and
+    # which assets were significantly affected. Three blocks load weakly on
+    # their own factors (within-block correlation 0.06, each block's
+    # eigenvalue ~2.9, below the Marchenko-Pastur edge ~3.96 at N=98,
+    # T=100), so before the break a block's typical rank-1 |r| stays near
+    # noise. From return 350 on, blocks 0 and 1 also load 1.5 on a common
+    # factor: their correlations rise to ~0.68 and each of their assets'
+    # rank-1 |r| to ~0.83, about ten standard errors above the null's
+    # p99 (~0.47). The sizes follow from these margins alone.
+    sizes, n_returns, shift, window = (33, 33, 32), 600, 350, 100
+    spec = FactorSpec(block_sizes=sizes, loadings=(0.25,) * 3, noise_std=1.0)
+    returns = synthetic_factor_panel(spec, n_returns, seed=61).returns
+    shifted = slice(0, sizes[0] + sizes[1])
+    common = np.random.default_rng(62).standard_normal(n_returns - shift)
+    returns[shifted, shift:] += 1.5 * common
+    log_prices = np.cumsum(0.02 * returns, axis=1)
+    prices = 100.0 * np.exp(np.hstack([np.zeros((98, 1)), log_prices]))
+    dates = weekly_dates(n_returns + 1)
+    tickers = [f"B{b}_{i:02d}" for b, size in enumerate(sizes)
+               for i in range(size)]
+    prices_path, meta_path = tmp_path / "prices.csv", tmp_path / "meta.csv"
+    write_prices_csv(prices_path, dates, prices, tickers)
+    write_meta_csv(meta_path, tickers, ["equities"] * 33 + ["corp_bonds"] * 33
+                   + ["commodities"] * 32)
+    out = tmp_path / "out"
+    assert main(["--prices", str(prices_path), "--meta", str(meta_path),
+                 "--out", str(out), "--window", str(window), "--sims", "300",
+                 "--seed", "5", "--max-rank", "1"]) == 0
+
+    table = np.genfromtxt(out / "windows.csv", delimiter=",", names=True,
+                          dtype=None, encoding="utf-8")
+    end_dates = [dt.date.fromisoformat(d) for d in table["end_date"]]
+    # return t ends on price date t + 1, so return `shift` ends on
+    # dates[shift + 1]; a window holds it from that end date on, and lies
+    # wholly after the break from dates[shift + window] on
+    first_holding, first_after = dates[shift + 1], dates[shift + window]
+    before = np.array([d < first_holding for d in end_dates])
+    after = np.array([d >= first_after for d in end_dates])
+
+    # plain-numpy oracle on the prices as written, keyed by end date, at
+    # the windows around both edges of the transition
+    written = np.loadtxt(prices_path, delimiter=",", skiprows=1,
+                         usecols=range(1, 99)).T
+    oracle_returns = np.diff(np.log(written), axis=1)
+    for end in (dates[shift], first_holding, dates[shift + window - 1],
+                first_after):
+        row = end_dates.index(end)
+        stop = dates.index(end)  # returns up to stop - 1
+        corr = np.corrcoef(oracle_returns[:, stop - window:stop])
+        expected = (corr[np.triu_indices(98, 1)].mean(),
+                    np.linalg.eigvalsh(corr)[-1] / 98)
+        assert np.allclose((table["corr_mean"][row],
+                            table["variance_fraction_1"][row]),
+                           expected, rtol=1e-9, atol=1e-12), end
+
+    for column in ("corr_mean", "variance_fraction_1"):
+        values = table[column]
+        low, high = values[before].min(), values[before].max()
+        rise = values[after].min()
+        check("planted shift", rise > high and high - low < rise - high,
+              f"{column}: before the break {low:.4f}..{high:.4f}, "
+              f"wholly after it >= {rise:.4f}")
+
+    # the paper's "significantly affected" rule with the run's own null:
+    # an asset is affected when its rank-1 abs_r exceeds abs_corr_p99[0].
+    # The null exceeds it for 1% of assets by construction, so a block
+    # counts as unaffected when its median asset does not
+    p99 = json.loads((out / "null_baselines.json").read_text())[
+        "abs_corr_p99"][0]
+    corr_rows = np.genfromtxt(out / "asset_pc_corr.csv", delimiter=",",
+                              names=True, dtype=None, encoding="utf-8")
+    abs_r = corr_rows["abs_r"].reshape(len(end_dates), 98)
+    assert list(corr_rows["asset"][:98]) == tickers
+    assert list(corr_rows["window_index"][::98]) == list(table["window_index"])
+    blocks = [slice(0, 33), slice(33, 66), slice(66, 98)]
+    medians = np.stack([np.median(abs_r[:, b], axis=1) for b in blocks])
+    shifted_min = abs_r[after][:, shifted].min()
+    check("planted shift", shifted_min > p99,
+          f"wholly after the break, every shifted asset's rank-1 abs_r >= "
+          f"{shifted_min:.4f} > p99 {p99:.4f}")
+    before_max = medians[:2, before].max()
+    check("planted shift", before_max <= p99,
+          f"wholly before the break, shifted blocks' median rank-1 abs_r <= "
+          f"{before_max:.4f} (p99 {p99:.4f})")
+    third_max = medians[2].max()
+    check("planted shift", third_max <= p99,
+          f"third block's median rank-1 abs_r <= {third_max:.4f} in every "
+          f"window (p99 {p99:.4f})")

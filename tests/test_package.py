@@ -180,6 +180,19 @@ def test_one_blas_pin():
     assert holders == {("blocks", "_OneBlasThread")}
 
 
+def test_one_csv_reader():
+    # one generator reads both input CSVs, so each loader keeps only its
+    # column rules and every malformed file fails the same way
+    holders = set()
+    for path in SRC.glob("*.py"):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)  # only calls have one
+            if getattr(func, "attr", getattr(func, "id", None)) in (
+                    "reader", "DictReader"):
+                holders.add((path.stem, scope))
+    assert holders == {("panel", "_csv_rows")}
+
+
 def test_one_window_route():
     # write_reports is the only route from a panel to reports: one block
     # loop over the windows, and one per-window kernel call inside it

@@ -17,6 +17,7 @@ from corrspectra import (
     subset_by_class,
 )
 from corrspectra.cli import main
+from corrspectra.pipeline import REPORT_FILES
 
 from helpers import (
     EXAMPLE_META,
@@ -25,6 +26,22 @@ from helpers import (
     write_meta_csv,
     write_prices_csv,
 )
+
+
+def _cli_inputs(tmp_path):
+    """A valid five-asset prices and metadata file, and the CLI arguments
+    that analyse them with a baseline cache."""
+    prices = tmp_path / "p.csv"
+    meta = tmp_path / "m.csv"
+    tickers = [f"A{i}" for i in range(5)]
+    write_prices_csv(prices, weekly_dates(12),
+                     random_walk_prices(np.random.default_rng(5), 5, 12),
+                     tickers)
+    write_meta_csv(meta, tickers, ["equities", "metals"] * 2 + ["fuels"])
+    return prices, meta, [
+        "--prices", str(prices), "--meta", str(meta),
+        "--out", str(tmp_path / "out"), "--window", "6", "--sims", "20",
+        "--max-rank", "3", "--baseline-cache", str(tmp_path / "cache.json")]
 
 
 @pytest.fixture
@@ -168,7 +185,7 @@ class TestLoadPricePanel:
         with pytest.raises(PanelFormatError, match="duplicate"):
             load_price_panel(prices, meta)
 
-    @pytest.mark.parametrize("ticker", ["A,B", 'A"B', "A\rB", "A\nB"])
+    @pytest.mark.parametrize("ticker", ["A,B", 'A"B', "A\rB", "A\nB", "A\0B"])
     def test_ticker_that_needs_csv_quoting_names_row(self, tmp_path, ticker):
         # the reports are written unquoted, so such a ticker would shift
         # their fields; quoted in both inputs, it is valid CSV
@@ -183,6 +200,51 @@ class TestLoadPricePanel:
                                       ["AAA", "equities"], [ticker, "metals"]])
         with pytest.raises(PanelFormatError, match="row 3: ticker"):
             load_price_panel(prices, meta)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # as csv.DictReader does; the same files without them give the
+        # same reports
+        prices, meta, args = _cli_inputs(tmp_path)
+        plain = [prices.read_text(), meta.read_text()]
+        reports = []
+        for blank in ("\n", ""):
+            for path, text in zip((prices, meta), plain):
+                path.write_text(text.replace("\n", "\n" + blank) + blank)
+            assert main(args) == 0
+            reports.append({name: (tmp_path / "out" / name).read_bytes()
+                            for name in REPORT_FILES})
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("text, message", [
+        ("\ndate,AAA\n2001-01-05,1.0\n", "first header column must be 'date'"),
+        ("date,AAA\n2001-01-05,1.0\n   \n", "row 3: expected 2 fields, got 1"),
+    ], ids=["header_after_blank_line", "line_of_spaces"])
+    def test_only_empty_lines_are_skipped(self, tmp_path, text, message):
+        prices = tmp_path / "p.csv"
+        meta = tmp_path / "m.csv"
+        prices.write_text(text)
+        write_meta_csv(meta, ["AAA"], ["equities"])
+        with pytest.raises(PanelFormatError, match=message):
+            load_price_panel(prices, meta)
+
+    @pytest.mark.parametrize("fault", ["long_field", "latin1"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["prices", "meta"])
+    def test_unreadable_csv_exits_two_naming_the_file(self, tmp_path, capsys,
+                                                      which, fault):
+        inputs = _cli_inputs(tmp_path)
+        path = inputs[which]
+        lines = path.read_bytes().split(b"\n")
+        if fault == "long_field":  # over csv's default field size limit
+            lines[2] = lines[2].rsplit(b",", 1)[0] + b"," + b"9" * 200_000
+            expected = f"{path}: row 3: field larger than field limit"
+        else:
+            lines[2] = lines[2].replace(b",", b"\xc5,", 1)  # Latin-1 Å
+            expected = f"{path}: not UTF-8 (byte 0xc5: "
+        path.write_bytes(b"\n".join(lines))
+        assert main(inputs[2]) == 2
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache.json").exists()
 
 
 class TestLogReturns:
