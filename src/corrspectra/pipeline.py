@@ -1,16 +1,16 @@
 """End-to-end analysis runs and report emission.
 
-A run loads a price panel, rolls standardized windows through the returns,
-decomposes every window's correlation matrix, attaches the PCA diagnostics,
-and computes (or loads from cache) the Monte Carlo null baselines for the
-panel's shape. Reports are flat CSV/JSON with fixed headers; identical
+A run loads a price panel and computes (or reads from cache) the Monte
+Carlo null baseline for its shape, then rolls standardized windows through
+the returns and decomposes each one's correlation matrix for the PCA
+diagnostics. Reports are flat CSV/JSON with fixed headers; identical
 inputs, configuration, and seed produce byte-identical files.
 
-`write_reports`, the CLI's route and the only one here, analyses each block
-of windows with `_window_rows`, renders it in the process that analysed it
-(every CSV float through `_csv_lines`) and streams the text into the
-report files; windows.csv waits for the null baseline. In-memory results
-come from the per-window functions the kernel calls (see the README).
+`write_reports`, the CLI's route and the only one here, gets the null
+baseline, then streams into the report files the text that `_window_rows`
+renders for each block of windows: all three CSVs' lines, built in the
+process that analysed it (every CSV float through `_csv_lines`). In-memory
+results come from the per-window functions the kernel calls (see README).
 `_csv_lines` writes each float as `'%.15g' % x` would, byte for byte, but
 builds most fields in numpy from the float's exactly rounded 15-digit
 mantissa, since CPython's dtoa is slow at 15 digits.
@@ -114,8 +114,9 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     input file or a directory, and a cache path that is an input file, one
     of the output's REPORT_FILES or a directory, or whose missing
     directories cannot be made, so an unusable output or cache fails
-    before any window and no report is moved in. The cache's directory is
-    made only when the cache is written."""
+    before the null ensemble and no report is moved in. The cache's
+    directory is made only when the cache is written. Last, it raises the
+    DegenerateWindowError of the first window that standardize rejects."""
     panel = load_price_panel(config.prices_path, config.meta_path)
     if config.classes is not None:
         panel = subset_by_class(panel, config.classes)
@@ -155,21 +156,27 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
                                   f"directory in {base}")
         if cache.is_dir():
             raise IsADirectoryError(f"baseline cache {cache} is a directory")
+    # std == 0.0 needs equal returns: standardize only such windows here
+    z = returns.returns
+    moves = np.zeros(z.shape, int)  # changes of each asset's return so far
+    np.cumsum(z[:, 1:] != z[:, :-1], axis=1, out=moves[:, 1:])
+    starts = np.arange(n_windows) * config.step
+    still = moves[:, starts] == moves[:, starts + config.window_len - 1]
+    for index in np.flatnonzero(still.any(axis=0)).tolist():
+        standardize_window(returns, index * config.step, config.window_len,
+                           index)
     return returns, n_windows
 
 
-def _window_rows(returns: ReturnPanel, config: RunConfig, start: int,
-                 stop: int):
-    """Windows start..stop-1 analysed: each one's windows.csv key
-    ("index,end_date"), its numbers up to kaiser_count as a row of a
-    (stop - start, 5 + 2 * max_rank) array, its eigenvalues.csv and
-    asset_pc_corr.csv lines as one string each, and the (stop - start, N)
-    eigenvalues for the scree counts that end windows.csv: those need the
-    null baseline."""
+def _window_rows(returns: ReturnPanel, config: RunConfig,
+                 stats: NullEnsembleStats, start: int, stop: int):
+    """Windows start..stop-1 analysed against the null baseline `stats`:
+    their windows.csv, eigenvalues.csv and asset_pc_corr.csv lines, each
+    file's as one _csv_lines list."""
     max_rank, n_assets = config.max_rank, returns.n_assets
     indices = range(start, stop)
     keys = []
-    numbers = np.empty((len(indices), 5 + 2 * max_rank))
+    numbers = np.empty((len(indices), 7 + 2 * max_rank))
     eigenvalues = np.empty((len(indices), n_assets))
     pairs = np.empty((len(indices), n_assets, max_rank, 2))  # |r|, adjusted
     for row, index in enumerate(indices):
@@ -182,20 +189,21 @@ def _window_rows(returns: ReturnPanel, config: RunConfig, start: int,
         keys.append(f"{index},{window.end_date.isoformat()}")
         numbers[row] = [*astuple(coefficient_moments(values)),
                         *variance_fractions(decomposition)[:max_rank],
-                        *pr[:max_rank], kaiser_guttman_count(decomposition)]
+                        *pr[:max_rank], kaiser_guttman_count(decomposition),
+                        scree_significant_count(beta, stats),
+                        scree_exceedance_count(beta, stats)]
         eigenvalues[row] = beta
         pairs[row, :, :, 0] = abs_r
         pairs[row, :, :, 1] = _abs_r_adjusted(beta[:max_rank],
                                               omega[:max_rank])
-    return (keys, numbers,
+    return (_csv_lines([""], keys, numbers[None]),
             _csv_lines([f"{key}," for key in keys],
                        [str(k) for k in range(1, n_assets + 1)],
                        eigenvalues[:, :, None]),
             _csv_lines([f"{index}," for index in indices],
                        [f"{name},{k}" for name in returns.tickers
                         for k in range(1, max_rank + 1)],
-                       pairs.reshape(len(indices), -1, 2)),
-            eigenvalues)
+                       pairs.reshape(len(indices), -1, 2)))
 
 
 def _mantissas(x: np.ndarray):
@@ -464,45 +472,36 @@ def _staged_reports(output_dir: Path):
 def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
     """Run the pipeline and write its five report files: the CLI's route.
 
-    Windows run in blocks of WINDOW_BLOCK through blocks.map_blocks. Each
-    block's eigenvalues.csv and asset_pc_corr.csv lines are rendered in the
-    process that analysed it and appended in window order to report
-    files staged beside `config.output_dir` (see _staged_reports). The
-    windows run before the null baseline, whose scree counts end the
-    windows.csv rows rendered here from the blocks' numbers.
-    Returns the number of windows and the written paths.
+    The null baseline comes first (see _load_returns for the variance check
+    that fails a run before it). Windows then run in blocks of WINDOW_BLOCK
+    through blocks.map_blocks; each block's lines of the three CSVs are
+    rendered in the process that analysed it and appended in window order
+    to report files staged beside `config.output_dir` (see
+    _staged_reports). Returns the number of windows and the written paths.
     """
     returns, n_windows = _load_returns(config)
+    stats = cached_ensemble_stats(
+        NullConfig(n_assets=returns.n_assets, window_len=config.window_len,
+                   sims=config.sims, master_seed=config.master_seed),
+        config.max_rank, config.baseline_cache)
+    headers = (",".join(_windows_columns(config.max_rank)) + "\n",
+               _EIGENVALUES_HEADER, _ASSET_CORR_HEADER)
     output_dir = Path(config.output_dir)
-    keys, numbers, eigenvalues = [], [], []
     with _staged_reports(output_dir) as staging:
-        with _open_report(staging / "eigenvalues.csv") as eig_file, \
-                _open_report(staging / "asset_pc_corr.csv") as corr_file, \
-                map_blocks(_window_rows, (returns, config), n_windows,
-                           WINDOW_BLOCK) as blocks:
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(_open_report(staging / name))
+                     for name in REPORT_FILES[:3]]  # the CSVs
+            blocks = stack.enter_context(map_blocks(
+                _window_rows, (returns, config, stats), n_windows,
+                WINDOW_BLOCK))
             # A forked pool has started by now, so its workers inherit no
             # report text in these files' buffers.
-            eig_file.write(_EIGENVALUES_HEADER)
-            corr_file.write(_ASSET_CORR_HEADER)
-            for block_keys, block_numbers, eig_texts, corr_texts, \
-                    block_eigenvalues in blocks:
-                keys += block_keys
-                numbers.append(block_numbers)
-                eigenvalues.extend(block_eigenvalues)
-                eig_file.writelines(eig_texts)
-                corr_file.writelines(corr_texts)
-        stats = cached_ensemble_stats(
-            NullConfig(n_assets=returns.n_assets,
-                       window_len=config.window_len, sims=config.sims,
-                       master_seed=config.master_seed),
-            config.max_rank, config.baseline_cache)
-        counts = [(scree_significant_count(values, stats),
-                   scree_exceedance_count(values, stats))
-                  for values in eigenvalues]
-        rows = np.column_stack([np.concatenate(numbers), counts])
+            for file, header in zip(files, headers):
+                file.write(header)
+            for texts in blocks:
+                for file, lines in zip(files, texts):
+                    file.writelines(lines)
         _write_texts(staging, {
-            "windows.csv": ",".join(_windows_columns(config.max_rank)) + "\n"
-            + _csv_lines([""], keys, rows[None])[0],
             "null_baselines.json": _baselines_json(stats),
             "run_manifest.json": _manifest_json(config, n_windows,
                                                 returns.tickers),

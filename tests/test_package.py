@@ -195,12 +195,24 @@ def test_one_csv_reader():
 
 def test_one_window_route():
     # write_reports is the only route from a panel to reports: one block
-    # loop over the windows, and one per-window kernel call inside it
+    # loop over the windows, and one per-window kernel call inside it. The
+    # kernel gets the null baseline, so it alone counts against it and
+    # renders every CSV line; the parent only streams text
     tree = ast.parse((SRC / "pipeline.py").read_text(encoding="utf-8"))
     called = [getattr(node.func, "id", getattr(node.func, "attr", None))
               for node in ast.walk(tree) if isinstance(node, ast.Call)]
     assert called.count("map_blocks") == 1
     assert called.count("analyze_window") == 1
+    kernel_only = ("_csv_lines", "scree_significant_count",
+                   "scree_exceedance_count")
+    callers = {name: set() for name in kernel_only}
+    for path in SRC.glob("*.py"):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)  # only calls have one
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name in callers:
+                callers[name].add((path.stem, scope))
+    assert callers == dict.fromkeys(kernel_only, {("pipeline", "_window_rows")})
 
 
 def test_helpers_load_without_corrspectra(tmp_path):

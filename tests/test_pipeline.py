@@ -16,6 +16,7 @@ import pytest
 import corrspectra
 from corrspectra import (
     DegenerateWindowError,
+    EigenComputationError,
     NullConfig,
     RunConfig,
     WorkerProcessError,
@@ -66,7 +67,8 @@ def make_flat_asset_files(tmp_path):
 
 
 def _no_ensemble(config, max_rank=0):
-    raise AssertionError("the null ensemble ran before the windows")
+    raise AssertionError("the null ensemble ran: the run should have failed "
+                         "before it, or read its cache entry")
 
 
 def _no_window(*args):
@@ -203,6 +205,26 @@ class TestWriteReports:
             write_reports(config)
         assert not cache.exists()
         assert not (tmp_path / "out").exists()
+
+    def test_variance_check_raises_the_kernels_error(self, tmp_path):
+        # the check before the null ensemble names the window, asset and
+        # returns that the window kernel would name for the same panel
+        prices_path, meta_path = make_flat_asset_files(tmp_path)
+        config = RunConfig(prices_path=str(prices_path),
+                           meta_path=str(meta_path),
+                           output_dir=str(tmp_path / "out"), window_len=10,
+                           sims=10, max_rank=3)
+        with pytest.raises(DegenerateWindowError) as checked:
+            pipeline._load_returns(config)
+        returns = compute_log_returns(load_price_panel(prices_path, meta_path))
+        stats = cached_ensemble_stats(
+            NullConfig(n_assets=4, window_len=10, sims=10, master_seed=0), 3)
+        with pytest.raises(DegenerateWindowError) as kernel:
+            pipeline._window_rows(returns, config, stats, 0, 30)
+        assert str(checked.value) == str(kernel.value)
+        assert (checked.value.ticker, checked.value.window_index) \
+            == (kernel.value.ticker, kernel.value.window_index) == ("A01", 20)
+        assert type(checked.value.window_index) is int
 
     def test_needs_three_assets(self, tmp_path):
         prices_path, meta_path = make_input_files(
@@ -375,8 +397,9 @@ class TestPooledWindows:
         config = make_config(tmp_path)
         default = self._report_bytes(monkeypatch, config, 1,
                                      block=pipeline.WINDOW_BLOCK)
-        small_blocks = self._report_bytes(monkeypatch, config, 1, block=7)
-        assert default == small_blocks
+        for block in (7, 1):  # 1: one windows.csv row per _csv_lines call
+            assert self._report_bytes(monkeypatch, config, 1,
+                                      block=block) == default, block
 
 
 def _fmt_oracle(value):
@@ -411,10 +434,12 @@ class TestRenderers:
             abs_r_adjusted=adjusted,
         )
 
-    def _patch_window_functions(self, monkeypatch, windows, config):
+    def _patch_window_functions(self, monkeypatch, windows, config, stats):
         """Stand in for each per-window function that _window_rows looks up
         in pipeline: the hand-built window passes through in place of the
-        arrays, and the decomposition's eigenvectors hold its index."""
+        arrays, the decomposition's eigenvectors hold its index, and its
+        eigenvalues are the window's own array, for the scree counts
+        against the baseline `stats`."""
         def standardize_window(returns, start, length, index):
             assert (start, length) == (index * config.step, config.window_len)
             return SimpleNamespace(z_hat=windows[index],
@@ -432,6 +457,13 @@ class TestRenderers:
             assert omega.shape == (config.max_rank, 4)
             return windows[int(omega[0, 0])].abs_r_adjusted
 
+        def scree_count(name):
+            def count(eigenvalues, baseline):
+                assert baseline is stats
+                [window] = [w for w in windows if w.eigenvalues is eigenvalues]
+                return getattr(window, name)
+            return count
+
         for name, function in [
                 ("standardize_window", standardize_window),
                 ("analyze_window", analyze_window),
@@ -440,7 +472,10 @@ class TestRenderers:
                  lambda decomposition: decomposition.window.variance_fractions),
                 ("kaiser_guttman_count",
                  lambda decomposition: decomposition.window.kaiser_count),
-                ("_abs_r_adjusted", abs_r_adjusted)]:
+                ("_abs_r_adjusted", abs_r_adjusted),
+                ("scree_significant_count", scree_count("scree_count")),
+                ("scree_exceedance_count",
+                 scree_count("scree_exceedance_count"))]:
             monkeypatch.setattr(pipeline, name, function)
 
     def test_templates_match_per_value_formatting(self, monkeypatch):
@@ -472,16 +507,11 @@ class TestRenderers:
         # the window loop, on the windows above
         config = RunConfig(prices_path="p.csv", meta_path="m.csv",
                            output_dir="out", max_rank=n_ranks)
-        self._patch_window_functions(monkeypatch, reports, config)
+        stats = object()  # the null baseline, passed through untouched
+        self._patch_window_functions(monkeypatch, reports, config, stats)
         returns = SimpleNamespace(tickers=self.TICKERS, n_assets=4)
-        keys, numbers, eig_texts, corr_texts, eigenvalues = \
-            pipeline._window_rows(returns, config, 0, len(reports))
-        assert np.array_equal(eigenvalues,
-                              [rep.eigenvalues for rep in reports])
-        scree = [[rep.scree_count, rep.scree_exceedance_count]
-                 for rep in reports]
-        [windows] = pipeline._csv_lines(
-            [""], keys, np.column_stack([numbers, scree])[None])
+        [windows], eig_texts, corr_texts = pipeline._window_rows(
+            returns, config, stats, 0, len(reports))
         corr = pipeline._ASSET_CORR_HEADER + "".join(corr_texts)
         eig = pipeline._EIGENVALUES_HEADER + "".join(eig_texts)
         assert corr == "\n".join(expected_corr) + "\n"
@@ -538,6 +568,18 @@ def _die_in_worker(*args):
     os._exit(1)
 
 
+_real_window_rows = pipeline._window_rows
+
+
+def _eigen_failure_in_window_20(returns, config, stats, start, stop):
+    if not start <= 20 < stop:
+        return _real_window_rows(returns, config, stats, start, stop)
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("expected to run in a pool worker")
+    raise EigenComputationError("eigensolver failed in window 20",
+                                window_index=20)
+
+
 class TestCLI:
     @staticmethod
     def _args(tmp_path, prices_path, meta_path, out="cli_out", **extra):
@@ -592,8 +634,35 @@ class TestCLI:
         assert code == 3
         assert "window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", [10, 16])
+    def test_zero_variance_is_standardizes_own_test(self, tmp_path, capsys,
+                                                    window):
+        # A01 grows exactly 8-fold a week over returns 8..31, so windows
+        # there hold equal returns; numpy's std of such returns is 0.0 at
+        # some lengths only, and only then is a window degenerate
+        tickers = ["A00", "A01", "A02", "A03"]
+        prices = random_walk_prices(np.random.default_rng(3), 4, 40)
+        prices[1, 8:33] = 64.0 * 8.0 ** np.arange(25)
+        prices_path = tmp_path / "exact.csv"
+        meta_path = tmp_path / "exact_meta.csv"
+        # repr floats: the .12g of write_prices_csv breaks the exact ratios
+        lines = ["date," + ",".join(tickers)]
+        lines += [f"{date.isoformat()}," + ",".join(map(repr, row))
+                  for date, row in zip(weekly_dates(40), prices.T.tolist())]
+        prices_path.write_text("\n".join(lines) + "\n")
+        write_meta_csv(meta_path, tickers, CLASSES)
+        degenerate = np.full(window, np.log(8.0)).std() == 0.0
+        args = self._args(tmp_path, prices_path, meta_path, window=window)
+        assert main(args) == (3 if degenerate else 0)
+        if degenerate:
+            err = capsys.readouterr().err
+            assert (f"asset 'A01' has zero variance in window 8 (returns "
+                    f"8..{8 + window - 1})") in err
+
     def test_degenerate_window_in_pool_exits_three(self, tmp_path, capsys,
                                                    monkeypatch):
+        # the variance check fails the run before the pool starts, and names
+        # the window that the third pooled block would
         prices_path, meta_path = make_flat_asset_files(tmp_path)
         monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
         monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
@@ -645,13 +714,14 @@ class TestCLI:
                    for path in (tmp_path / "cli_out").iterdir()}
         assert sorted(earlier) == sorted(EXPECTED_FILES)
         if failure == "window":
-            # fails in the third pooled block, after two blocks are written
+            # a flat asset: the variance check fails the run before the
+            # null ensemble; without it the third pooled block would
             prices_path, meta_path = make_flat_asset_files(tmp_path)
             monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
             monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
         else:
-            # other prices, and a failure after every window's rows are
-            # written
+            # other prices, and a failure in the null ensemble, which runs
+            # before any window
             prices_path, meta_path = make_input_files(tmp_path, seed=9)
 
             def dead_worker(config, max_rank=0):
@@ -664,6 +734,40 @@ class TestCLI:
         assert {path.name: path.read_bytes()
                 for path in (tmp_path / "cli_out").iterdir()} == earlier
         assert sorted(path.name for path in tmp_path.iterdir()) == entries
+
+    def test_eigen_failure_in_pool_keeps_the_cache_entry(self, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+        # the null baseline is cached before the windows, so a numerical
+        # failure in the third pooled block (30 windows in blocks of 8)
+        # keeps the earlier reports and leaves a valid cache entry
+        cache = tmp_path / "cache.json"
+        prices_path, meta_path = make_input_files(tmp_path, n_dates=40, seed=9)
+        args = self._args(tmp_path, prices_path, meta_path,
+                          baseline_cache=cache)
+        assert main(args) == 0
+        earlier = _file_bytes(tmp_path / "cli_out")
+        cache.unlink()
+        make_input_files(tmp_path, n_dates=40)  # other prices, same files
+        entries = sorted(path.name for path in tmp_path.iterdir())
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_window_rows", _eigen_failure_in_window_20)
+            assert main(args) == 3
+        assert "window 20" in capsys.readouterr().err
+        assert _file_bytes(tmp_path / "cli_out") == earlier
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == sorted([*entries, "cache.json"])  # and no staging directory
+        entry = cache.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+            assert main(args) == 0  # a cache hit
+        hit = _file_bytes(tmp_path / "cli_out")
+        cache.unlink()
+        assert main(args) == 0  # a fresh run
+        assert _file_bytes(tmp_path / "cli_out") == hit != earlier
+        assert cache.read_bytes() == entry
 
     def test_stale_staging_directory_is_removed(self, tmp_path, capsys):
         # the staging directories of a SIGKILLed run and of a live one
