@@ -170,11 +170,7 @@ def map_blocks(kernel, shared: tuple, n_items: int, block: int):
     the imported modules and run no `__main__` again. Otherwise they are
     spawned, and a script that starts them needs a `__main__` guard.
     Either way _init_worker has each worker killed, on Linux, when this
-    process dies.
-
-    The pool's processes have started when this yields. Forked ones
-    inherit this process's unflushed file buffers, so callers write no
-    report text before the with block is entered.
+    process dies. The pool's processes have started when this yields.
     """
     starts = range(0, n_items, block)
     stops = [min(start + block, n_items) for start in starts]

@@ -32,16 +32,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--prices", required=True, help="prices CSV path")
     parser.add_argument("--meta", required=True, help="asset metadata CSV path")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--window", type=int, default=100,
-                        help="window length in returns (default 100)")
-    parser.add_argument("--step", type=int, default=1,
-                        help="window step (default 1)")
-    parser.add_argument("--sims", type=int, default=10000,
-                        help="Gaussian null-model simulations (default 10000)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="master seed, unsigned 64-bit (default 0)")
-    parser.add_argument("--max-rank", type=int, default=6,
-                        help="components kept in reports (default 6)")
+    parser.add_argument("--window", type=int, default=RunConfig.window_len,
+                        help="window length in returns (default %(default)s)")
+    parser.add_argument("--step", type=int, default=RunConfig.step,
+                        help="window step (default %(default)s)")
+    parser.add_argument("--sims", type=int, default=RunConfig.sims,
+                        help="Gaussian null-model simulations "
+                             "(default %(default)s)")
+    parser.add_argument("--seed", type=int, default=RunConfig.master_seed,
+                        help="master seed, unsigned 64-bit "
+                             "(default %(default)s)")
+    parser.add_argument("--max-rank", type=int, default=RunConfig.max_rank,
+                        help="components kept in reports "
+                             "(default %(default)s)")
     parser.add_argument("--classes", default=None,
                         help=f"comma-separated subset of {','.join(ASSET_CLASSES)}")
     parser.add_argument("--baseline-cache", default=None,

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +79,11 @@ class NullEnsembleStats:
         """Number of leading abs_corr_p99 ranks actually populated."""
         finite = np.isfinite(self.abs_corr_p99)
         return int(np.argmin(finite)) if not finite.all() else len(self.abs_corr_p99)
+
+
+# The baseline arrays, as the cache and null_baselines.json store them.
+_ARRAYS = tuple(field.name for field in fields(NullEnsembleStats)
+                if field.name != "config")
 
 
 def sim_rng(master_seed: int, sim_index: int) -> np.random.Generator:
@@ -191,12 +196,7 @@ def _json_floats(values) -> list:
 
 def stats_payload(stats: NullEnsembleStats) -> dict:
     """The baseline arrays as stored in the cache and null_baselines.json."""
-    return {
-        "pr_mean": _json_floats(stats.pr_mean),
-        "pr_std": _json_floats(stats.pr_std),
-        "scree_mean": _json_floats(stats.scree_mean),
-        "abs_corr_p99": _json_floats(stats.abs_corr_p99),
-    }
+    return {name: _json_floats(getattr(stats, name)) for name in _ARRAYS}
 
 
 def _payload_to_stats(payload: dict, config: NullConfig) -> NullEnsembleStats:
@@ -212,13 +212,8 @@ def _payload_to_stats(payload: dict, config: NullConfig) -> NullEnsembleStats:
             raise ValueError(f"{key} holds a non-finite value")
         return values
 
-    return NullEnsembleStats(
-        pr_mean=arr("pr_mean"),
-        pr_std=arr("pr_std"),
-        scree_mean=arr("scree_mean"),
-        abs_corr_p99=arr("abs_corr_p99"),
-        config=config,
-    )
+    return NullEnsembleStats(**{name: arr(name) for name in _ARRAYS},
+                             config=config)
 
 
 def _warn_cache(cache_path: Path, problem) -> None:

@@ -111,9 +111,9 @@ class RunConfig:
 def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     """The run's validated return panel and its number of windows. Rejects
     an output path that is not a directory or whose REPORT_FILES include an
-    input file or a directory, and a cache path that is an input file, one
-    of the output's REPORT_FILES or a directory, or whose missing
-    directories cannot be made, so an unusable output or cache fails
+    input file or a directory, and a cache path that is an input file, the
+    output directory, one of its REPORT_FILES or a directory, or whose
+    missing directories cannot be made, so an unusable output or cache fails
     before the null ensemble and no report is moved in. The cache's
     directory is made only when the cache is written. Last, it raises the
     DegenerateWindowError of the first window that standardize rejects."""
@@ -144,9 +144,13 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
         if cache.exists() and any(os.path.samefile(cache, path)
                                   for path in inputs):
             raise ValueError(f"baseline cache {cache} is an input file")
+        if cache.resolve() == output_dir.resolve():
+            raise ValueError(f"baseline cache {cache} is the output directory")
         if (cache.name in REPORT_FILES
                 and cache.parent.resolve() == output_dir.resolve()):
             raise ValueError(f"baseline cache {cache} is a report file")
+        if cache.is_dir():  # ".", "" and "/" have no parents
+            raise IsADirectoryError(f"baseline cache {cache} is a directory")
         base = next(parent for parent in cache.parents if parent.exists())
         if not base.is_dir():
             raise NotADirectoryError(f"baseline cache {cache}: {base} is not "
@@ -154,8 +158,6 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
         if base != cache.parent and not os.access(base, os.W_OK | os.X_OK):
             raise PermissionError(f"baseline cache {cache}: cannot make a "
                                   f"directory in {base}")
-        if cache.is_dir():
-            raise IsADirectoryError(f"baseline cache {cache} is a directory")
     # std == 0.0 needs equal returns: standardize only such windows here
     z = returns.returns
     moves = np.zeros(z.shape, int)  # changes of each asset's return so far
@@ -406,16 +408,6 @@ def _manifest_json(config: RunConfig, n_windows: int, tickers) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _open_report(path: Path):
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def _write_texts(directory: Path, contents: dict[str, str]) -> None:
-    for name, text in contents.items():
-        with _open_report(directory / name) as fh:
-            fh.write(text)
-
-
 def _remove_stale_staging(output_dir: Path) -> None:
     """Remove the staging directories of `output_dir` whose owner process
     is gone: a run killed by a signal it cannot catch leaves its own."""
@@ -474,36 +466,32 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
 
     The null baseline comes first (see _load_returns for the variance check
     that fails a run before it). Windows then run in blocks of WINDOW_BLOCK
-    through blocks.map_blocks; each block's lines of the three CSVs are
-    rendered in the process that analysed it and appended in window order
-    to report files staged beside `config.output_dir` (see
-    _staged_reports). Returns the number of windows and the written paths.
+    through blocks.map_blocks. Once its pool has started, the report files
+    are opened, staged beside `config.output_dir` (see _staged_reports):
+    the two JSON reports are written whole and the CSVs get their headers.
+    Each block's lines of the three CSVs, rendered in the process that
+    analysed it, are then appended in window order. Returns the number of
+    windows and the written paths.
     """
     returns, n_windows = _load_returns(config)
     stats = cached_ensemble_stats(
         NullConfig(n_assets=returns.n_assets, window_len=config.window_len,
                    sims=config.sims, master_seed=config.master_seed),
         config.max_rank, config.baseline_cache)
-    headers = (",".join(_windows_columns(config.max_rank)) + "\n",
-               _EIGENVALUES_HEADER, _ASSET_CORR_HEADER)
+    heads = (",".join(_windows_columns(config.max_rank)) + "\n",
+             _EIGENVALUES_HEADER, _ASSET_CORR_HEADER, _baselines_json(stats),
+             _manifest_json(config, n_windows, returns.tickers))
     output_dir = Path(config.output_dir)
-    with _staged_reports(output_dir) as staging:
-        with contextlib.ExitStack() as stack:
-            files = [stack.enter_context(_open_report(staging / name))
-                     for name in REPORT_FILES[:3]]  # the CSVs
-            blocks = stack.enter_context(map_blocks(
-                _window_rows, (returns, config, stats), n_windows,
-                WINDOW_BLOCK))
-            # A forked pool has started by now, so its workers inherit no
-            # report text in these files' buffers.
-            for file, header in zip(files, headers):
-                file.write(header)
-            for texts in blocks:
-                for file, lines in zip(files, texts):
-                    file.writelines(lines)
-        _write_texts(staging, {
-            "null_baselines.json": _baselines_json(stats),
-            "run_manifest.json": _manifest_json(config, n_windows,
-                                                returns.tickers),
-        })
+    with (_staged_reports(output_dir) as staging,
+          contextlib.ExitStack() as stack):
+        blocks = stack.enter_context(map_blocks(
+            _window_rows, (returns, config, stats), n_windows, WINDOW_BLOCK))
+        files = [stack.enter_context(open(staging / name, "w",
+                                          encoding="utf-8", newline="\n"))
+                 for name in REPORT_FILES]
+        for file, head in zip(files, heads):
+            file.write(head)
+        for texts in blocks:  # the three CSVs' lines
+            for file, lines in zip(files, texts):
+                file.writelines(lines)
     return n_windows, [output_dir / name for name in REPORT_FILES]

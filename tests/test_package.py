@@ -72,6 +72,15 @@ def test_readme_cli_example_parses():
     assert args.baseline_cache == "cache.json"
 
 
+def test_cli_defaults_are_run_configs():
+    args = cli.build_parser().parse_args(["--prices", "p.csv",
+                                          "--meta", "m.csv", "--out", "out"])
+    config = corrspectra.RunConfig("p.csv", "m.csv", "out")
+    assert (args.window, args.step, args.sims, args.seed, args.max_rank) \
+        == (config.window_len, config.step, config.sims, config.master_seed,
+            config.max_rank)
+
+
 def _imports(path):
     """(module, names) of each import statement in `path`; a relative
     module keeps its leading dots."""
@@ -213,6 +222,17 @@ def test_one_window_route():
             if name in callers:
                 callers[name].add((path.stem, scope))
     assert callers == dict.fromkeys(kernel_only, {("pipeline", "_window_rows")})
+
+
+def test_one_report_writer():
+    # write_reports alone opens files in pipeline.py: all five reports, once
+    # its window pool has started
+    tree = ast.parse((SRC / "pipeline.py").read_text(encoding="utf-8"))
+    scopes = {scope for scope, node in _scoped(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              == "open"}
+    assert scopes == {"write_reports"}
 
 
 def test_helpers_load_without_corrspectra(tmp_path):

@@ -783,6 +783,26 @@ class TestCLI:
         assert not stale.exists()
         assert (live / "eigenvalues.csv").read_text() == "partial\n"
 
+    def test_reports_are_opened_after_the_pool_starts(self, tmp_path,
+                                                      monkeypatch):
+        # forked workers would inherit report text buffered in the parent
+        real_map_blocks = pipeline.map_blocks
+        staged = []
+
+        @contextlib.contextmanager
+        def map_blocks(*args):
+            staging, = tmp_path.glob(".cli_out.*.staging")
+            staged.append(sorted(path.name for path in staging.iterdir()))
+            with real_map_blocks(*args) as results:
+                yield results
+
+        monkeypatch.setattr(pipeline, "map_blocks", map_blocks)
+        prices_path, meta_path = make_input_files(tmp_path)
+        assert main(self._args(tmp_path, prices_path, meta_path)) == 0
+        assert staged == [[]]
+        assert sorted(path.name for path in (tmp_path / "cli_out").iterdir()) \
+            == sorted(EXPECTED_FILES)
+
     def test_dead_worker_in_window_loop_exits_five(self, tmp_path, capsys,
                                                    monkeypatch):
         monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
@@ -836,24 +856,43 @@ class TestCLI:
         assert blocker.read_text() == "not a directory"
         assert not (tmp_path / "cli_out").exists()
 
+    # "." has no parents, and argparse's "" is "." to Path
+    @pytest.mark.parametrize("cache", ["cache.json", ".", ""])
     def test_cache_path_that_is_a_directory_exits_four_before_the_windows(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, monkeypatch, cache):
         def analyze_window(*args):
             raise AssertionError("a window ran before the cache was checked")
 
         monkeypatch.setattr(blocks, "available_cpus", lambda: 1)
         monkeypatch.setattr(pipeline, "analyze_window", analyze_window)
+        monkeypatch.chdir(tmp_path)
         prices_path, meta_path = make_input_files(tmp_path)
-        cache = tmp_path / "cache.json"
-        cache.mkdir()
-        (cache / "kept.txt").write_text("kept")
+        (tmp_path / "cache.json").mkdir()
+        (tmp_path / "cache.json" / "kept.txt").write_text("kept")
+        before = _file_bytes(tmp_path)
         args = self._args(tmp_path, prices_path, meta_path,
                           baseline_cache=cache)
         assert main(args) == 4
         err = capsys.readouterr().err
         assert "I/O error" in err and "is a directory" in err
-        assert [path.name for path in cache.iterdir()] == ["kept.txt"]
-        assert not (tmp_path / "cli_out").exists()
+        assert "Traceback" not in err
+        assert _file_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("parts", [("cli_out",),
+                                       ("cli_out", "..", "cli_out")],
+                             ids=["out", "out/../out"])
+    def test_cache_path_that_is_the_output_directory_exits_two(
+            self, tmp_path, capsys, monkeypatch, parts):
+        # the cache would be written as the file the reports' directory
+        # must be made at, so the run would fail after its ensemble
+        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        prices_path, meta_path = make_input_files(tmp_path)
+        before = _file_bytes(tmp_path)
+        args = self._args(tmp_path, prices_path, meta_path,
+                          baseline_cache=tmp_path.joinpath(*parts))
+        assert main(args) == 2
+        assert "is the output directory" in capsys.readouterr().err
+        assert _file_bytes(tmp_path) == before
 
     @pytest.mark.parametrize("linked", [False, True])
     @pytest.mark.parametrize("which", ["prices", "meta"])
