@@ -29,10 +29,17 @@ def build_parser() -> argparse.ArgumentParser:
             "Monte Carlo null baselines and flat CSV/JSON reports."
         ),
     )
-    parser.add_argument("--prices", required=True, help="prices CSV path")
-    parser.add_argument("--meta", required=True, help="asset metadata CSV path")
-    parser.add_argument("--out", required=True, help="output directory")
+    # Each dest is the RunConfig field it sets and main passes them all on,
+    # so an unknown dest makes RunConfig raise: a flag that must not reach
+    # the reports (one that quiets stderr, say) stays out of RunConfig.
+    parser.add_argument("--prices", required=True, dest="prices_path",
+                        metavar="PRICES", help="prices CSV path")
+    parser.add_argument("--meta", required=True, dest="meta_path",
+                        metavar="META", help="asset metadata CSV path")
+    parser.add_argument("--out", required=True, dest="output_dir",
+                        metavar="OUT", help="output directory")
     parser.add_argument("--window", type=int, default=RunConfig.window_len,
+                        dest="window_len", metavar="WINDOW",
                         help="window length in returns (default %(default)s)")
     parser.add_argument("--step", type=int, default=RunConfig.step,
                         help="window step (default %(default)s)")
@@ -40,6 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Gaussian null-model simulations "
                              "(default %(default)s)")
     parser.add_argument("--seed", type=int, default=RunConfig.master_seed,
+                        dest="master_seed", metavar="SEED",
                         help="master seed, unsigned 64-bit "
                              "(default %(default)s)")
     parser.add_argument("--max-rank", type=int, default=RunConfig.max_rank,
@@ -58,19 +66,8 @@ def main(argv=None) -> int:
     if args.classes is not None:  # "" names no class, as "," does
         classes = tuple(c.strip() for c in args.classes.split(",") if c.strip())
     try:
-        config = RunConfig(
-            prices_path=args.prices,
-            meta_path=args.meta,
-            output_dir=args.out,
-            window_len=args.window,
-            step=args.step,
-            sims=args.sims,
-            master_seed=args.seed,
-            max_rank=args.max_rank,
-            classes=classes,
-            baseline_cache=args.baseline_cache,
-        )
-        n_windows, written = write_reports(config)
+        n_windows, written = write_reports(
+            RunConfig(**{**vars(args), "classes": classes}))
     except (DegenerateWindowError, EigenComputationError) as exc:
         print(f"corrspectra: numerical failure: {exc}", file=sys.stderr)
         return 3

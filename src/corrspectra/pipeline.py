@@ -24,7 +24,7 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -111,11 +111,7 @@ class RunConfig:
 def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     """The run's validated return panel and its number of windows. Rejects
     an output path that is not a directory or whose REPORT_FILES include an
-    input file or a directory, and a cache path that is an input file, the
-    output directory, one of its REPORT_FILES or a directory, or whose
-    missing directories cannot be made, so an unusable output or cache fails
-    before the null ensemble and no report is moved in. The cache's
-    directory is made only when the cache is written. Last, it raises the
+    input file or a directory, so no report is moved in. Last, it raises the
     DegenerateWindowError of the first window that standardize rejects."""
     panel = load_price_panel(config.prices_path, config.meta_path)
     if config.classes is not None:
@@ -130,34 +126,14 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     output_dir = Path(config.output_dir)
     if output_dir.exists() and not output_dir.is_dir():
         raise FileExistsError(f"output {output_dir} is not a directory")
-    inputs = (config.prices_path, config.meta_path)
     for report in (output_dir / name for name in REPORT_FILES):
         # os.replace swaps the report's own directory entry, so only an
         # input whose file lives there is lost, not one linked to it
         if any(Path(path).resolve() == output_dir.resolve() / report.name
-               for path in inputs):
+               for path in (config.prices_path, config.meta_path)):
             raise ValueError(f"report {report} is an input file")
         if report.is_dir() and not report.is_symlink():  # os.replace fails
             raise IsADirectoryError(f"report {report} is a directory")
-    if config.baseline_cache is not None:
-        cache = Path(config.baseline_cache)
-        if cache.exists() and any(os.path.samefile(cache, path)
-                                  for path in inputs):
-            raise ValueError(f"baseline cache {cache} is an input file")
-        if cache.resolve() == output_dir.resolve():
-            raise ValueError(f"baseline cache {cache} is the output directory")
-        if (cache.name in REPORT_FILES
-                and cache.parent.resolve() == output_dir.resolve()):
-            raise ValueError(f"baseline cache {cache} is a report file")
-        if cache.is_dir():  # ".", "" and "/" have no parents
-            raise IsADirectoryError(f"baseline cache {cache} is a directory")
-        base = next(parent for parent in cache.parents if parent.exists())
-        if not base.is_dir():
-            raise NotADirectoryError(f"baseline cache {cache}: {base} is not "
-                                     "a directory")
-        if base != cache.parent and not os.access(base, os.W_OK | os.X_OK):
-            raise PermissionError(f"baseline cache {cache}: cannot make a "
-                                  f"directory in {base}")
     # std == 0.0 needs equal returns: standardize only such windows here
     z = returns.returns
     moves = np.zeros(z.shape, int)  # changes of each asset's return so far
@@ -178,7 +154,7 @@ def _window_rows(returns: ReturnPanel, config: RunConfig,
     max_rank, n_assets = config.max_rank, returns.n_assets
     indices = range(start, stop)
     keys = []
-    numbers = np.empty((len(indices), 7 + 2 * max_rank))
+    numbers = np.empty((len(indices), len(_windows_columns(max_rank)) - 2))
     eigenvalues = np.empty((len(indices), n_assets))
     pairs = np.empty((len(indices), n_assets, max_rank, 2))  # |r|, adjusted
     for row, index in enumerate(indices):
@@ -346,15 +322,9 @@ def _windows_columns(max_rank: int) -> list[str]:
 def _baselines_json(stats: NullEnsembleStats) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "n_assets": stats.config.n_assets,
-            "window_len": stats.config.window_len,
-            # each simulation is one null window
-            "num_windows": 1,
-            "sims": stats.config.sims,
-            "master_seed": stats.config.master_seed,
-            "kind": NULL_KIND,
-        },
+        # each simulation is one null window
+        "config": {**asdict(stats.config), "num_windows": 1,
+                   "kind": NULL_KIND},
         **stats_payload(stats),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -363,21 +333,7 @@ def _baselines_json(stats: NullEnsembleStats) -> str:
 def _manifest_json(config: RunConfig, n_windows: int, tickers) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "prices_path": str(config.prices_path),
-            "meta_path": str(config.meta_path),
-            "output_dir": str(config.output_dir),
-            "window_len": config.window_len,
-            "step": config.step,
-            "sims": config.sims,
-            "master_seed": config.master_seed,
-            "null_kind": NULL_KIND,
-            "max_rank": config.max_rank,
-            "classes": list(config.classes) if config.classes else None,
-            "baseline_cache": (
-                str(config.baseline_cache) if config.baseline_cache else None
-            ),
-        },
+        "config": {**asdict(config), "null_kind": NULL_KIND},
         "n_windows": n_windows,
         "tickers": tickers,
         "files": {
@@ -405,7 +361,8 @@ def _manifest_json(config: RunConfig, n_windows: int, tickers) -> str:
             "scree_count": "contiguous leading ranks above the null profile; scree_exceedance_count ignores crossings",
         },
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=os.fspath) + "\n"
 
 
 def _remove_stale_staging(output_dir: Path) -> None:
@@ -464,26 +421,49 @@ def _staged_reports(output_dir: Path):
 def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
     """Run the pipeline and write its five report files: the CLI's route.
 
-    The null baseline comes first (see _load_returns for the variance check
-    that fails a run before it). Windows then run in blocks of WINDOW_BLOCK
-    through blocks.map_blocks. Once its pool has started, the report files
-    are opened, staged beside `config.output_dir` (see _staged_reports):
-    the two JSON reports are written whole and the CSVs get their headers.
-    Each block's lines of the three CSVs, rendered in the process that
-    analysed it, are then appended in window order. Returns the number of
-    windows and the written paths.
+    After _load_returns, the staging directory beside `config.output_dir`
+    is made (see _staged_reports) and then the cache path checked, so an
+    unusable output or cache fails before the null ensemble (the cache's
+    directory is made when the cache is written). Windows then run in
+    blocks of WINDOW_BLOCK through map_blocks; once its pool has started,
+    the staged report files are opened, the two JSON reports written whole
+    and the CSV headers written. Each block's lines of the three CSVs,
+    rendered in the process that analysed it, are then appended in window
+    order. Returns the number of windows and the written paths.
     """
     returns, n_windows = _load_returns(config)
-    stats = cached_ensemble_stats(
-        NullConfig(n_assets=returns.n_assets, window_len=config.window_len,
-                   sims=config.sims, master_seed=config.master_seed),
-        config.max_rank, config.baseline_cache)
-    heads = (",".join(_windows_columns(config.max_rank)) + "\n",
-             _EIGENVALUES_HEADER, _ASSET_CORR_HEADER, _baselines_json(stats),
-             _manifest_json(config, n_windows, returns.tickers))
     output_dir = Path(config.output_dir)
     with (_staged_reports(output_dir) as staging,
           contextlib.ExitStack() as stack):
+        if config.baseline_cache is not None:
+            cache = Path(config.baseline_cache)
+            what = f"baseline cache {cache}"
+            if cache.exists() and any(
+                    os.path.samefile(cache, path)
+                    for path in (config.prices_path, config.meta_path)):
+                raise ValueError(f"{what} is an input file")
+            if cache.resolve() == output_dir.resolve():
+                raise ValueError(f"{what} is the output directory")
+            if (cache.name in REPORT_FILES
+                    and cache.parent.resolve() == output_dir.resolve()):
+                raise ValueError(f"{what} is a report file")
+            if cache.is_dir():  # ".", "" and "/" have no parents
+                raise IsADirectoryError(f"{what} is a directory")
+            base = next(parent for parent in cache.parents if parent.exists())
+            if not base.is_dir():
+                raise NotADirectoryError(f"{what}: {base} is not a directory")
+            if (base != cache.parent
+                    and not os.access(base, os.W_OK | os.X_OK)):
+                raise PermissionError(f"{what}: cannot make a directory in "
+                                      f"{base}")
+        stats = cached_ensemble_stats(
+            NullConfig(n_assets=returns.n_assets, window_len=config.window_len,
+                       sims=config.sims, master_seed=config.master_seed),
+            config.max_rank, config.baseline_cache)
+        heads = (",".join(_windows_columns(config.max_rank)) + "\n",
+                 _EIGENVALUES_HEADER, _ASSET_CORR_HEADER,
+                 _baselines_json(stats),
+                 _manifest_json(config, n_windows, returns.tickers))
         blocks = stack.enter_context(map_blocks(
             _window_rows, (returns, config, stats), n_windows, WINDOW_BLOCK))
         files = [stack.enter_context(open(staging / name, "w",

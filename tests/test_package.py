@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -73,12 +74,10 @@ def test_readme_cli_example_parses():
 
 
 def test_cli_defaults_are_run_configs():
+    # every destination is a RunConfig field, with the field's default
     args = cli.build_parser().parse_args(["--prices", "p.csv",
                                           "--meta", "m.csv", "--out", "out"])
-    config = corrspectra.RunConfig("p.csv", "m.csv", "out")
-    assert (args.window, args.step, args.sims, args.seed, args.max_rank) \
-        == (config.window_len, config.step, config.sims, config.master_seed,
-            config.max_rank)
+    assert vars(args) == asdict(corrspectra.RunConfig("p.csv", "m.csv", "out"))
 
 
 def _imports(path):

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -285,6 +286,30 @@ class TestEmitReports:
         assert payload["config"]["sims"] == 15
         assert payload["pr_mean"] == [float(v) for v in stats.pr_mean]
         assert payload["abs_corr_p99"][3] is None  # beyond max_rank
+
+    def test_json_configs_are_the_dataclasses(self, tmp_path):
+        # every RunConfig and NullConfig field is recorded, and Path inputs
+        # are written as the strings they stand for
+        config = make_config(tmp_path, classes=["metals", "equities"],
+                             baseline_cache=tmp_path / "cache" / "null.json")
+        for name in ("prices_path", "meta_path", "output_dir"):
+            setattr(config, name, Path(getattr(config, name)))
+        write_reports(config)
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json")
+                              .read_text(encoding="utf-8"))
+        paths = ("prices_path", "meta_path", "output_dir", "baseline_cache")
+        assert manifest["config"] == {
+            **asdict(config), **{name: os.fspath(getattr(config, name))
+                                 for name in paths},
+            "classes": ["metals", "equities"], "null_kind": nulls.NULL_KIND}
+        assert manifest["config"]["prices_path"] == str(tmp_path / "prices.csv")
+        stats = cached_ensemble_stats(
+            NullConfig(n_assets=4, window_len=10, sims=15, master_seed=5), 3,
+            config.baseline_cache)
+        payload = json.loads((tmp_path / "out" / "null_baselines.json")
+                             .read_text(encoding="utf-8"))
+        assert payload["config"] == {**asdict(stats.config), "num_windows": 1,
+                                     "kind": nulls.NULL_KIND}
 
     def test_csv_floats_roundtrip_at_15_digits(self, tmp_path):
         config = make_config(tmp_path)
@@ -838,6 +863,36 @@ class TestCLI:
         assert "I/O error" in err and "not a directory" in err
         assert blocker.read_text() == "not a directory"
         assert sorted(path.name for path in tmp_path.iterdir()) == entries
+
+    def test_output_below_a_regular_file_exits_four_before_the_ensemble(
+            self, tmp_path, capsys, monkeypatch):
+        # Path.exists() reads blocked/out as missing; making the staging
+        # directory beside it fails before the null ensemble
+        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        prices_path, meta_path = make_input_files(tmp_path)
+        (tmp_path / "blocked").write_text("not a directory")
+        before = _file_bytes(tmp_path)
+        args = self._args(tmp_path, prices_path, meta_path,
+                          out=Path("blocked", "out"))
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "I/O error" in err and "File exists" in err
+        assert _file_bytes(tmp_path) == before
+
+    def test_cache_path_at_a_missing_parent_of_the_output_exits_four(
+            self, tmp_path, capsys, monkeypatch):
+        # the staging directory makes the parent, which the cache check
+        # then finds to be a directory; the failed run removes it again
+        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        prices_path, meta_path = make_input_files(tmp_path)
+        before = _file_bytes(tmp_path)
+        args = self._args(tmp_path, prices_path, meta_path,
+                          out=Path("made", "cli_out"),
+                          baseline_cache=tmp_path / "made")
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "I/O error" in err and "is a directory" in err
+        assert _file_bytes(tmp_path) == before
 
     def test_unusable_cache_location_exits_four_before_the_windows(
             self, tmp_path, capsys, monkeypatch):
