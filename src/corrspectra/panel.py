@@ -93,6 +93,7 @@ def _csv_rows(path, kind):
             if header is None:
                 raise PanelFormatError(f"{path}: empty {kind} file")
             yield header
+            lineno = 1
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue

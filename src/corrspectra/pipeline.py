@@ -62,10 +62,8 @@ SCHEMA_VERSION = "1"
 WINDOW_BLOCK = 100
 REPORT_FILES = ("windows.csv", "eigenvalues.csv", "asset_pc_corr.csv",
                 "null_baselines.json", "run_manifest.json")
-_EIGENVALUES_HEADER = "window_index,end_date,rank,eigenvalue\n"
-_ASSET_CORR_HEADER = "window_index,asset,rank,abs_r,abs_r_adjusted\n"
-# Values per chunk of _csv_lines: larger chunks spread numpy's per-call
-# cost wider but raise a worker's peak memory.
+# Least values per chunk of _csv_lines (whole prefixes): larger chunks
+# spread numpy's per-call cost wider but raise a worker's peak memory.
 _CHUNK = 2048
 # 10**0 .. 10**18, each exact, for _mantissas.
 _POW10 = np.array([float(10**k) for k in range(19)])
@@ -154,7 +152,7 @@ def _window_rows(returns: ReturnPanel, config: RunConfig,
     max_rank, n_assets = config.max_rank, returns.n_assets
     indices = range(start, stop)
     keys = []
-    numbers = np.empty((len(indices), len(_windows_columns(max_rank)) - 2))
+    numbers = np.empty((len(indices), len(_csv_columns(max_rank)[0]) - 2))
     eigenvalues = np.empty((len(indices), n_assets))
     pairs = np.empty((len(indices), n_assets, max_rank, 2))  # |r|, adjusted
     for row, index in enumerate(indices):
@@ -273,21 +271,21 @@ def _csv_lines(prefixes, keys, values: np.ndarray) -> list[str]:
     (len(prefixes), len(keys), width).
 
     CPython's 15-digit dtoa is slow, so the fields are built in numpy, in
-    chunks of about _CHUNK values: _mantissas rounds each float exactly to
-    15 digits and _digit_words writes the field's bytes. A value that is
-    not certified there (NaN, inf, zero, |x| < 1e-4 or >= 1e7, near-ties)
-    is formatted with "%.15g". A bytes %-template per prefix joins the
-    fields, so "%" in a prefix or key is escaped.
+    chunks of whole prefixes with at least _CHUNK values (or one prefix,
+    if it has more): _mantissas rounds each float exactly to 15 digits and
+    _digit_words writes the field's bytes. A value that is not certified
+    there (NaN, inf, zero, |x| < 1e-4 or >= 1e7, near-ties) is formatted
+    with "%.15g". A bytes %-template per prefix joins the fields, so "%"
+    in a prefix or key is escaped.
     """
     n_keys, width = values.shape[1:]
     keyed = [key.replace("%", "%%").encode() + b"%b" * width + b"\n"
              for key in keys]
     prefixes = [prefix.replace("%", "%%").encode() for prefix in prefixes]
-    texts, parts = [""] * len(prefixes), []
-    lines = values.reshape(-1, width)
-    step = max(1, _CHUNK // width)
-    for start in range(0, len(lines), step):
-        x = lines[start:start + step].ravel()
+    texts, size = [], n_keys * width
+    step = -(-_CHUNK // size)  # prefixes per chunk
+    for start in range(0, len(prefixes), step):
+        x = values[start:start + step].ravel()
         n, e, ok = _mantissas(x)
         words = _digit_words(n, e, x < 0)
         for i in np.flatnonzero(~ok):
@@ -295,28 +293,23 @@ def _csv_lines(prefixes, keys, values: np.ndarray) -> list[str]:
             words[i] = np.frombuffer(f",{text}".encode().ljust(24, b"\0"),
                                      "<u8")
         fields = words.view("S24").ravel().tolist()
-        stop = start + len(x) // width
-        for row in range(start // n_keys, (stop - 1) // n_keys + 1):
-            first = max(start, row * n_keys)
-            last = min(stop, (row + 1) * n_keys)
-            prefix = prefixes[row]
-            template = prefix + prefix.join(
-                keyed[first - row * n_keys:last - row * n_keys])
-            parts.append(template % tuple(
-                fields[(first - start) * width:(last - start) * width]))
-            if last == (row + 1) * n_keys:
-                texts[row] = b"".join(parts).decode()
-                parts = []
+        for i, prefix in enumerate(prefixes[start:start + step]):
+            texts.append(((prefix + prefix.join(keyed))
+                          % tuple(fields[i * size:(i + 1) * size])).decode())
     return texts
 
 
-def _windows_columns(max_rank: int) -> list[str]:
-    header = ["window_index", "end_date", "corr_mean", "corr_std",
-              "corr_skewness", "corr_kurtosis"]
-    header += [f"variance_fraction_{k}" for k in range(1, max_rank + 1)]
-    header += [f"pr_{k}" for k in range(1, max_rank + 1)]
-    header += ["kaiser_count", "scree_count", "scree_exceedance_count"]
-    return header
+def _csv_columns(max_rank: int) -> tuple[list[str], ...]:
+    """The columns of windows.csv, eigenvalues.csv and asset_pc_corr.csv,
+    in REPORT_FILES order."""
+    ranks = range(1, max_rank + 1)
+    return (["window_index", "end_date", "corr_mean", "corr_std",
+             "corr_skewness", "corr_kurtosis",
+             *[f"variance_fraction_{k}" for k in ranks],
+             *[f"pr_{k}" for k in ranks],
+             "kaiser_count", "scree_count", "scree_exceedance_count"],
+            ["window_index", "end_date", "rank", "eigenvalue"],
+            ["window_index", "asset", "rank", "abs_r", "abs_r_adjusted"])
 
 
 def _baselines_json(stats: NullEnsembleStats) -> str:
@@ -337,13 +330,8 @@ def _manifest_json(config: RunConfig, n_windows: int, tickers) -> str:
         "n_windows": n_windows,
         "tickers": tickers,
         "files": {
-            "windows.csv": {"columns": _windows_columns(config.max_rank)},
-            "eigenvalues.csv": {
-                "columns": _EIGENVALUES_HEADER.strip().split(",")
-            },
-            "asset_pc_corr.csv": {
-                "columns": _ASSET_CORR_HEADER.strip().split(",")
-            },
+            **{name: {"columns": columns} for name, columns
+               in zip(REPORT_FILES, _csv_columns(config.max_rank))},
             "null_baselines.json": {
                 "keyed_by": "(n_assets, window_len, sims, kind, master_seed)"
             },
@@ -460,8 +448,8 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
             NullConfig(n_assets=returns.n_assets, window_len=config.window_len,
                        sims=config.sims, master_seed=config.master_seed),
             config.max_rank, config.baseline_cache)
-        heads = (",".join(_windows_columns(config.max_rank)) + "\n",
-                 _EIGENVALUES_HEADER, _ASSET_CORR_HEADER,
+        heads = (*(",".join(columns) + "\n"
+                   for columns in _csv_columns(config.max_rank)),
                  _baselines_json(stats),
                  _manifest_json(config, n_windows, returns.tickers))
         blocks = stack.enter_context(map_blocks(

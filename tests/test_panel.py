@@ -227,18 +227,23 @@ class TestLoadPricePanel:
         with pytest.raises(PanelFormatError, match=message):
             load_price_panel(prices, meta)
 
-    @pytest.mark.parametrize("fault", ["long_field", "latin1"])
+    @pytest.mark.parametrize("fault, line", [
+        ("long_field", 2), ("latin1", 2), ("long_field", 1), ("latin1", 1),
+    ], ids=["long_field", "latin1", "long_field_in_row_2", "latin1_in_row_2"])
     @pytest.mark.parametrize("which", [0, 1], ids=["prices", "meta"])
     def test_unreadable_csv_exits_two_naming_the_file(self, tmp_path, capsys,
-                                                      which, fault):
+                                                      which, fault, line):
+        # lines[line] is row line + 1: the header is row 1
         inputs = _cli_inputs(tmp_path)
         path = inputs[which]
         lines = path.read_bytes().split(b"\n")
         if fault == "long_field":  # over csv's default field size limit
-            lines[2] = lines[2].rsplit(b",", 1)[0] + b"," + b"9" * 200_000
-            expected = f"{path}: row 3: field larger than field limit"
+            lines[line] = (lines[line].rsplit(b",", 1)[0] + b","
+                           + b"9" * 200_000)
+            expected = (f"{path}: row {line + 1}: field larger than field "
+                        "limit")
         else:
-            lines[2] = lines[2].replace(b",", b"\xc5,", 1)  # Latin-1 Å
+            lines[line] = lines[line].replace(b",", b"\xc5,", 1)  # Latin-1 Å
             expected = f"{path}: not UTF-8 (byte 0xc5: "
         path.write_bytes(b"\n".join(lines))
         assert main(inputs[2]) == 2

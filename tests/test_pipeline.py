@@ -276,6 +276,10 @@ class TestEmitReports:
         assert manifest["n_windows"] == N_WINDOWS
         assert "windows.csv" in manifest["files"]
         assert "conventions" in manifest
+        for name in pipeline.REPORT_FILES[:3]:  # the CSVs: their header lines
+            head = (tmp_path / "out" / name).read_text(encoding="utf-8")
+            assert manifest["files"][name]["columns"] == \
+                head.split("\n", 1)[0].split(",")
 
     def test_baselines_json_roundtrip(self, tmp_path):
         config = make_config(tmp_path)
@@ -537,8 +541,10 @@ class TestRenderers:
         returns = SimpleNamespace(tickers=self.TICKERS, n_assets=4)
         [windows], eig_texts, corr_texts = pipeline._window_rows(
             returns, config, stats, 0, len(reports))
-        corr = pipeline._ASSET_CORR_HEADER + "".join(corr_texts)
-        eig = pipeline._EIGENVALUES_HEADER + "".join(eig_texts)
+        _, eig_head, corr_head = (",".join(columns) + "\n" for columns
+                                  in pipeline._csv_columns(n_ranks))
+        corr = corr_head + "".join(corr_texts)
+        eig = eig_head + "".join(eig_texts)
         assert corr == "\n".join(expected_corr) + "\n"
         assert eig == "\n".join(expected_eig) + "\n"
         assert windows == "\n".join(expected_win) + "\n"
@@ -552,8 +558,9 @@ class TestRenderers:
 
     def test_csv_lines_match_the_per_value_oracle(self):
         # the numpy renderer against "%.15g" one value at a time, on edge
-        # values, 15-digit ties and random values of every exponent; the
-        # lines cross _csv_lines's chunks and prefixes
+        # values, 15-digit ties and random values of every exponent: three
+        # prefixes of more than _CHUNK values each, then 300 small ones
+        # that share chunks, the last chunk partial
         rng = np.random.default_rng(11)
         exponents = np.arange(-10, 21)
         spread = rng.uniform(1.0, 10.0, (len(exponents), 600)) \
@@ -577,14 +584,41 @@ class TestRenderers:
         values = rng.permutation(np.concatenate([finite, -finite, special]))
         values = np.append(values, np.zeros(-len(values) % 6)).reshape(3, -1, 2)
         assert values.size >= 10**5
-        prefixes = ["0,", "1,50%,", "2,2001-01-05,"]
         keys = [f"A{j:05d},{j % 6 + 1}" for j in range(values.shape[1])]
         keys[:3] = ["x%sy,1", "Zürich,2", "100%,3"]
-        texts = pipeline._csv_lines(prefixes, keys, values)
-        assert texts == ["".join(f"{prefix}{key},{_fmt_oracle(a)},"
-                                 f"{_fmt_oracle(b)}\n"
-                                 for key, (a, b) in zip(keys, rows))
-                         for prefix, rows in zip(prefixes, values)]
+        small = rng.permutation(values.ravel())[:300 * 7 * 3]
+        cases = [(["0,", "1,50%,", "2,2001-01-05,"], keys, values),
+                 ([f"{i},{i}%," for i in range(300)], keys[:7],
+                  small.reshape(300, 7, 3))]
+        for prefixes, keys, values in cases:
+            texts = pipeline._csv_lines(prefixes, keys, values)
+            assert texts == ["".join(
+                f"{prefix}{key}" + "".join(f",{_fmt_oracle(v)}" for v in row)
+                + "\n" for key, row in zip(keys, rows))
+                for prefix, rows in zip(prefixes, values)]
+
+    @pytest.mark.parametrize("n_keys", [100, 1023, 1024, 1025, 3000])
+    def test_chunks_hold_whole_prefixes_under_the_cap(self, monkeypatch,
+                                                      n_keys):
+        # the renderer's memory cap: each _mantissas call gets whole
+        # prefixes, at least _CHUNK values except the last, and fewer than
+        # _CHUNK plus one prefix's values; prefixes of 200 to 6000 values
+        sizes = []
+        mantissas = pipeline._mantissas
+
+        def recording(x):
+            sizes.append(len(x))
+            return mantissas(x)
+
+        monkeypatch.setattr(pipeline, "_mantissas", recording)
+        values = np.random.default_rng(3).normal(size=(25, n_keys, 2))
+        texts = pipeline._csv_lines([f"{i}," for i in range(25)],
+                                    [str(j) for j in range(n_keys)], values)
+        size = 2 * n_keys
+        assert len(texts) == 25 and sum(sizes) == values.size
+        assert all(n % size == 0 and n < pipeline._CHUNK + size
+                   for n in sizes)
+        assert all(n >= pipeline._CHUNK for n in sizes[:-1])
 
 
 def _die_in_worker(*args):
