@@ -74,12 +74,6 @@ class NullEnsembleStats:
     abs_corr_p99: np.ndarray
     config: NullConfig
 
-    @property
-    def p99_ranks(self) -> int:
-        """Number of leading abs_corr_p99 ranks actually populated."""
-        finite = np.isfinite(self.abs_corr_p99)
-        return int(np.argmin(finite)) if not finite.all() else len(self.abs_corr_p99)
-
 
 # The baseline arrays, as the cache and null_baselines.json store them.
 _ARRAYS = tuple(field.name for field in fields(NullEnsembleStats)
@@ -278,11 +272,17 @@ def cached_ensemble_stats(
     merged into the file as it is then (see _write_entry). An unreadable or
     corrupt cache counts as a miss: a warning goes to stderr and the file
     is rewritten. Cached floats round-trip exactly, so cache hits and fresh
-    computations produce identical downstream bytes.
+    computations produce identical downstream bytes. A directory path
+    raises IsADirectoryError. A miss first needs the nearest existing
+    ancestor, where _write_entry makes the file, to be a directory
+    (NotADirectoryError) this process can write in (PermissionError).
     """
     if cache_path is None:
         return null_ensemble_stats(config, max_rank)
     cache_path = Path(cache_path)
+    what = f"baseline cache {cache_path}"
+    if cache_path.is_dir():  # ".", "" and "/" have no parents
+        raise IsADirectoryError(f"{what} is a directory")
     key = _cache_key(config)
     entry = _read_cache(cache_path)["entries"].get(key)
     if entry is not None:
@@ -291,9 +291,14 @@ def cached_ensemble_stats(
         except (KeyError, TypeError, ValueError) as exc:
             _warn_cache(cache_path, f"entry {key}: {exc!r}")
         else:
-            if stats.p99_ranks >= max_rank:
+            if np.isfinite(stats.abs_corr_p99[:max_rank]).all():
                 stats.abs_corr_p99[max_rank:] = np.nan  # as computed fresh
                 return stats
+    base = next(parent for parent in cache_path.parents if parent.exists())
+    if not base.is_dir():
+        raise NotADirectoryError(f"{what}: {base} is not a directory")
+    if not os.access(base, os.W_OK | os.X_OK):
+        raise PermissionError(f"{what}: cannot write in {base}")
     stats = null_ensemble_stats(config, max_rank)
     _write_entry(cache_path, key, stats_payload(stats))
     return stats

@@ -107,10 +107,8 @@ class RunConfig:
 
 
 def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
-    """The run's validated return panel and its number of windows. Rejects
-    an output path that is not a directory or whose REPORT_FILES include an
-    input file or a directory, so no report is moved in. Last, it raises the
-    DegenerateWindowError of the first window that standardize rejects."""
+    """The run's validated return panel and its number of windows; raises
+    the DegenerateWindowError of the first window standardize rejects."""
     panel = load_price_panel(config.prices_path, config.meta_path)
     if config.classes is not None:
         panel = subset_by_class(panel, config.classes)
@@ -121,17 +119,6 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
         raise ValueError(f"max-rank {config.max_rank} exceeds panel size {n}")
     returns = compute_log_returns(panel)
     n_windows = window_count(returns, config.window_len, config.step)
-    output_dir = Path(config.output_dir)
-    if output_dir.exists() and not output_dir.is_dir():
-        raise FileExistsError(f"output {output_dir} is not a directory")
-    for report in (output_dir / name for name in REPORT_FILES):
-        # os.replace swaps the report's own directory entry, so only an
-        # input whose file lives there is lost, not one linked to it
-        if any(Path(path).resolve() == output_dir.resolve() / report.name
-               for path in (config.prices_path, config.meta_path)):
-            raise ValueError(f"report {report} is an input file")
-        if report.is_dir() and not report.is_symlink():  # os.replace fails
-            raise IsADirectoryError(f"report {report} is a directory")
     # std == 0.0 needs equal returns: standardize only such windows here
     z = returns.returns
     moves = np.zeros(z.shape, int)  # changes of each asset's return so far
@@ -185,9 +172,9 @@ def _window_rows(returns: ReturnPanel, config: RunConfig,
 def _mantissas(x: np.ndarray):
     """(n, e, ok) for each float of `x`: where ok, |x| rounded to 15
     significant digits is exactly n * 10**(e - 14), with n an integer float
-    in [1e14, 1e15) and -4 <= e <= 6, the range where %.15g writes no
-    exponent and _digit_words places the point. ok is False for NaN, inf,
-    zero, values out of that range and near-ties; there n is 1e14, e 0.
+    in [1e14, 1e15) (0 for zero) and -4 <= e <= 6, the range where %.15g
+    writes no exponent and _digit_words places the point. ok is False for
+    NaN, inf, values out of that range and near-ties; there n is 1e14, e 0.
 
     e comes from log10; the Dekker two-product of |x| and 10**(14 - e)
     (exact up to 10**22) gives the exact residual of rint, which corrects
@@ -195,7 +182,7 @@ def _mantissas(x: np.ndarray):
     """
     a = np.abs(x)
     with np.errstate(all="ignore"):
-        e = np.floor(np.log10(a))
+        e = np.floor(np.log10(np.where(a == 0, 1.0, a)))  # zero: n 0, e 0
         ok = (e >= -4) & (e <= 6)
         p = _POW10[np.where(ok, 14 - e, 0).astype(np.intp)]
         hi = a * p
@@ -274,7 +261,7 @@ def _csv_lines(prefixes, keys, values: np.ndarray) -> list[str]:
     chunks of whole prefixes with at least _CHUNK values (or one prefix,
     if it has more): _mantissas rounds each float exactly to 15 digits and
     _digit_words writes the field's bytes. A value that is not certified
-    there (NaN, inf, zero, |x| < 1e-4 or >= 1e7, near-ties) is formatted
+    there (NaN, inf, |x| < 1e-4 or >= 1e7, near-ties) is formatted
     with "%.15g". A bytes %-template per prefix joins the fields, so "%"
     in a prefix or key is escaped.
     """
@@ -287,7 +274,7 @@ def _csv_lines(prefixes, keys, values: np.ndarray) -> list[str]:
     for start in range(0, len(prefixes), step):
         x = values[start:start + step].ravel()
         n, e, ok = _mantissas(x)
-        words = _digit_words(n, e, x < 0)
+        words = _digit_words(n, e, np.signbit(x))
         for i in np.flatnonzero(~ok):
             text = "NaN" if np.isnan(x[i]) else "%.15g" % x[i]
             words[i] = np.frombuffer(f",{text}".encode().ljust(24, b"\0"),
@@ -376,7 +363,9 @@ def _remove_stale_staging(output_dir: Path) -> None:
 def _staged_reports(output_dir: Path):
     """Yield a new staging directory `.<name>.<pid>.*.staging` beside
     `output_dir` for the REPORT_FILES, after removing those of runs whose
-    process is gone.
+    process is gone. First it raises the OSError the last os.replace would:
+    an existing `output_dir` is not a directory, is not writable or holds a
+    directory under a report's name.
 
     When the with block ends cleanly, `output_dir` is created if missing
     and the files are moved into it with os.replace. Either way the staging
@@ -385,6 +374,14 @@ def _staged_reports(output_dir: Path):
     failed run also removes the missing parents of `output_dir` it made,
     where they are still empty.
     """
+    if output_dir.exists():
+        if not output_dir.is_dir():
+            raise FileExistsError(f"output {output_dir} is not a directory")
+        for report in (output_dir / name for name in REPORT_FILES):
+            if report.is_dir() and not report.is_symlink():
+                raise IsADirectoryError(f"report {report} is a directory")
+        if not os.access(output_dir, os.W_OK | os.X_OK):
+            raise PermissionError(f"output {output_dir} is not writable")
     made = [parent for parent in output_dir.parents if not parent.exists()]
     staging = None
     try:
@@ -409,41 +406,36 @@ def _staged_reports(output_dir: Path):
 def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
     """Run the pipeline and write its five report files: the CLI's route.
 
-    After _load_returns, the staging directory beside `config.output_dir`
-    is made (see _staged_reports) and then the cache path checked, so an
-    unusable output or cache fails before the null ensemble (the cache's
-    directory is made when the cache is written). Windows then run in
-    blocks of WINDOW_BLOCK through map_blocks; once its pool has started,
-    the staged report files are opened, the two JSON reports written whole
-    and the CSV headers written. Each block's lines of the three CSVs,
-    rendered in the process that analysed it, are then appended in window
-    order. Returns the number of windows and the written paths.
+    After _load_returns it rejects a report that would replace an input
+    and a cache path that is an input, the output directory or a report;
+    _staged_reports and cached_ensemble_stats check their own destinations
+    before the null ensemble. Windows then run in blocks of WINDOW_BLOCK
+    through map_blocks; once its pool has started, the staged report files
+    are opened, the two JSON reports written whole and the CSV headers
+    written. Each block's lines of the three CSVs, rendered in the process
+    that analysed it, are then appended in window order. Returns the number
+    of windows and the written paths.
     """
     returns, n_windows = _load_returns(config)
     output_dir = Path(config.output_dir)
+    out, inputs = output_dir.resolve(), (config.prices_path, config.meta_path)
+    # os.replace swaps the report's own directory entry, so only an input
+    # whose file lives there is lost, not one linked to it
+    for report in (output_dir / name for name in REPORT_FILES):
+        if any(Path(path).resolve() == out / report.name for path in inputs):
+            raise ValueError(f"report {report} is an input file")
+    if config.baseline_cache is not None:
+        cache = Path(config.baseline_cache)
+        what = f"baseline cache {cache}"
+        if cache.exists() and any(os.path.samefile(cache, path)
+                                  for path in inputs):
+            raise ValueError(f"{what} is an input file")
+        if cache.resolve() == out:
+            raise ValueError(f"{what} is the output directory")
+        if cache.name in REPORT_FILES and cache.parent.resolve() == out:
+            raise ValueError(f"{what} is a report file")
     with (_staged_reports(output_dir) as staging,
           contextlib.ExitStack() as stack):
-        if config.baseline_cache is not None:
-            cache = Path(config.baseline_cache)
-            what = f"baseline cache {cache}"
-            if cache.exists() and any(
-                    os.path.samefile(cache, path)
-                    for path in (config.prices_path, config.meta_path)):
-                raise ValueError(f"{what} is an input file")
-            if cache.resolve() == output_dir.resolve():
-                raise ValueError(f"{what} is the output directory")
-            if (cache.name in REPORT_FILES
-                    and cache.parent.resolve() == output_dir.resolve()):
-                raise ValueError(f"{what} is a report file")
-            if cache.is_dir():  # ".", "" and "/" have no parents
-                raise IsADirectoryError(f"{what} is a directory")
-            base = next(parent for parent in cache.parents if parent.exists())
-            if not base.is_dir():
-                raise NotADirectoryError(f"{what}: {base} is not a directory")
-            if (base != cache.parent
-                    and not os.access(base, os.W_OK | os.X_OK)):
-                raise PermissionError(f"{what}: cannot make a directory in "
-                                      f"{base}")
         stats = cached_ensemble_stats(
             NullConfig(n_assets=returns.n_assets, window_len=config.window_len,
                        sims=config.sims, master_seed=config.master_seed),

@@ -2,6 +2,8 @@ import json
 import multiprocessing
 import os
 import pickle
+import shutil
+import subprocess
 import sys
 import threading
 import time
@@ -30,6 +32,10 @@ from synthetic import (
     simulate_gaussian_panel,
     synthetic_factor_panel,
 )
+
+
+def _no_ensemble(config, max_rank=0):
+    raise AssertionError("the null ensemble ran")
 
 
 class TestShufflePanel:
@@ -439,7 +445,7 @@ class TestAbsCorrPercentiles:
         assert np.all((head >= 0.0) & (head <= 1.0))
         assert np.all(np.diff(head) <= 1e-12)
         assert np.all(np.isnan(stats.abs_corr_p99[5:]))
-        assert stats.p99_ranks == 5
+        assert np.isfinite(stats.abs_corr_p99).sum() == 5
 
     def test_memory_does_not_grow_with_sims(self, monkeypatch):
         # pooling every sim's |r| of 30 ranks x 30 assets would take
@@ -591,7 +597,7 @@ class TestBaselineCache:
         cache.write_text(json.dumps({"schema_version": "2", "entries": {
             "N=6,T=12,sims=25,kind=gaussian,seed=4": stored}}))
         before = cache.read_bytes()
-        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
         config = NullConfig(n_assets=6, window_len=12, sims=25, master_seed=4)
         stats = cached_ensemble_stats(config, max_rank=2, cache_path=cache)
         assert nulls.stats_payload(stats) == stored
@@ -670,7 +676,62 @@ class TestBaselineCache:
         cache = tmp_path / "baselines.json"
         config = NullConfig(n_assets=6, window_len=12, sims=15, master_seed=4)
         shallow = cached_ensemble_stats(config, max_rank=1, cache_path=cache)
-        assert shallow.p99_ranks == 1
+        assert np.isfinite(shallow.abs_corr_p99).sum() == 1
         deep = cached_ensemble_stats(config, max_rank=4, cache_path=cache)
-        assert deep.p99_ranks == 4
+        assert np.isfinite(deep.abs_corr_p99).sum() == 4
         assert deep.abs_corr_p99[0] == shallow.abs_corr_p99[0]
+
+    @pytest.mark.parametrize("name", ["cache_dir", "."])
+    def test_directory_path_raises_before_the_ensemble(self, tmp_path,
+                                                       monkeypatch, name):
+        # a directory can be neither read as a cache nor replaced by one
+        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cache_dir").mkdir()
+        config = NullConfig(n_assets=5, window_len=12, sims=10, master_seed=4)
+        with pytest.raises(IsADirectoryError, match="is a directory"):
+            cached_ensemble_stats(config, 1, Path(name))
+        assert [p.name for p in tmp_path.iterdir()] == ["cache_dir"]
+
+    def test_unwritable_directory_fails_a_miss_before_the_ensemble(
+            self, tmp_path, monkeypatch):
+        # os.access stands in for the directory's mode: root passes every
+        # mode check. A hit writes nothing and still reads the entry
+        cache = tmp_path / "baselines.json"
+        config = NullConfig(n_assets=5, window_len=12, sims=10, master_seed=4)
+        filled = cached_ensemble_stats(config, 1, cache)
+        before = cache.read_bytes()
+        access = os.access
+
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
+            Path(path) != tmp_path and access(path, mode, **kw)))
+        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        hit = cached_ensemble_stats(config, 1, cache)
+        assert np.array_equal(hit.scree_mean, filled.scree_mean)
+        other = NullConfig(n_assets=5, window_len=12, sims=10, master_seed=5)
+        with pytest.raises(PermissionError, match="cannot write in"):
+            cached_ensemble_stats(other, 1, cache)
+        assert cache.read_bytes() == before
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or shutil.which("cc") is None,
+    reason="builds a shared library with cc and loads it on Linux")
+def test_openblas_with_64_bit_integers_is_found(tmp_path):
+    # numpy 1's wheels bundle an OpenBLAS whose thread controls end in
+    # "64_"; the stub exports only those. Its file name holds no
+    # "openblas", so _openblas_libs never finds it once loaded
+    source = tmp_path / "stub.c"
+    source.write_text(
+        "static int threads = 4;\n"
+        "int openblas_get_num_threads64_(void) { return threads; }\n"
+        "void openblas_set_num_threads64_(int n) { threads = n; }\n"
+        "int openblas_get_parallel64_(void) { return 1; }\n")
+    library = tmp_path / "libblasstub.so"
+    subprocess.run(["cc", "-shared", "-fPIC", "-o", str(library),
+                    str(source)], check=True, capture_output=True, timeout=60)
+    lib = blocks._openblas_at(str(library))
+    assert lib is not None and lib.pthreads
+    assert lib.get_num_threads() == 4
+    lib.set_num_threads(1)
+    assert lib.get_num_threads() == 1

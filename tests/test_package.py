@@ -234,6 +234,21 @@ def test_one_report_writer():
     assert scopes == {"write_reports"}
 
 
+def test_each_write_checks_its_own_destination():
+    # the reports' directory is checked where they are staged and moved
+    # in, the cache's where it is read and written; nothing else guesses
+    # what those writes need
+    holders = set()
+    for path in SRC.glob("*.py"):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)  # only calls have one
+            if getattr(func, "attr", getattr(func, "id", None)) in (
+                    "access", "is_dir"):
+                holders.add((path.stem, scope))
+    assert holders == {("pipeline", "_staged_reports"),
+                       ("nulls", "cached_ensemble_stats")}
+
+
 def test_helpers_load_without_corrspectra(tmp_path):
     # the benchmark execs helpers.py in a process with no src on its path
     script = ("import importlib.util, sys\n"

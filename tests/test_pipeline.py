@@ -560,7 +560,8 @@ class TestRenderers:
         # the numpy renderer against "%.15g" one value at a time, on edge
         # values, 15-digit ties and random values of every exponent: three
         # prefixes of more than _CHUNK values each, then 300 small ones
-        # that share chunks, the last chunk partial
+        # that share chunks, the last chunk partial; then whole prefixes of
+        # zeros, signed zeros and small integers, as counts and flags fill
         rng = np.random.default_rng(11)
         exponents = np.arange(-10, 21)
         spread = rng.uniform(1.0, 10.0, (len(exponents), 600)) \
@@ -587,15 +588,22 @@ class TestRenderers:
         keys = [f"A{j:05d},{j % 6 + 1}" for j in range(values.shape[1])]
         keys[:3] = ["x%sy,1", "Zürich,2", "100%,3"]
         small = rng.permutation(values.ravel())[:300 * 7 * 3]
+        counts = rng.integers(0, 3, (100, 98)).astype(float)
+        flat = np.stack([np.zeros((100, 98)),
+                         np.where(rng.random((100, 98)) < 0.5, -0.0, 0.0),
+                         counts, -counts])
         cases = [(["0,", "1,50%,", "2,2001-01-05,"], keys, values),
                  ([f"{i},{i}%," for i in range(300)], keys[:7],
-                  small.reshape(300, 7, 3))]
+                  small.reshape(300, 7, 3)),
+                 (["0,", "1,", "2,", "3,"], keys[:100], flat)]
         for prefixes, keys, values in cases:
             texts = pipeline._csv_lines(prefixes, keys, values)
             assert texts == ["".join(
                 f"{prefix}{key}" + "".join(f",{_fmt_oracle(v)}" for v in row)
                 + "\n" for key, row in zip(keys, rows))
                 for prefix, rows in zip(prefixes, values)]
+        assert pipeline._csv_lines([""], ["k"], np.array([[[0.0, -0.0]]])) \
+            == ["k,0,-0\n"]
 
     @pytest.mark.parametrize("n_keys", [100, 1023, 1024, 1025, 3000])
     def test_chunks_hold_whole_prefixes_under_the_cap(self, monkeypatch,
@@ -944,6 +952,62 @@ class TestCLI:
         assert "I/O error" in capsys.readouterr().err
         assert blocker.read_text() == "not a directory"
         assert not (tmp_path / "cli_out").exists()
+
+    @staticmethod
+    def _deny_writes(monkeypatch, directory):
+        # os.access stands in for the directory's mode: root passes every
+        # mode check, and the suite may run as root
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
+            Path(path) != directory and access(path, mode, **kw)))
+
+    def test_cache_miss_in_an_unwritable_directory_exits_four(
+            self, tmp_path, capsys, monkeypatch):
+        # the lock file and the new cache are made in the cache's own
+        # directory, after the ensemble
+        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        prices_path, meta_path = make_input_files(tmp_path)
+        (tmp_path / "caches").mkdir()
+        self._deny_writes(monkeypatch, tmp_path / "caches")
+        before = _file_bytes(tmp_path)
+        args = self._args(tmp_path, prices_path, meta_path,
+                          baseline_cache=tmp_path / "caches" / "cache.json")
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "I/O error" in err and "cannot write in" in err
+        assert _file_bytes(tmp_path) == before
+
+    def test_cache_hit_in_an_unwritable_directory_exits_zero(
+            self, tmp_path, capsys, monkeypatch):
+        # a hit writes nothing to the cache's directory
+        prices_path, meta_path = make_input_files(tmp_path)
+        (tmp_path / "caches").mkdir()
+        cache = tmp_path / "caches" / "cache.json"
+        assert main(self._args(tmp_path, prices_path, meta_path, out="fill",
+                               baseline_cache=cache)) == 0
+        entry = cache.read_bytes()
+        self._deny_writes(monkeypatch, tmp_path / "caches")
+        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        assert main(self._args(tmp_path, prices_path, meta_path, out="hit",
+                               baseline_cache=cache)) == 0
+        assert cache.read_bytes() == entry
+        for name in EXPECTED_FILES[:4]:  # the manifest records --out
+            assert (tmp_path / "hit" / name).read_bytes() \
+                == (tmp_path / "fill" / name).read_bytes(), name
+
+    def test_unwritable_output_directory_exits_four_before_the_ensemble(
+            self, tmp_path, capsys, monkeypatch):
+        # the reports are moved into --out only after the windows
+        prices_path, meta_path = make_input_files(tmp_path)
+        assert main(self._args(tmp_path, prices_path, meta_path)) == 0
+        before = _file_bytes(tmp_path)
+        self._deny_writes(monkeypatch, tmp_path / "cli_out")
+        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        args = self._args(tmp_path, prices_path, meta_path) + ["--seed", "6"]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "I/O error" in err and "is not writable" in err
+        assert _file_bytes(tmp_path) == before  # and no staging directory
 
     # "." has no parents, and argparse's "" is "." to Path
     @pytest.mark.parametrize("cache", ["cache.json", ".", ""])
