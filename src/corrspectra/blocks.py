@@ -1,8 +1,9 @@
-"""The block runner: map_blocks maps a kernel over blocks of items, the
-null-ensemble sims or the rolling windows, in a pool of forked or spawned
-worker processes when there are CPUs for one. One pin, _one_blas_thread,
-runs BLAS on one thread in every process that runs a block, so results do
-not depend on the BLAS thread count."""
+"""The block runner: map_blocks maps a kernel over blocks of BLOCK items,
+the null-ensemble sims or the rolling windows, in a pool of forked or
+spawned worker processes, each pinned to its own CPU, when there are CPUs
+for one. One pin, _one_blas_thread, runs BLAS on one thread in every
+process that runs a block, so results do not depend on the BLAS thread
+count."""
 
 from __future__ import annotations
 
@@ -19,6 +20,10 @@ from dataclasses import dataclass
 
 from .errors import WorkerProcessError
 
+# Items per unit of work handed to a worker process, in either loop.
+# Callers reduce the blocks' results in item order, so neither this nor the
+# worker count changes their output.
+BLOCK = 100
 # Thread-count variables of the common BLAS builds, which spawned pool
 # workers read at start-up. Pool workers already occupy every CPU, so each
 # runs BLAS on one thread: more threads per worker oversubscribe the CPUs
@@ -142,10 +147,20 @@ def _pool_start_method() -> str:
     return "spawn"
 
 
-def _init_worker(parent_pid: int) -> None:
-    """Pool initializer: on Linux, die with the pool's parent process. The
-    pool starts inside _one_blas_thread, so forked workers inherit its
-    BLAS thread count and spawned ones read it from the environment."""
+def _init_worker(parent_pid: int, cpus: list[int], started) -> None:
+    """Pool initializer: run on a CPU of its own, and on Linux die with the
+    pool's parent process. Worker i, counted by the shared `started`, pins
+    itself to cpus[i % len(cpus)]: left free on a 2-CPU host, two workers
+    were seen to share one CPU for ~175 sims while the other idled. A
+    worker that may not pin itself runs unpinned. The pool starts inside
+    _one_blas_thread, so forked workers inherit its BLAS thread count and
+    spawned ones read it from the environment."""
+    with started.get_lock():
+        index = started.value
+        started.value += 1
+    if cpus:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {cpus[index % len(cpus)]})
     if sys.platform == "linux":
         prctl = ctypes.CDLL(None, use_errno=True).prctl
         prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
@@ -157,14 +172,15 @@ def _init_worker(parent_pid: int) -> None:
 
 
 @contextlib.contextmanager
-def map_blocks(kernel, shared: tuple, n_items: int, block: int):
+def map_blocks(kernel, shared: tuple, n_items: int):
     """Yield an iterator over kernel(*shared, start, stop) for each block of
-    `block` items of range(n_items) in order: null-ensemble sims or rolling
-    windows. With two or more blocks and available CPUs, the blocks run in
-    a pool of worker processes, one per CPU, which lives until the with
-    block ends; otherwise in this process. _one_blas_thread holds until
-    the with block ends and the pool starts inside it, so BLAS runs on one
-    thread in every process that runs a block.
+    at most BLOCK items of range(n_items) in order: null-ensemble sims or
+    rolling windows. With two or more blocks and available CPUs, the blocks
+    run in a pool of worker processes, one per CPU and pinned to it, which
+    lives until the with block ends; otherwise in this process, which stays
+    unpinned. _one_blas_thread holds until the with block ends and the pool
+    starts inside it, so BLAS runs on one thread in every process that runs
+    a block.
 
     The workers are forked when _pool_start_method allows it: they inherit
     the imported modules and run no `__main__` again. Otherwise they are
@@ -172,8 +188,8 @@ def map_blocks(kernel, shared: tuple, n_items: int, block: int):
     Either way _init_worker has each worker killed, on Linux, when this
     process dies. The pool's processes have started when this yields.
     """
-    starts = range(0, n_items, block)
-    stops = [min(start + block, n_items) for start in starts]
+    starts = range(0, n_items, BLOCK)
+    stops = [min(start + BLOCK, n_items) for start in starts]
     args = (*map(itertools.repeat, shared), starts, stops)
     workers = min(available_cpus(), len(starts))
     with _one_blas_thread:
@@ -185,13 +201,16 @@ def map_blocks(kernel, shared: tuple, n_items: int, block: int):
         from concurrent.futures.process import BrokenProcessPool
 
         method = _pool_start_method()
+        context = multiprocessing.get_context(method)
+        cpus = (sorted(os.sched_getaffinity(0))
+                if hasattr(os, "sched_setaffinity") else [])
         cause = "killed, or out of memory"
         if method == "spawn":
             cause += (", or started from a script without an "
                       "`if __name__ == \"__main__\":` guard")
         pool = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context(method),
-            initializer=_init_worker, initargs=(os.getpid(),),
+            workers, mp_context=context, initializer=_init_worker,
+            initargs=(os.getpid(), cpus, context.Value("i", 0)),
         )
         try:
             yield pool.map(kernel, *args)

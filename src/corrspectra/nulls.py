@@ -37,10 +37,6 @@ from .panel import standardize
 # so that caches and reports written by earlier versions keep their bytes.
 NULL_KIND = "gaussian"
 CACHE_SCHEMA_VERSION = "2"
-# Sims per unit of work handed to a worker process. Results are reduced
-# per sim in sim-index order, so neither this nor the worker count changes
-# the output.
-ENSEMBLE_BLOCK_SIMS = 250
 
 
 @dataclass(frozen=True)
@@ -137,9 +133,9 @@ def null_ensemble_stats(config: NullConfig, max_rank: int = 0) -> NullEnsembleSt
     the sorted eigenvalues, and (for ranks <= max_rank) the N absolute
     asset-component correlations |omega_ki| sqrt(beta_k).
 
-    Simulations run in blocks of ENSEMBLE_BLOCK_SIMS through map_blocks,
-    and the per-sim results are added up in sim-index order, so the output
-    does not depend on the block size, the worker count or the BLAS thread
+    Simulations run in blocks of blocks.BLOCK through map_blocks, and the
+    per-sim results are added up in sim-index order, so the output does
+    not depend on the block size, the worker count or the BLAS thread
     count. The nearest-rank 99th percentile of a rank's size = sims * N
     pooled |r| values is the value at r = ceil(0.99 * size) of the sorted
     sample: the smallest of its keep = size - r + 1 largest values. So each
@@ -155,8 +151,8 @@ def null_ensemble_stats(config: NullConfig, max_rank: int = 0) -> NullEnsembleSt
     pr_sq = np.zeros(n)
     scree_sum = np.zeros(n)
     top = np.empty((max_rank, 0))
-    with map_blocks(_ensemble_block, (config, max_rank, keep), config.sims,
-                    ENSEMBLE_BLOCK_SIMS) as blocks:
+    with map_blocks(_ensemble_block, (config, max_rank, keep),
+                    config.sims) as blocks:
         for pr, beta, block_top in blocks:
             for pr_row, beta_row in zip(pr, beta):
                 pr_sum += pr_row
@@ -210,14 +206,10 @@ def _payload_to_stats(payload: dict, config: NullConfig) -> NullEnsembleStats:
                              config=config)
 
 
-def _warn_cache(cache_path: Path, problem) -> None:
-    print(f"corrspectra: warning: baseline cache {cache_path} is unusable "
-          f"({problem}); recomputing and rewriting it", file=sys.stderr)
-
-
-def _read_cache(cache_path: Path, warn=_warn_cache) -> dict:
+def _read_cache(cache_path: Path, warn) -> dict:
     """The cache file's contents, or an empty cache when the file is
-    missing, of another schema version, or unreadable (told to `warn`)."""
+    missing, of another schema version, or unreadable (the problem is
+    passed to `warn`)."""
     empty = {"schema_version": CACHE_SCHEMA_VERSION, "entries": {}}
     if not cache_path.exists():
         return empty
@@ -225,10 +217,10 @@ def _read_cache(cache_path: Path, warn=_warn_cache) -> dict:
         with open(cache_path, encoding="utf-8") as fh:
             loaded = json.load(fh)
     except (OSError, ValueError) as exc:
-        warn(cache_path, exc)
+        warn(exc)
         return empty
     if not isinstance(loaded, dict) or not isinstance(loaded.get("entries"), dict):
-        warn(cache_path, "not a baseline cache")
+        warn("not a baseline cache")
         return empty
     if loaded.get("schema_version") != CACHE_SCHEMA_VERSION:
         return empty
@@ -245,7 +237,7 @@ def _write_entry(cache_path: Path, key: str, payload: dict) -> None:
     with open(cache_path.with_name(f".{cache_path.name}.lock"), "a") as lock:
         if fcntl is not None:
             fcntl.flock(lock, fcntl.LOCK_EX)
-        cache = _read_cache(cache_path, warn=lambda *problem: None)
+        cache = _read_cache(cache_path, warn=lambda problem: None)
         cache["entries"][key] = payload
         fd, tmp = tempfile.mkstemp(dir=cache_path.parent,
                                    prefix=f".{cache_path.name}.", suffix=".tmp")
@@ -275,7 +267,8 @@ def cached_ensemble_stats(
     computations produce identical downstream bytes. A directory path
     raises IsADirectoryError. A miss first needs the nearest existing
     ancestor, where _write_entry makes the file, to be a directory
-    (NotADirectoryError) this process can write in (PermissionError).
+    (NotADirectoryError) this process can write in (PermissionError); the
+    warning waits until both checks pass.
     """
     if cache_path is None:
         return null_ensemble_stats(config, max_rank)
@@ -284,12 +277,13 @@ def cached_ensemble_stats(
     if cache_path.is_dir():  # ".", "" and "/" have no parents
         raise IsADirectoryError(f"{what} is a directory")
     key = _cache_key(config)
-    entry = _read_cache(cache_path)["entries"].get(key)
+    problems = []
+    entry = _read_cache(cache_path, problems.append)["entries"].get(key)
     if entry is not None:
         try:
             stats = _payload_to_stats(entry, config)
         except (KeyError, TypeError, ValueError) as exc:
-            _warn_cache(cache_path, f"entry {key}: {exc!r}")
+            problems.append(f"entry {key}: {exc!r}")
         else:
             if np.isfinite(stats.abs_corr_p99[:max_rank]).all():
                 stats.abs_corr_p99[max_rank:] = np.nan  # as computed fresh
@@ -299,6 +293,9 @@ def cached_ensemble_stats(
         raise NotADirectoryError(f"{what}: {base} is not a directory")
     if not os.access(base, os.W_OK | os.X_OK):
         raise PermissionError(f"{what}: cannot write in {base}")
+    for problem in problems:  # at most one
+        print(f"corrspectra: warning: {what} is unusable ({problem}); "
+              "recomputing and rewriting it", file=sys.stderr)
     stats = null_ensemble_stats(config, max_rank)
     _write_entry(cache_path, key, stats_payload(stats))
     return stats

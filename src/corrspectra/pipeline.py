@@ -56,10 +56,6 @@ from .panel import (
 )
 
 SCHEMA_VERSION = "1"
-# Windows per unit of work handed to a worker process. Reports are
-# collected in window order, so neither this nor the worker count changes
-# the output.
-WINDOW_BLOCK = 100
 REPORT_FILES = ("windows.csv", "eigenvalues.csv", "asset_pc_corr.csv",
                 "null_baselines.json", "run_manifest.json")
 # Least values per chunk of _csv_lines (whole prefixes): larger chunks
@@ -409,7 +405,7 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
     After _load_returns it rejects a report that would replace an input
     and a cache path that is an input, the output directory or a report;
     _staged_reports and cached_ensemble_stats check their own destinations
-    before the null ensemble. Windows then run in blocks of WINDOW_BLOCK
+    before the null ensemble. Windows then run in blocks of blocks.BLOCK
     through map_blocks; once its pool has started, the staged report files
     are opened, the two JSON reports written whole and the CSV headers
     written. Each block's lines of the three CSVs, rendered in the process
@@ -445,7 +441,7 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
                  _baselines_json(stats),
                  _manifest_json(config, n_windows, returns.tickers))
         blocks = stack.enter_context(map_blocks(
-            _window_rows, (returns, config, stats), n_windows, WINDOW_BLOCK))
+            _window_rows, (returns, config, stats), n_windows))
         files = [stack.enter_context(open(staging / name, "w",
                                           encoding="utf-8", newline="\n"))
                  for name in REPORT_FILES]

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,19 @@ def _dead_block(start, stop):
     os._exit(1)
 
 
+def _bounds_block(start, stop):
+    return start, stop
+
+
+def _pid_block(start, stop):
+    return os.getpid()
+
+
+def _cpus_block(start, stop):
+    time.sleep(0.1)  # long enough that every worker takes a block
+    return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+
 def _blas_threads_block(start, stop):
     return [lib.get_num_threads() for lib in blocks._openblas_libs()]
 
@@ -171,7 +185,7 @@ _BLOCK_RUNNERS = pytest.mark.parametrize(
 
 
 class TestParallelEnsemble:
-    # 600 sims make three blocks, so with two CPUs the blocks run in a pool
+    # 600 sims make six blocks, so with two CPUs the blocks run in a pool
     CONFIG = NullConfig(n_assets=20, window_len=30, sims=600, master_seed=8)
 
     @staticmethod
@@ -191,9 +205,40 @@ class TestParallelEnsemble:
 
     def test_block_size_does_not_change_bytes(self, monkeypatch):
         default = self._stats_on_cpus(monkeypatch, self.CONFIG, 1)
-        monkeypatch.setattr(nulls, "ENSEMBLE_BLOCK_SIMS", 7)
+        monkeypatch.setattr(blocks, "BLOCK", 7)
         small_blocks = self._stats_on_cpus(monkeypatch, self.CONFIG, 1)
         assert self._arrays(default) == self._arrays(small_blocks)
+
+    def test_items_are_cut_into_blocks_of_block_items(self, monkeypatch):
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 1)
+        with blocks.map_blocks(_bounds_block, (), 250) as results:
+            assert list(results) == [(0, 100), (100, 200), (200, 250)]
+
+    def test_only_more_than_one_block_runs_in_a_pool(self, monkeypatch):
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
+        with blocks.map_blocks(_pid_block, (), 100) as results:
+            assert list(results) == [os.getpid()]
+        with blocks.map_blocks(_pid_block, (), 101) as results:
+            assert os.getpid() not in list(results)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or blocks.available_cpus() < 2,
+                        reason="pinning needs sched_setaffinity and 2 CPUs")
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_each_worker_runs_on_its_own_cpu(self, monkeypatch, workers):
+        # two workers left free can share one CPU while another idles. More
+        # workers than CPUs take the CPUs in turn, which a lost update of
+        # their shared count would break. The caller stays unpinned
+        cpus = os.sched_getaffinity(0)
+        monkeypatch.setattr(blocks, "available_cpus", lambda: workers)
+        with blocks.map_blocks(_cpus_block, (),
+                               4 * workers * blocks.BLOCK) as results:
+            placed = dict(results)
+        assert len(placed) >= 2 and os.getpid() not in placed
+        assert all(len(cpu) == 1 for cpu in placed.values())
+        assert max(Counter(placed.values()).values()) \
+            <= -(-workers // len(cpus))  # one per CPU while there are CPUs
+        assert os.sched_getaffinity(0) == cpus
 
     @_BLOCK_RUNNERS
     def test_pool_restores_blas_environment(self, monkeypatch, method):
@@ -204,7 +249,8 @@ class TestParallelEnsemble:
         _blocks_run_by(monkeypatch, method)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        with blocks.map_blocks(_blas_environment_block, (), 2, 1) as results:
+        with blocks.map_blocks(_blas_environment_block, (),
+                               2 * blocks.BLOCK) as results:
             assert list(results) == [["1"] * 3] * 2
         null_ensemble_stats(self.CONFIG, max_rank=1)
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
@@ -218,7 +264,8 @@ class TestParallelEnsemble:
         monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
         begin = time.monotonic()
         with pytest.raises(RuntimeError, match="stop"):
-            with blocks.map_blocks(_half_second_block, (), 40, 1) as results:
+            with blocks.map_blocks(_half_second_block, (),
+                                   40 * blocks.BLOCK) as results:
                 next(results)
                 raise RuntimeError("stop")
         assert time.monotonic() - begin < 5
@@ -227,14 +274,16 @@ class TestParallelEnsemble:
         monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
         begin = time.monotonic()
         with pytest.raises(ValueError):
-            with blocks.map_blocks(_first_block_fails, (), 40, 1) as results:
+            with blocks.map_blocks(_first_block_fails, (),
+                                   40 * blocks.BLOCK) as results:
                 list(results)
         assert time.monotonic() - begin < 5
 
     def test_dead_worker_raises_worker_process_error(self, monkeypatch):
         monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
         with pytest.raises(WorkerProcessError, match="worker process"):
-            with blocks.map_blocks(_dead_block, (), 2, 1) as results:
+            with blocks.map_blocks(_dead_block, (),
+                                   2 * blocks.BLOCK) as results:
                 list(results)
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
@@ -244,7 +293,8 @@ class TestParallelEnsemble:
         monkeypatch.setattr(blocks, "_pool_start_method", lambda: method)
         monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
         with pytest.raises(WorkerProcessError) as excinfo:
-            with blocks.map_blocks(_dead_block, (), 2, 1) as results:
+            with blocks.map_blocks(_dead_block, (),
+                                   2 * blocks.BLOCK) as results:
                 list(results)
         assert ("__main__" in str(excinfo.value)) == (method == "spawn")
 
@@ -259,7 +309,8 @@ class TestParallelEnsemble:
             for lib in libs:  # so that a missing pin shows in this process
                 lib.set_num_threads(2)
             caller = [lib.get_num_threads() for lib in libs]
-            with blocks.map_blocks(_blas_threads_block, (), 2, 1) as results:
+            with blocks.map_blocks(_blas_threads_block, (),
+                                   2 * blocks.BLOCK) as results:
                 counts = list(results)
             # a spawned worker may load fewer OpenBLAS libraries than this
             # process, so each block's counts are checked on their own
@@ -414,7 +465,7 @@ class TestAbsCorrPercentiles:
             self, monkeypatch, cpus, n_assets, window_len, sims, max_rank,
             block):
         monkeypatch.setattr(blocks, "available_cpus", lambda: cpus)
-        monkeypatch.setattr(nulls, "ENSEMBLE_BLOCK_SIMS", block)
+        monkeypatch.setattr(blocks, "BLOCK", block)
         config = NullConfig(n_assets=n_assets, window_len=window_len,
                             sims=sims, master_seed=31)
         pooled = _pooled_abs_r(config, max_rank)
@@ -426,7 +477,7 @@ class TestAbsCorrPercentiles:
 
     def test_streamed_p99_with_tied_values(self, monkeypatch):
         monkeypatch.setattr(blocks, "available_cpus", lambda: 1)
-        monkeypatch.setattr(nulls, "ENSEMBLE_BLOCK_SIMS", 3)
+        monkeypatch.setattr(blocks, "BLOCK", 3)
         monkeypatch.setattr(nulls, "analyze_window", _coarse_analyze_window)
         config = NullConfig(n_assets=8, window_len=16, sims=40, master_seed=2)
         pooled = _pooled_abs_r(config, 4, _coarse_analyze_window)

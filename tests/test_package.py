@@ -1,4 +1,5 @@
 import ast
+import inspect
 import os
 import re
 import shlex
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import corrspectra
-from corrspectra import cli
+from corrspectra import blocks, cli
 
 from helpers import (
     random_walk_prices,
@@ -186,6 +187,20 @@ def test_one_blas_pin():
                             node.func, "attr", None) == "set_num_threads"):
                     holders.add((path.stem, getattr(top, "name", "<module>")))
     assert holders == {("blocks", "_OneBlasThread")}
+
+
+def test_one_block_size():
+    # one constant cuts both loops, the sims and the windows, into blocks;
+    # no caller picks a size of its own
+    assert list(inspect.signature(blocks.map_blocks).parameters) == [
+        "kernel", "shared", "n_items"]
+    holders = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = getattr(top, "targets", [getattr(top, "target", None)])
+            holders.update((path.stem, target.id) for target in targets
+                           if "BLOCK" in getattr(target, "id", "").upper())
+    assert holders == {("blocks", "BLOCK")}
 
 
 def test_one_csv_reader():

@@ -410,7 +410,7 @@ class TestPooledWindows:
     @staticmethod
     def _report_bytes(monkeypatch, config, cpus, block=8):
         monkeypatch.setattr(blocks, "available_cpus", lambda: cpus)
-        monkeypatch.setattr(pipeline, "WINDOW_BLOCK", block)
+        monkeypatch.setattr(blocks, "BLOCK", block)
         _, written = write_reports(config)
         return {path.name: path.read_bytes() for path in written}
 
@@ -425,7 +425,7 @@ class TestPooledWindows:
                                                      monkeypatch):
         config = make_config(tmp_path)
         default = self._report_bytes(monkeypatch, config, 1,
-                                     block=pipeline.WINDOW_BLOCK)
+                                     block=blocks.BLOCK)
         for block in (7, 1):  # 1: one windows.csv row per _csv_lines call
             assert self._report_bytes(monkeypatch, config, 1,
                                       block=block) == default, block
@@ -732,7 +732,7 @@ class TestCLI:
         # the window that the third pooled block would
         prices_path, meta_path = make_flat_asset_files(tmp_path)
         monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
-        monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
+        monkeypatch.setattr(blocks, "BLOCK", 8)
         args = self._args(tmp_path, prices_path, meta_path)
         assert main(args) == 3
         err = capsys.readouterr().err
@@ -785,7 +785,7 @@ class TestCLI:
             # null ensemble; without it the third pooled block would
             prices_path, meta_path = make_flat_asset_files(tmp_path)
             monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
-            monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
+            monkeypatch.setattr(blocks, "BLOCK", 8)
         else:
             # other prices, and a failure in the null ensemble, which runs
             # before any window
@@ -818,7 +818,7 @@ class TestCLI:
         make_input_files(tmp_path, n_dates=40)  # other prices, same files
         entries = sorted(path.name for path in tmp_path.iterdir())
         monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
-        monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
+        monkeypatch.setattr(blocks, "BLOCK", 8)
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, "_window_rows", _eigen_failure_in_window_20)
             assert main(args) == 3
@@ -873,7 +873,7 @@ class TestCLI:
     def test_dead_worker_in_window_loop_exits_five(self, tmp_path, capsys,
                                                    monkeypatch):
         monkeypatch.setattr(blocks, "available_cpus", lambda: 2)
-        monkeypatch.setattr(pipeline, "WINDOW_BLOCK", 8)
+        monkeypatch.setattr(blocks, "BLOCK", 8)
         monkeypatch.setattr(pipeline, "_window_rows", _die_in_worker)
         prices_path, meta_path = make_input_files(tmp_path)
         args = self._args(tmp_path, prices_path, meta_path)
@@ -976,6 +976,26 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "I/O error" in err and "cannot write in" in err
         assert _file_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("writable", [False, True])
+    def test_corrupt_cache_warns_only_when_it_is_rewritten(
+            self, tmp_path, capsys, monkeypatch, writable):
+        # the warning promises a recomputation and a rewrite, so it waits
+        # for the checks of the cache's directory
+        prices_path, meta_path = make_input_files(tmp_path)
+        (tmp_path / "ro").mkdir()
+        cache = tmp_path / "ro" / "cache.json"
+        cache.write_text("{not json")
+        if not writable:
+            self._deny_writes(monkeypatch, tmp_path / "ro")
+            monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        args = self._args(tmp_path, prices_path, meta_path,
+                          baseline_cache=cache)
+        assert main(args) == (0 if writable else 4)
+        err = capsys.readouterr().err
+        assert err.count("recomputing and rewriting it") == writable
+        assert ("cannot write in" in err) != writable
+        assert (cache.read_text() != "{not json") == writable
 
     def test_cache_hit_in_an_unwritable_directory_exits_zero(
             self, tmp_path, capsys, monkeypatch):
@@ -1229,10 +1249,10 @@ class TestCLI:
                         reason="a worker pool needs at least 2 CPUs")
     def test_worker_count_does_not_change_report_bytes(self, tmp_path):
         # a fresh interpreter per run, so both runs use one BLAS thread; the
-        # 300 sims and the 120 windows make two blocks each, run in-process
-        # on one CPU and in a pool of two workers otherwise
+        # 300 sims and the 120 windows make more than one block each, run
+        # in-process on one CPU and in a pool of two workers otherwise
         prices_path, meta_path = make_input_files(tmp_path, n_dates=130)
-        assert 120 > pipeline.WINDOW_BLOCK
+        assert 120 > blocks.BLOCK
         env = _cli_env(OPENBLAS_NUM_THREADS="1")
         one_cpu = {min(os.sched_getaffinity(0))}
         outputs = []
