@@ -39,7 +39,6 @@ from .panel import (
     AssetMeta,
     PricePanel,
     ReturnPanel,
-    WindowView,
     compute_log_returns,
     load_price_panel,
     roll_windows,
@@ -72,7 +71,6 @@ __all__ = [
     "ReturnPanel",
     "RunConfig",
     "SpectralDecomposition",
-    "WindowView",
     "WorkerProcessError",
     "analyze_window",
     "asset_component_correlations",

@@ -81,8 +81,9 @@ def _openblas_libs() -> tuple[_OpenBLAS, ...]:
     """The OpenBLAS libraries loaded in this process whose thread count
     ctypes can set. They are found in /proc/self/maps, so only on Linux."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+        with open("/proc/self/maps", "rb") as fh:  # paths need not be UTF-8
+            paths = {os.fsdecode(line.split(maxsplit=5)[-1].strip())
+                     for line in fh}
     except OSError:
         return ()
     libs = (_openblas_at(path) for path in sorted(paths)

@@ -69,15 +69,6 @@ class ReturnPanel:
         return len(self.meta)
 
 
-@dataclass
-class WindowView:
-    """One standardized window: each row has mean 0 and population std 1."""
-
-    window_index: int
-    end_date: dt.date
-    z_hat: np.ndarray  # N x T
-
-
 def _csv_rows(path, kind):
     """Yield the header of the `kind` CSV file at `path`, then (row number,
     fields) for each later row: rows are CSV records, the header is row 1,
@@ -265,8 +256,9 @@ def standardize(block: np.ndarray, window_index: int, meta=None,
 
 def standardize_window(
     returns: ReturnPanel, start: int, length: int, window_index: int
-) -> WindowView:
-    """Standardize the slice of `length` returns beginning at `start`.
+) -> np.ndarray:
+    """The standardized N x T slice of `length` returns beginning at
+    `start`; it ends on returns.dates[start + length - 1].
 
     Each asset is centered and scaled with the window's own mean and
     population standard deviation; see `standardize`.
@@ -279,11 +271,7 @@ def standardize_window(
             f"window [{start}, {start + length}) out of range for {n_returns} returns"
         )
     block = returns.returns[:, start : start + length]
-    return WindowView(
-        window_index=window_index,
-        end_date=returns.dates[start + length - 1],
-        z_hat=standardize(block, window_index, returns.meta, start),
-    )
+    return standardize(block, window_index, returns.meta, start)
 
 
 def window_count(returns: ReturnPanel, length: int, step: int = 1) -> int:
@@ -299,11 +287,11 @@ def window_count(returns: ReturnPanel, length: int, step: int = 1) -> int:
     return (n_returns - length) // step + 1
 
 
-def roll_windows(returns: ReturnPanel, length: int, step: int = 1) -> list[WindowView]:
+def roll_windows(returns: ReturnPanel, length: int, step: int = 1) -> list[np.ndarray]:
     """All standardized windows at starts 0, step, 2*step, ...
 
-    Yields window_count(returns, length, step) windows with consecutive
-    window_index values starting at 0; window w starts at return w * step.
+    Returns window_count(returns, length, step) N x T arrays; window w
+    starts at return w * step and ends on returns.dates[w * step + length - 1].
     """
     return [
         standardize_window(returns, index * step, length, index)

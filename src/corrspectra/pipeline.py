@@ -98,6 +98,9 @@ class RunConfig:
             raise ValueError(f"max-rank must be >= 1, got {self.max_rank}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
+        if isinstance(self.classes, str):
+            raise ValueError("classes takes a sequence of class names, "
+                             f"not the string {self.classes!r}")
         if self.classes is not None:
             self.classes = tuple(self.classes)
 
@@ -139,13 +142,13 @@ def _window_rows(returns: ReturnPanel, config: RunConfig,
     eigenvalues = np.empty((len(indices), n_assets))
     pairs = np.empty((len(indices), n_assets, max_rank, 2))  # |r|, adjusted
     for row, index in enumerate(indices):
-        window = standardize_window(
-            returns, index * config.step, config.window_len, index
-        )
+        first = index * config.step  # the window's first return
         values, decomposition, pr, abs_r = analyze_window(
-            window.z_hat, max_rank, index)
+            standardize_window(returns, first, config.window_len, index),
+            max_rank, index)
         beta, omega = decomposition.eigenvalues, decomposition.eigenvectors
-        keys.append(f"{index},{window.end_date.isoformat()}")
+        end_date = returns.dates[first + config.window_len - 1]
+        keys.append(f"{index},{end_date.isoformat()}")
         numbers[row] = [*astuple(coefficient_moments(values)),
                         *variance_fractions(decomposition)[:max_rank],
                         *pr[:max_rank], kaiser_guttman_count(decomposition),

@@ -27,7 +27,6 @@ class SpectralDecomposition:
     """Eigenvalues sorted descending; row k of `eigenvectors` is the k-th
     unit eigenvector under the deterministic sign convention."""
 
-    window_index: int
     eigenvalues: np.ndarray  # length N, descending
     eigenvectors: np.ndarray  # N x N, row per eigenvector
 
@@ -107,7 +106,7 @@ def eigendecompose(values: np.ndarray,
             residual=trace_gap,
             window_index=window_index,
         )
-    return SpectralDecomposition(window_index, beta, omega)
+    return SpectralDecomposition(beta, omega)
 
 
 def mp_bounds(q: float, sigma2: float = 1.0) -> MPBounds:

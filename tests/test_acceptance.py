@@ -131,7 +131,7 @@ def test_criterion_05_null_indistinguishability():
     def pooled_coefficients(panel):
         out = []
         for window in roll_windows(panel, 100, 1):
-            values = correlation_matrix(window.z_hat)
+            values = correlation_matrix(window)
             out.append(values[np.triu_indices(98, k=1)])
         return np.concatenate(out)
 
@@ -177,7 +177,7 @@ def test_criterion_07_algebraic_conservation():
                       noise_std=0.4)
     for s in range(10):
         panel = synthetic_factor_panel(spec, 100, seed=300 + s)
-        windows.append(roll_windows(panel, 100)[0].z_hat)
+        windows.append(roll_windows(panel, 100)[0])
     for z_hat in windows:
         n = z_hat.shape[0]
         d = eigendecompose(correlation_matrix(z_hat))
@@ -222,7 +222,7 @@ def test_criterion_09a_planted_scree_recovery():
     hits = 0
     for seed in range(100):
         window = _planted_panel_window(seed)
-        d = eigendecompose(correlation_matrix(window.z_hat))
+        d = eigendecompose(correlation_matrix(window))
         hits += scree_significant_count(d.eigenvalues, baseline) == 3
     check("criterion 9a", hits >= 90,
           f"scree count == 3 in {hits}/100 seeds (need >= 90)")
@@ -233,7 +233,7 @@ def test_criterion_09b_planted_block_assignment():
     total = 0
     for seed in range(100):
         window = _planted_panel_window(seed)
-        d = eigendecompose(correlation_matrix(window.z_hat))
+        d = eigendecompose(correlation_matrix(window))
         ranks = max_correlation_rank(asset_component_correlations(d)[0])
         for b in range(3):
             members = ranks[b * 30 : (b + 1) * 30]
@@ -247,7 +247,7 @@ def test_criterion_09b_planted_block_assignment():
 
 def _planted_delta_medians(seed):
     window = _planted_panel_window(seed)
-    d = eigendecompose(correlation_matrix(window.z_hat))
+    d = eigendecompose(correlation_matrix(window))
     deltas = self_correlation_deltas(*asset_component_correlations(d),
                                      max_rank=5)
     return np.array([np.median(np.abs(sample)) for sample in deltas])

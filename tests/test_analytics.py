@@ -26,13 +26,12 @@ from synthetic import (
 )
 
 
-def _decomposition(eigenvalues, eigenvectors=None, index=0):
+def _decomposition(eigenvalues, eigenvectors=None):
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     n = len(eigenvalues)
     if eigenvectors is None:
         eigenvectors = np.eye(n)
     return SpectralDecomposition(
-        window_index=index,
         eigenvalues=eigenvalues,
         eigenvectors=np.asarray(eigenvectors, dtype=float),
     )
@@ -134,18 +133,15 @@ class TestScreeCounts:
     def test_sign_flip_invariance(self):
         _, d = _window_and_decomposition(6, n_assets=6, n_steps=25)
         baseline = _baseline(np.linspace(2.0, 0.1, 6))
-        flipped = SpectralDecomposition(
-            d.window_index, d.eigenvalues, -d.eigenvectors
-        )
+        flipped = SpectralDecomposition(d.eigenvalues, -d.eigenvectors)
         assert scree_significant_count(
             d.eigenvalues, baseline
         ) == scree_significant_count(flipped.eigenvalues, baseline)
         assert kaiser_guttman_count(d) == kaiser_guttman_count(flipped)
 
     def test_combined_counts(self):
-        d = _decomposition([5.0, 1.0, 2.0, 0.1], index=7)
+        d = _decomposition([5.0, 1.0, 2.0, 0.1])
         baseline = _baseline([3.0, 1.5, 1.2, 0.2])
-        assert d.window_index == 7
         assert kaiser_guttman_count(d) == 2
         assert scree_significant_count(d.eigenvalues, baseline) == 1
         assert scree_exceedance_count(d.eigenvalues, baseline) == 2
@@ -180,9 +176,7 @@ class TestAssetComponentCorrelations:
 
     def test_sign_convention_irrelevant(self):
         _, d = _window_and_decomposition(14, n_assets=5, n_steps=30)
-        flipped = SpectralDecomposition(
-            d.window_index, d.eigenvalues, -d.eigenvectors
-        )
+        flipped = SpectralDecomposition(d.eigenvalues, -d.eigenvectors)
         assert np.allclose(
             asset_component_correlations(d)[0],
             asset_component_correlations(flipped)[0],
@@ -243,7 +237,7 @@ class TestSelfCorrelationDeltas:
 
     def test_rank_one_self_correlation_is_small(self):
         window = _factor_window(2000, seed=50)
-        d = eigendecompose(correlation_matrix(window.z_hat))
+        d = eigendecompose(correlation_matrix(window))
         deltas = self_correlation_deltas(*asset_component_correlations(d),
                                          max_rank=1)
         assert np.median(np.abs(deltas[0])) <= 0.05
@@ -254,7 +248,7 @@ class TestSelfCorrelationDeltas:
         medians = []
         for seed in range(5):
             window = _factor_window(2000, seed=60 + seed)
-            d = eigendecompose(correlation_matrix(window.z_hat))
+            d = eigendecompose(correlation_matrix(window))
             deltas = self_correlation_deltas(*asset_component_correlations(d),
                                              max_rank=5)
             medians.append([np.median(np.abs(s)) for s in deltas])
@@ -265,7 +259,7 @@ class TestSelfCorrelationDeltas:
 class TestMaxCorrelationRank:
     def test_planted_blocks_align_with_leading_components(self):
         window = _factor_window(2000, seed=80)
-        d = eigendecompose(correlation_matrix(window.z_hat))
+        d = eigendecompose(correlation_matrix(window))
         abs_r, _ = asset_component_correlations(d)
         ranks = max_correlation_rank(abs_r)
         assert ranks.min() >= 1

@@ -98,7 +98,7 @@ class TestCoefficientMoments:
         for s in range(n_windows):
             panel = simulate_gaussian_panel(n_assets, t_steps, seed=1000 + s)
             window = roll_windows(panel, t_steps)[0]
-            matrix = correlation_matrix(window.z_hat)
+            matrix = correlation_matrix(window)
             coeffs = matrix[np.triu_indices(n_assets, k=1)]
             pooled.append(coeffs)
         pooled = np.concatenate(pooled)

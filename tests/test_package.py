@@ -5,7 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +54,7 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     namespace = {}
     exec(compile(code, str(README), "exec"), namespace)
-    decomposition = namespace["decomposition"]
-    assert decomposition.window_index == 9  # the last of 10 windows
+    assert namespace["index"] == 9  # the last of 10 windows
     assert namespace["values"].shape == (n_assets, n_assets)
     assert namespace["abs_r"].shape == (n_assets, n_assets)
     assert namespace["abs_r_adjusted"].shape == (n_assets, n_assets)
@@ -201,6 +200,22 @@ def test_one_block_size():
             holders.update((path.stem, target.id) for target in targets
                            if "BLOCK" in getattr(target, "id", "").upper())
     assert holders == {("blocks", "BLOCK")}
+
+
+def test_one_window_form():
+    # a window is its standardized N x T array and a decomposition its
+    # eigenpairs; the caller already holds the window's index and end date
+    assert [f.name for f in fields(corrspectra.SpectralDecomposition)] == [
+        "eigenvalues", "eigenvectors"]
+    n_assets, n_dates = 4, 12
+    returns = corrspectra.compute_log_returns(corrspectra.PricePanel(
+        dates=weekly_dates(n_dates),
+        prices=random_walk_prices(np.random.default_rng(5), n_assets, n_dates),
+        meta=[corrspectra.AssetMeta(f"A{i}", "equities")
+              for i in range(n_assets)]))
+    window = corrspectra.standardize_window(returns, 2, 6, 0)
+    assert type(window) is np.ndarray and window.shape == (n_assets, 6)
+    assert not hasattr(corrspectra, "WindowView")
 
 
 def test_one_csv_reader():

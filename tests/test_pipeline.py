@@ -1,6 +1,7 @@
 import builtins
 import contextlib
 import json
+import mmap
 import multiprocessing
 import os
 import signal
@@ -227,6 +228,13 @@ class TestWriteReports:
             == (kernel.value.ticker, kernel.value.window_index) == ("A01", 20)
         assert type(checked.value.window_index) is int
 
+    def test_classes_take_a_sequence_of_names(self, tmp_path):
+        # a str is a sequence of characters, not of class names
+        with pytest.raises(ValueError, match="sequence of class names"):
+            make_config(tmp_path, classes="equities")
+        assert make_config(tmp_path, classes=["equities"]).classes == (
+            "equities",)
+
     def test_needs_three_assets(self, tmp_path):
         prices_path, meta_path = make_input_files(
             tmp_path, n_assets=2, classes=["equities", "metals"]
@@ -327,11 +335,10 @@ class TestEmitReports:
             load_price_panel(config.prices_path, config.meta_path))
         windows = roll_windows(returns, 10)
         assert len(windows) == N_WINDOWS
-        for window in windows:
-            decomposition = eigendecompose(correlation_matrix(window.z_hat),
-                                           window.window_index)
+        for index, window in enumerate(windows):
+            decomposition = eigendecompose(correlation_matrix(window), index)
             for k, beta in enumerate(decomposition.eigenvalues, start=1):
-                stored = parsed[(window.window_index, k)]
+                stored = parsed[(index, k)]
                 assert stored == pytest.approx(beta, rel=1e-14, abs=1e-15)
 
     def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
@@ -471,8 +478,7 @@ class TestRenderers:
         against the baseline `stats`."""
         def standardize_window(returns, start, length, index):
             assert (start, length) == (index * config.step, config.window_len)
-            return SimpleNamespace(z_hat=windows[index],
-                                   end_date=windows[index].end_date)
+            return windows[index]
 
         def analyze_window(z_hat, max_rank, index):
             assert z_hat is windows[index] and max_rank == config.max_rank
@@ -538,7 +544,11 @@ class TestRenderers:
                            output_dir="out", max_rank=n_ranks)
         stats = object()  # the null baseline, passed through untouched
         self._patch_window_functions(monkeypatch, reports, config, stats)
-        returns = SimpleNamespace(tickers=self.TICKERS, n_assets=4)
+        # window i ends on return i + window_len - 1
+        returns = SimpleNamespace(
+            tickers=self.TICKERS, n_assets=4,
+            dates=[None] * (config.window_len - 1)
+            + [rep.end_date for rep in reports])
         [windows], eig_texts, corr_texts = pipeline._window_rows(
             returns, config, stats, 0, len(reports))
         _, eig_head, corr_head = (",".join(columns) + "\n" for columns
@@ -1301,6 +1311,24 @@ def _session_processes(session: int) -> list[int]:
 
 
 class TestWorkerProcesses:
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                        reason="needs /proc/self/maps")
+    def test_undecodable_mapped_path_does_not_stop_a_run(self, tmp_path,
+                                                        capsys):
+        # a mapped file whose name is not UTF-8, as under a Latin-1
+        # directory name, is just another path to the BLAS pin
+        expected = blocks._openblas_libs()
+        path = os.fsencode(tmp_path) + b"/map\xff.bin"
+        with open(path, "w+b") as fh:
+            fh.write(bytes(mmap.PAGESIZE))
+            fh.flush()
+            mapping = mmap.mmap(fh.fileno(), mmap.PAGESIZE)
+        with mapping:
+            assert path in Path("/proc/self/maps").read_bytes()
+            assert blocks._openblas_libs() == expected
+            prices_path, meta_path = make_input_files(tmp_path)
+            assert main(TestCLI._args(tmp_path, prices_path, meta_path)) == 0
+
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="workers die with their parent on Linux only")
     def test_killed_run_leaves_no_process(self, tmp_path):
