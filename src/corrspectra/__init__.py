@@ -41,9 +41,9 @@ from .panel import (
     ReturnPanel,
     compute_log_returns,
     load_price_panel,
-    roll_windows,
     standardize_window,
     subset_by_class,
+    window_count,
 )
 from .pipeline import RunConfig, write_reports
 from .spectral import (
@@ -86,12 +86,12 @@ __all__ = [
     "null_ensemble_stats",
     "null_window",
     "participation",
-    "roll_windows",
     "scree_exceedance_count",
     "scree_significant_count",
     "sim_rng",
     "standardize_window",
     "subset_by_class",
     "variance_fractions",
+    "window_count",
     "write_reports",
 ]

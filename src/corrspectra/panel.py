@@ -241,7 +241,9 @@ def standardize(block: np.ndarray, window_index: int, meta=None,
     DegenerateWindowError names window `window_index`, the block's returns
     counted from `start`, and the asset from `meta` (else its row).
     """
-    sigma = block.std(axis=1)
+    centered = block - block.mean(axis=1, keepdims=True)
+    # numpy's own std steps, so sigma equals block.std(axis=1) bit for bit
+    sigma = np.sqrt(np.mean(centered * centered, axis=1))
     if np.any(sigma == 0.0):
         idx = int(np.argmax(sigma == 0.0))
         ticker = meta[idx].ticker if meta else None
@@ -251,7 +253,7 @@ def standardize(block: np.ndarray, window_index: int, meta=None,
             ticker=ticker,
             window_index=window_index,
         )
-    return (block - block.mean(axis=1, keepdims=True)) / sigma[:, None]
+    return centered / sigma[:, None]
 
 
 def standardize_window(
@@ -285,18 +287,6 @@ def window_count(returns: ReturnPanel, length: int, step: int = 1) -> int:
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     return (n_returns - length) // step + 1
-
-
-def roll_windows(returns: ReturnPanel, length: int, step: int = 1) -> list[np.ndarray]:
-    """All standardized windows at starts 0, step, 2*step, ...
-
-    Returns window_count(returns, length, step) N x T arrays; window w
-    starts at return w * step and ends on returns.dates[w * step + length - 1].
-    """
-    return [
-        standardize_window(returns, index * step, length, index)
-        for index in range(window_count(returns, length, step))
-    ]
 
 
 def subset_by_class(panel: PricePanel, classes) -> PricePanel:

@@ -98,11 +98,16 @@ class RunConfig:
             raise ValueError(f"max-rank must be >= 1, got {self.max_rank}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
+        if not os.fspath(self.output_dir):  # Path("") is the cwd
+            raise ValueError("output directory must be nonempty")
         if isinstance(self.classes, str):
             raise ValueError("classes takes a sequence of class names, "
                              f"not the string {self.classes!r}")
         if self.classes is not None:
             self.classes = tuple(self.classes)
+            if not all(isinstance(name, str) for name in self.classes):
+                raise ValueError("classes must be strings, got "
+                                 f"{self.classes!r}")
 
 
 def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
@@ -251,8 +256,8 @@ def _digit_words(n: np.ndarray, e: np.ndarray, negative: np.ndarray):
     return words
 
 
-def _csv_lines(prefixes, keys, values: np.ndarray) -> list[str]:
-    """One string per prefix: line j of string i is prefixes[i], keys[j]
+def _csv_lines(prefixes, keys, values: np.ndarray) -> list[bytes]:
+    """One UTF-8 text per prefix: line j of text i is prefixes[i], keys[j]
     and values[i, j] as ",%.15g" fields, NaN as "NaN"; `values` has shape
     (len(prefixes), len(keys), width).
 
@@ -280,8 +285,8 @@ def _csv_lines(prefixes, keys, values: np.ndarray) -> list[str]:
                                      "<u8")
         fields = words.view("S24").ravel().tolist()
         for i, prefix in enumerate(prefixes[start:start + step]):
-            texts.append(((prefix + prefix.join(keyed))
-                          % tuple(fields[i * size:(i + 1) * size])).decode())
+            texts.append((prefix + prefix.join(keyed))
+                         % tuple(fields[i * size:(i + 1) * size]))
     return texts
 
 
@@ -445,11 +450,10 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
                  _manifest_json(config, n_windows, returns.tickers))
         blocks = stack.enter_context(map_blocks(
             _window_rows, (returns, config, stats), n_windows))
-        files = [stack.enter_context(open(staging / name, "w",
-                                          encoding="utf-8", newline="\n"))
+        files = [stack.enter_context(open(staging / name, "wb"))
                  for name in REPORT_FILES]
         for file, head in zip(files, heads):
-            file.write(head)
+            file.write(head.encode())
         for texts in blocks:  # the three CSVs' lines
             for file, lines in zip(files, texts):
                 file.writelines(lines)

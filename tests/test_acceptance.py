@@ -21,7 +21,8 @@ from corrspectra import (
     null_ensemble_stats,
     null_window,
     participation,
-    roll_windows,
+    standardize_window,
+    window_count,
     scree_significant_count,
     asset_component_correlations,
 )
@@ -130,8 +131,9 @@ def test_criterion_05_null_indistinguishability():
 
     def pooled_coefficients(panel):
         out = []
-        for window in roll_windows(panel, 100, 1):
-            values = correlation_matrix(window)
+        for index in range(window_count(panel, 100)):
+            values = correlation_matrix(
+                standardize_window(panel, index, 100, index))
             out.append(values[np.triu_indices(98, k=1)])
         return np.concatenate(out)
 
@@ -177,7 +179,7 @@ def test_criterion_07_algebraic_conservation():
                       noise_std=0.4)
     for s in range(10):
         panel = synthetic_factor_panel(spec, 100, seed=300 + s)
-        windows.append(roll_windows(panel, 100)[0])
+        windows.append(standardize_window(panel, 0, 100, 0))
     for z_hat in windows:
         n = z_hat.shape[0]
         d = eigendecompose(correlation_matrix(z_hat))
@@ -207,7 +209,7 @@ def _planted_panel_window(seed):
     spec = FactorSpec(block_sizes=(30, 30, 30), loadings=(0.9, 0.9, 0.9),
                       noise_std=0.4)
     panel = synthetic_factor_panel(spec, 100, seed=seed)
-    return roll_windows(panel, 100)[0]
+    return standardize_window(panel, 0, 100, 0)
 
 
 def _planted_baseline():

@@ -10,7 +10,7 @@ from corrspectra import (
     eigendecompose,
     kaiser_guttman_count,
     participation,
-    roll_windows,
+    standardize_window,
     scree_exceedance_count,
     scree_significant_count,
     variance_fractions,
@@ -219,7 +219,7 @@ def _factor_window(length, seed):
         block_sizes=(30, 30, 30), loadings=(0.9, 0.9, 0.9), noise_std=0.4
     )
     panel = synthetic_factor_panel(spec, length, seed=seed)
-    return roll_windows(panel, length)[0]
+    return standardize_window(panel, 0, length, 0)
 
 
 class TestSelfCorrelationDeltas:

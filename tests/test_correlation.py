@@ -5,7 +5,7 @@ from corrspectra import (
     analyze_window,
     coefficient_moments,
     correlation_matrix,
-    roll_windows,
+    standardize_window,
 )
 
 from helpers import pairwise_corr, random_correlation_window
@@ -97,7 +97,7 @@ class TestCoefficientMoments:
         pooled = []
         for s in range(n_windows):
             panel = simulate_gaussian_panel(n_assets, t_steps, seed=1000 + s)
-            window = roll_windows(panel, t_steps)[0]
+            window = standardize_window(panel, 0, t_steps, 0)
             matrix = correlation_matrix(window)
             coeffs = matrix[np.triu_indices(n_assets, k=1)]
             pooled.append(coeffs)

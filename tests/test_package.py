@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import corrspectra
-from corrspectra import blocks, cli
+from corrspectra import blocks, cli, pipeline
 
 from helpers import (
     random_walk_prices,
@@ -56,7 +56,8 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     exec(compile(code, str(README), "exec"), namespace)
     assert namespace["index"] == 9  # the last of 10 windows
     assert namespace["values"].shape == (n_assets, n_assets)
-    assert namespace["abs_r"].shape == (n_assets, n_assets)
+    assert namespace["pr"].shape == (n_assets,)
+    assert namespace["abs_r"].shape == (n_assets, namespace["max_rank"])
     assert namespace["abs_r_adjusted"].shape == (n_assets, n_assets)
 
 
@@ -218,6 +219,15 @@ def test_one_window_form():
     assert not hasattr(corrspectra, "WindowView")
 
 
+def test_windows_are_standardized_one_at_a_time():
+    # no function holds every standardized window of a panel at once
+    # (800 x 98 x 100 floats on the paper's panel); callers loop over
+    # window indices as _window_rows does
+    for module in (corrspectra, corrspectra.panel):
+        assert not hasattr(module, "roll_windows")
+    assert "roll_windows" not in corrspectra.__all__
+
+
 def test_one_csv_reader():
     # one generator reads both input CSVs, so each loader keeps only its
     # column rules and every malformed file fails the same way
@@ -255,13 +265,28 @@ def test_one_window_route():
 
 def test_one_report_writer():
     # write_reports alone opens files in pipeline.py: all five reports, once
-    # its window pool has started
+    # its window pool has started, in binary mode, since every line reaches
+    # it as UTF-8 bytes
     tree = ast.parse((SRC / "pipeline.py").read_text(encoding="utf-8"))
-    scopes = {scope for scope, node in _scoped(tree)
-              if isinstance(node, ast.Call)
-              and getattr(node.func, "id", getattr(node.func, "attr", None))
-              == "open"}
-    assert scopes == {"write_reports"}
+    opens = [(scope, node) for scope, node in _scoped(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "open"]
+    assert {scope for scope, _ in opens} == {"write_reports"}
+    for _, node in opens:
+        assert [ast.literal_eval(arg) for arg in node.args[1:]] == ["wb"]
+        assert node.keywords == []
+
+
+def test_report_text_stays_bytes():
+    # _csv_lines renders bytes and write_reports writes them as they are:
+    # no decode in the worker and re-encode in the parent
+    assert inspect.signature(pipeline._csv_lines).return_annotation \
+        == "list[bytes]"
+    texts = pipeline._csv_lines(["0,", "1,"], ["Zürich", "k"],
+                                np.full((2, 2, 1), 0.5))
+    assert texts == [b"0,Z\xc3\xbcrich,0.5\n0,k,0.5\n",
+                     b"1,Z\xc3\xbcrich,0.5\n1,k,0.5\n"]
 
 
 def test_each_write_checks_its_own_destination():

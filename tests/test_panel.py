@@ -12,11 +12,12 @@ from corrspectra import (
     AssetMeta,
     compute_log_returns,
     load_price_panel,
-    roll_windows,
     standardize_window,
     subset_by_class,
+    window_count,
 )
 from corrspectra.cli import main
+from corrspectra.panel import standardize
 from corrspectra.pipeline import REPORT_FILES
 
 from helpers import (
@@ -349,6 +350,23 @@ class TestStandardizeWindow:
         assert np.abs(window.mean(axis=1)).max() <= 1e-10
         assert np.abs(window.std(axis=1) - 1.0).max() <= 1e-10
 
+    def test_single_pass_is_numpys_std(self):
+        # standardize centres each row once, in numpy's own std steps, so
+        # its sigma is np.std bit for bit (the std == 0.0 rule) and its
+        # result the two-pass formula's; on a contiguous block and on a
+        # strided slice of a wider panel, with equal nonzero returns too
+        rng = np.random.default_rng(29)
+        wide = rng.normal(0.0, 0.03, (98, 900))
+        wide[5] = np.log(1.001)  # numpy std ~2e-19, not 0.0
+        for block in (np.ascontiguousarray(wide[:, :100]), wide[:, 37:137],
+                      wide[6:18, 500:503] * 1e-9):
+            centered = block - block.mean(axis=1, keepdims=True)
+            sigma = np.sqrt(np.mean(centered * centered, axis=1))
+            assert np.array_equal(sigma, np.std(block, axis=1))
+            two_pass = ((block - block.mean(axis=1, keepdims=True))
+                        / block.std(axis=1)[:, None])
+            assert np.array_equal(standardize(block, 0), two_pass)
+
     def test_bounds_checked(self):
         returns = compute_log_returns(self._panel([[0.1, 0.2, 0.3]]))
         with pytest.raises(ValueError):
@@ -370,23 +388,24 @@ class TestRollWindows:
         )
 
     def test_reference_window_count(self):
-        windows = roll_windows(self._returns(574), 100, 1)
-        assert len(windows) == 475
+        assert window_count(self._returns(574), 100, 1) == 475
 
     def test_exact_fit(self):
-        assert len(roll_windows(self._returns(5), 5, 1)) == 1
+        assert window_count(self._returns(5), 5, 1) == 1
 
     def test_step_three(self):
-        windows = roll_windows(self._returns(10), 4, 3)
-        assert len(windows) == 3
+        returns = self._returns(10)
+        assert window_count(returns, 4, 3) == 3
+        standardize_window(returns, 2 * 3, 4, 2)  # the last window fits
 
     def test_window_longer_than_data(self):
         with pytest.raises(ValueError):
-            roll_windows(self._returns(5), 6, 1)
+            window_count(self._returns(5), 6, 1)
 
     def test_adjacent_windows_share_raw_columns(self):
         returns = self._returns(30)
-        windows = roll_windows(returns, 10, 1)
+        windows = [standardize_window(returns, index, 10, index)
+                   for index in range(window_count(returns, 10, 1))]
         raw = returns.returns
         for k in range(len(windows) - 1):
             block_a = raw[:, k : k + 10]

@@ -27,7 +27,8 @@ from corrspectra import (
     correlation_matrix,
     eigendecompose,
     load_price_panel,
-    roll_windows,
+    standardize_window,
+    window_count,
     write_reports,
 )
 from corrspectra import blocks, nulls, pipeline
@@ -235,6 +236,11 @@ class TestWriteReports:
         assert make_config(tmp_path, classes=["equities"]).classes == (
             "equities",)
 
+    def test_classes_must_be_strings(self, tmp_path):
+        # subset_by_class sorts the unknown names for its message
+        with pytest.raises(ValueError, match="classes must be strings"):
+            make_config(tmp_path, classes=("x", 5))
+
     def test_needs_three_assets(self, tmp_path):
         prices_path, meta_path = make_input_files(
             tmp_path, n_assets=2, classes=["equities", "metals"]
@@ -333,9 +339,9 @@ class TestEmitReports:
             parsed[(int(index), int(rank))] = float(value)
         returns = compute_log_returns(
             load_price_panel(config.prices_path, config.meta_path))
-        windows = roll_windows(returns, 10)
-        assert len(windows) == N_WINDOWS
-        for index, window in enumerate(windows):
+        assert window_count(returns, 10) == N_WINDOWS
+        for index in range(N_WINDOWS):
+            window = standardize_window(returns, index, 10, index)
             decomposition = eigendecompose(correlation_matrix(window), index)
             for k, beta in enumerate(decomposition.eigenvalues, start=1):
                 stored = parsed[(index, k)]
@@ -551,18 +557,19 @@ class TestRenderers:
             + [rep.end_date for rep in reports])
         [windows], eig_texts, corr_texts = pipeline._window_rows(
             returns, config, stats, 0, len(reports))
-        _, eig_head, corr_head = (",".join(columns) + "\n" for columns
-                                  in pipeline._csv_columns(n_ranks))
-        corr = corr_head + "".join(corr_texts)
-        eig = eig_head + "".join(eig_texts)
-        assert corr == "\n".join(expected_corr) + "\n"
-        assert eig == "\n".join(expected_eig) + "\n"
-        assert windows == "\n".join(expected_win) + "\n"
-        assert "1,x%sy,2,0,NaN\n" in corr
-        assert f"1,{reports[1].end_date.isoformat()},0.5,0,NaN,NaN," in windows
-        assert windows.endswith(",3,20,123456\n")
+        _, eig_head, corr_head = ((",".join(columns) + "\n").encode()
+                                  for columns in pipeline._csv_columns(n_ranks))
+        corr = corr_head + b"".join(corr_texts)
+        eig = eig_head + b"".join(eig_texts)
+        assert corr == ("\n".join(expected_corr) + "\n").encode()
+        assert eig == ("\n".join(expected_eig) + "\n").encode()
+        assert windows == ("\n".join(expected_win) + "\n").encode()
+        assert b"1,x%sy,2,0,NaN\n" in corr
+        assert (f"1,{reports[1].end_date.isoformat()},0.5,0,NaN,NaN,".encode()
+                in windows)
+        assert windows.endswith(b",3,20,123456\n")
         for text in (corr, windows):
-            assert all("nan" not in line.split(",")[2:]
+            assert all(b"nan" not in line.split(b",")[2:]
                        for line in text.splitlines())
 
 
@@ -610,10 +617,10 @@ class TestRenderers:
             texts = pipeline._csv_lines(prefixes, keys, values)
             assert texts == ["".join(
                 f"{prefix}{key}" + "".join(f",{_fmt_oracle(v)}" for v in row)
-                + "\n" for key, row in zip(keys, rows))
+                + "\n" for key, row in zip(keys, rows)).encode()
                 for prefix, rows in zip(prefixes, values)]
         assert pipeline._csv_lines([""], ["k"], np.array([[[0.0, -0.0]]])) \
-            == ["k,0,-0\n"]
+            == [b"k,0,-0\n"]
 
     @pytest.mark.parametrize("n_keys", [100, 1023, 1024, 1025, 3000])
     def test_chunks_hold_whole_prefixes_under_the_cap(self, monkeypatch,
@@ -1182,6 +1189,18 @@ class TestCLI:
         assert main(args) == 2
         assert "classes must be nonempty" in capsys.readouterr().err
         assert not (tmp_path / "cli_out").exists()
+
+    def test_empty_output_exits_two(self, tmp_path, capsys, monkeypatch):
+        # Path("") is the current directory, whose reports it would replace
+        prices_path, meta_path = make_input_files(tmp_path)
+        (tmp_path / "windows.csv").write_bytes(b"earlier\n")
+        before = _file_bytes(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        args = self._args(tmp_path, prices_path, meta_path)
+        args[args.index("--out") + 1] = ""
+        assert main(args) == 2
+        assert "output directory must be nonempty" in capsys.readouterr().err
+        assert _file_bytes(tmp_path) == before
 
     def test_null_option_is_gone(self, tmp_path, capsys):
         prices_path, meta_path = make_input_files(tmp_path)
