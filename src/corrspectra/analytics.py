@@ -78,13 +78,8 @@ def scree_significant_count(
     and null curves cross more than once.
     """
     _check_baseline(eigenvalues, baseline)
-    count = 0
-    for observed, null in zip(eigenvalues, baseline.scree_mean):
-        if observed > null:
-            count += 1
-        else:
-            break
-    return count
+    above = eigenvalues > baseline.scree_mean
+    return int(above.size if above.all() else above.argmin())
 
 
 def scree_exceedance_count(

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 input or configuration error, 3 numerical failure
 (the message names the window and asset involved), 4 I/O error, 5 a
-worker process died. The reports are staged beside the output directory
-and moved into it only when the run succeeds, so a failed run leaves no
-partial reports, and the reports of an earlier run there keep their bytes.
+worker process died. The reports are staged in a hidden directory inside
+the output directory and moved into it only when the run succeeds, so a
+failed run leaves no partial reports, and the reports of an earlier run
+there keep their bytes.
 """
 
 from __future__ import annotations

@@ -206,25 +206,23 @@ def _payload_to_stats(payload: dict, config: NullConfig) -> NullEnsembleStats:
                              config=config)
 
 
-def _read_cache(cache_path: Path, warn) -> dict:
-    """The cache file's contents, or an empty cache when the file is
-    missing, of another schema version, or unreadable (the problem is
-    passed to `warn`)."""
+def _read_cache(cache_path: Path) -> tuple[dict, object]:
+    """The cache file's contents and None, or an empty cache when the file
+    is missing or of another schema version, or an empty cache and the
+    problem when it is unreadable."""
     empty = {"schema_version": CACHE_SCHEMA_VERSION, "entries": {}}
     if not cache_path.exists():
-        return empty
+        return empty, None
     try:
         with open(cache_path, encoding="utf-8") as fh:
             loaded = json.load(fh)
     except (OSError, ValueError) as exc:
-        warn(exc)
-        return empty
+        return empty, exc
     if not isinstance(loaded, dict) or not isinstance(loaded.get("entries"), dict):
-        warn("not a baseline cache")
-        return empty
+        return empty, "not a baseline cache"
     if loaded.get("schema_version") != CACHE_SCHEMA_VERSION:
-        return empty
-    return loaded
+        return empty, None
+    return loaded, None
 
 
 def _write_entry(cache_path: Path, key: str, payload: dict) -> None:
@@ -237,7 +235,7 @@ def _write_entry(cache_path: Path, key: str, payload: dict) -> None:
     with open(cache_path.with_name(f".{cache_path.name}.lock"), "a") as lock:
         if fcntl is not None:
             fcntl.flock(lock, fcntl.LOCK_EX)
-        cache = _read_cache(cache_path, warn=lambda problem: None)
+        cache, _ = _read_cache(cache_path)
         cache["entries"][key] = payload
         fd, tmp = tempfile.mkstemp(dir=cache_path.parent,
                                    prefix=f".{cache_path.name}.", suffix=".tmp")
@@ -277,13 +275,13 @@ def cached_ensemble_stats(
     if cache_path.is_dir():  # ".", "" and "/" have no parents
         raise IsADirectoryError(f"{what} is a directory")
     key = _cache_key(config)
-    problems = []
-    entry = _read_cache(cache_path, problems.append)["entries"].get(key)
+    cache, problem = _read_cache(cache_path)
+    entry = cache["entries"].get(key)
     if entry is not None:
         try:
             stats = _payload_to_stats(entry, config)
         except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"entry {key}: {exc!r}")
+            problem = f"entry {key}: {exc!r}"
         else:
             if np.isfinite(stats.abs_corr_p99[:max_rank]).all():
                 stats.abs_corr_p99[max_rank:] = np.nan  # as computed fresh
@@ -293,7 +291,7 @@ def cached_ensemble_stats(
         raise NotADirectoryError(f"{what}: {base} is not a directory")
     if not os.access(base, os.W_OK | os.X_OK):
         raise PermissionError(f"{what}: cannot write in {base}")
-    for problem in problems:  # at most one
+    if problem is not None:
         print(f"corrspectra: warning: {what} is unusable ({problem}); "
               "recomputing and rewriting it", file=sys.stderr)
     stats = null_ensemble_stats(config, max_rank)

@@ -345,13 +345,12 @@ def _manifest_json(config: RunConfig, n_windows: int, tickers) -> str:
 
 
 def _remove_stale_staging(output_dir: Path) -> None:
-    """Remove the staging directories of `output_dir` whose owner process
+    """Remove the staging directories in `output_dir` whose owner process
     is gone: a run killed by a signal it cannot catch leaves its own."""
     if os.name != "posix":  # elsewhere os.kill does not just probe
         return
-    pattern = re.compile(re.escape(f".{output_dir.name}.")
-                         + r"(\d{1,9})\.[a-z0-9_]+\.staging")
-    for path in output_dir.parent.iterdir():
+    pattern = re.compile(r"\.corrspectra\.(\d{1,9})\.[a-z0-9_]+\.staging")
+    for path in output_dir.iterdir():
         match = pattern.fullmatch(path.name)
         if match is None:
             continue
@@ -365,18 +364,19 @@ def _remove_stale_staging(output_dir: Path) -> None:
 
 @contextlib.contextmanager
 def _staged_reports(output_dir: Path):
-    """Yield a new staging directory `.<name>.<pid>.*.staging` beside
+    """Yield a new staging directory `.corrspectra.<pid>.*.staging` in
     `output_dir` for the REPORT_FILES, after removing those of runs whose
     process is gone. First it raises the OSError the last os.replace would:
     an existing `output_dir` is not a directory, is not writable or holds a
-    directory under a report's name.
+    directory under a report's name; then making `output_dir` and its
+    missing parents fails for a path that cannot be a directory.
 
-    When the with block ends cleanly, `output_dir` is created if missing
-    and the files are moved into it with os.replace. Either way the staging
+    When the with block ends cleanly, the files are moved into `output_dir`
+    with os.replace, within one filesystem. Either way the staging
     directory is then removed, so a failed run leaves no partial reports,
     and the reports of an earlier run in `output_dir` keep their bytes. A
-    failed run also removes the missing parents of `output_dir` it made,
-    where they are still empty.
+    failed run also removes the `output_dir` and parents it made, where
+    they are still empty.
     """
     if output_dir.exists():
         if not output_dir.is_dir():
@@ -386,16 +386,16 @@ def _staged_reports(output_dir: Path):
                 raise IsADirectoryError(f"report {report} is a directory")
         if not os.access(output_dir, os.W_OK | os.X_OK):
             raise PermissionError(f"output {output_dir} is not writable")
-    made = [parent for parent in output_dir.parents if not parent.exists()]
+    made = [path for path in (output_dir, *output_dir.parents)
+            if not path.exists()]
     staging = None
     try:
-        output_dir.parent.mkdir(parents=True, exist_ok=True)
+        output_dir.mkdir(parents=True, exist_ok=True)
         _remove_stale_staging(output_dir)
         staging = Path(tempfile.mkdtemp(
-            prefix=f".{output_dir.name}.{os.getpid()}.", suffix=".staging",
-            dir=output_dir.parent))
+            prefix=f".corrspectra.{os.getpid()}.", suffix=".staging",
+            dir=output_dir))
         yield staging
-        output_dir.mkdir(exist_ok=True)
         for name in REPORT_FILES:
             os.replace(staging / name, output_dir / name)
         made = []

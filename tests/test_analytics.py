@@ -125,6 +125,34 @@ class TestScreeCounts:
         assert scree_significant_count(d.eigenvalues, baseline) == 1
         assert scree_exceedance_count(d.eigenvalues, baseline) == 2
 
+    def test_every_rank_above(self):
+        d = _decomposition([5.0, 2.0, 1.3, 0.3])
+        baseline = _baseline([3.0, 1.5, 1.2, 0.2])
+        assert scree_significant_count(d.eigenvalues, baseline) == 4
+        assert scree_exceedance_count(d.eigenvalues, baseline) == 4
+
+    def test_nan_ends_the_leading_run(self):
+        # NaN on either side is not above the profile
+        d = _decomposition([5.0, 2.0, 1.3, 0.3])
+        assert scree_significant_count(
+            d.eigenvalues, _baseline([3.0, np.nan, 1.2, 0.2])) == 1
+        d = _decomposition([5.0, np.nan, 1.3, 0.3])
+        assert scree_significant_count(
+            d.eigenvalues, _baseline([3.0, 1.5, 1.2, 0.2])) == 1
+
+    def test_matches_the_loop(self):
+        # the leading run as a loop counts it, NaN on either side included
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            n = int(rng.integers(2, 8))
+            observed, null = rng.normal(size=(2, n))
+            observed[rng.random(n) < 0.1] = np.nan
+            null[rng.random(n) < 0.1] = np.nan
+            count = 0
+            while count < n and observed[count] > null[count]:
+                count += 1
+            assert scree_significant_count(observed, _baseline(null)) == count
+
     def test_size_mismatch(self):
         d = _decomposition([2.0, 1.0])
         with pytest.raises(BaselineMismatchError):

@@ -304,6 +304,23 @@ def test_each_write_checks_its_own_destination():
                        ("nulls", "cached_ensemble_stats")}
 
 
+def test_one_directory_per_run():
+    # the reports are staged inside --out, so the final os.replace stays in
+    # one directory and one filesystem, and nothing is made beside --out
+    tree = ast.parse((SRC / "pipeline.py").read_text(encoding="utf-8"))
+    staged, parents = [], set()
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Call) \
+                and getattr(node.func, "attr", None) == "mkdtemp":
+            assert node.args == []
+            staged.append({keyword.arg: ast.unparse(keyword.value)
+                           for keyword in node.keywords}.get("dir"))
+        elif isinstance(node, ast.Attribute) and node.attr == "parent":
+            parents.add(scope)
+    assert staged == ["output_dir"]
+    assert not parents & {"_staged_reports", "_remove_stale_staging"}
+
+
 def test_helpers_load_without_corrspectra(tmp_path):
     # the benchmark execs helpers.py in a process with no src on its path
     script = ("import importlib.util, sys\n"

@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import errno
 import json
 import mmap
 import multiprocessing
@@ -854,18 +855,25 @@ class TestCLI:
         assert cache.read_bytes() == entry
 
     def test_stale_staging_directory_is_removed(self, tmp_path, capsys):
-        # the staging directories of a SIGKILLed run and of a live one
+        # the staging directories of a SIGKILLed run and of a live one, and
+        # a user's hidden entries that only resemble the first
         exited = subprocess.Popen([sys.executable, "-c", "pass"])
         exited.wait(timeout=60)
-        stale = tmp_path / f".cli_out.{exited.pid}.k1ll3d_x.staging"
-        live = tmp_path / f".cli_out.{os.getpid()}.running.staging"
-        for staging in (stale, live):
-            staging.mkdir()
+        out = tmp_path / "cli_out"
+        stale = out / f".corrspectra.{exited.pid}.k1ll3d_x.staging"
+        kept = [out / name for name in (
+            f".corrspectra.{os.getpid()}.running.staging",
+            f".corrspectra.{exited.pid}.k1ll3d_x.staging.bak",
+            f".cli_out.{exited.pid}.k1ll3d_x.staging",
+            f".{exited.pid}.k1ll3d_x.staging", ".corrspectra")]
+        for staging in (stale, *kept):
+            staging.mkdir(parents=True)
             (staging / "eigenvalues.csv").write_text("partial\n")
         prices_path, meta_path = make_input_files(tmp_path)
         assert main(self._args(tmp_path, prices_path, meta_path)) == 0
         assert not stale.exists()
-        assert (live / "eigenvalues.csv").read_text() == "partial\n"
+        for staging in kept:
+            assert (staging / "eigenvalues.csv").read_text() == "partial\n"
 
     def test_reports_are_opened_after_the_pool_starts(self, tmp_path,
                                                       monkeypatch):
@@ -875,7 +883,7 @@ class TestCLI:
 
         @contextlib.contextmanager
         def map_blocks(*args):
-            staging, = tmp_path.glob(".cli_out.*.staging")
+            staging, = (tmp_path / "cli_out").glob(".corrspectra.*.staging")
             staged.append(sorted(path.name for path in staging.iterdir()))
             with real_map_blocks(*args) as results:
                 yield results
@@ -925,8 +933,8 @@ class TestCLI:
 
     def test_output_below_a_regular_file_exits_four_before_the_ensemble(
             self, tmp_path, capsys, monkeypatch):
-        # Path.exists() reads blocked/out as missing; making the staging
-        # directory beside it fails before the null ensemble
+        # Path.exists() reads blocked/out as missing; making it fails
+        # before the null ensemble
         monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
         prices_path, meta_path = make_input_files(tmp_path)
         (tmp_path / "blocked").write_text("not a directory")
@@ -935,13 +943,64 @@ class TestCLI:
                           out=Path("blocked", "out"))
         assert main(args) == 4
         err = capsys.readouterr().err
+        assert "I/O error" in err and "Not a directory" in err
+        assert _file_bytes(tmp_path) == before
+
+    def test_dangling_symlink_output_exits_four_before_the_ensemble(
+            self, tmp_path, capsys, monkeypatch):
+        # Path.exists() reads the link as missing, and mkdir cannot make a
+        # directory at it; the failed run keeps the link
+        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        prices_path, meta_path = make_input_files(tmp_path)
+        (tmp_path / "cli_out").symlink_to(tmp_path / "gone")
+        before = _file_bytes(tmp_path)
+        args = self._args(tmp_path, prices_path, meta_path)
+        assert main(args) == 4
+        err = capsys.readouterr().err
         assert "I/O error" in err and "File exists" in err
         assert _file_bytes(tmp_path) == before
+        assert os.readlink(tmp_path / "cli_out") == str(tmp_path / "gone")
+
+    def test_output_on_another_filesystem_exits_zero(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a mount point (a bind mount, /dev/shm) as --out: os.replace
+        # refuses a rename into it from outside it with EXDEV
+        out = tmp_path / "cli_out"
+        replace = os.replace
+
+        def no_cross_device(src, dst, **kwargs):
+            if Path(dst).parent == out and not Path(src).is_relative_to(out):
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src)
+            return replace(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "replace", no_cross_device)
+        prices_path, meta_path = make_input_files(tmp_path)
+        assert main(self._args(tmp_path, prices_path, meta_path)) == 0
+        assert sorted(path.name for path in out.iterdir()) \
+            == sorted(EXPECTED_FILES)
+
+    def test_run_writes_nothing_beside_the_output(self, tmp_path, monkeypatch):
+        # --out's parent only gains --out, during the run and after it
+        real_map_blocks = pipeline.map_blocks
+        listings = []
+
+        @contextlib.contextmanager
+        def map_blocks(*args):
+            listings.append(sorted(path.name for path in tmp_path.iterdir()))
+            with real_map_blocks(*args) as results:
+                yield results
+
+        monkeypatch.setattr(pipeline, "map_blocks", map_blocks)
+        prices_path, meta_path = make_input_files(tmp_path)
+        entries = sorted(path.name for path in tmp_path.iterdir())
+        assert main(self._args(tmp_path, prices_path, meta_path)) == 0
+        listings.append(sorted(path.name for path in tmp_path.iterdir()))
+        assert listings == [sorted([*entries, "cli_out"])] * 2
 
     def test_cache_path_at_a_missing_parent_of_the_output_exits_four(
             self, tmp_path, capsys, monkeypatch):
-        # the staging directory makes the parent, which the cache check
-        # then finds to be a directory; the failed run removes it again
+        # making --out makes its parent, which the cache check then finds
+        # to be a directory; the failed run removes both again
         monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
         prices_path, meta_path = make_input_files(tmp_path)
         before = _file_bytes(tmp_path)
