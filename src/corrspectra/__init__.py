@@ -6,19 +6,15 @@ spectra and eigenvector diagnostics against Monte Carlo null baselines.
 """
 
 from .analytics import (
+    adjusted_component_correlations,
     analyze_window,
-    asset_component_correlations,
     kaiser_guttman_count,
     participation,
     scree_exceedance_count,
     scree_significant_count,
     variance_fractions,
 )
-from .correlation import (
-    CoefficientMoments,
-    coefficient_moments,
-    correlation_matrix,
-)
+from .correlation import coefficient_moments, correlation_matrix
 from .errors import (
     BaselineMismatchError,
     DegenerateWindowError,
@@ -48,7 +44,6 @@ from .panel import (
 from .pipeline import RunConfig, write_reports
 from .spectral import (
     MPBounds,
-    SpectralDecomposition,
     eigendecompose,
     mp_bounds,
     mp_density,
@@ -60,7 +55,6 @@ __all__ = [
     "ASSET_CLASSES",
     "AssetMeta",
     "BaselineMismatchError",
-    "CoefficientMoments",
     "DegenerateWindowError",
     "EigenComputationError",
     "MPBounds",
@@ -70,10 +64,9 @@ __all__ = [
     "PricePanel",
     "ReturnPanel",
     "RunConfig",
-    "SpectralDecomposition",
     "WorkerProcessError",
+    "adjusted_component_correlations",
     "analyze_window",
-    "asset_component_correlations",
     "cached_ensemble_stats",
     "coefficient_moments",
     "compute_log_returns",

@@ -3,24 +3,8 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class CoefficientMoments:
-    """Moments of the off-diagonal upper-triangle coefficients.
-
-    Kurtosis is the raw fourth standardized moment (Gaussian -> 3), not
-    excess. Skewness and kurtosis are NaN when the coefficients have zero
-    spread.
-    """
-
-    mean: float
-    std: float
-    skewness: float
-    kurtosis: float
 
 
 def correlation_matrix(z_hat: np.ndarray) -> np.ndarray:
@@ -45,9 +29,15 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return indices
 
 
-def coefficient_moments(values: np.ndarray) -> CoefficientMoments:
-    """Mean, std, skewness, and kurtosis of the pairwise coefficients of
-    the N x N correlation matrix `values`."""
+def coefficient_moments(
+        values: np.ndarray) -> tuple[float, float, float, float]:
+    """(mean, std, skewness, kurtosis) of the off-diagonal upper-triangle
+    coefficients of the N x N correlation matrix `values`.
+
+    Kurtosis is the raw fourth standardized moment (Gaussian -> 3), not
+    excess. Skewness and kurtosis are NaN when the coefficients have zero
+    spread.
+    """
     n = values.shape[0]
     if n < 3:
         raise ValueError(f"need at least 3 assets for moments, got {n}")
@@ -59,12 +49,7 @@ def coefficient_moments(values: np.ndarray) -> CoefficientMoments:
     m2 = float(np.mean(sq))
     std = float(np.sqrt(m2))
     if m2 == 0.0:
-        return CoefficientMoments(mean=mean, std=0.0, skewness=np.nan, kurtosis=np.nan)
+        return mean, 0.0, np.nan, np.nan
     m3 = float(np.mean(sq * centered))
     m4 = float(np.mean(sq * sq))
-    return CoefficientMoments(
-        mean=mean,
-        std=std,
-        skewness=m3 / m2**1.5,
-        kurtosis=m4 / m2**2,
-    )
+    return mean, std, m3 / m2**1.5, m4 / m2**2

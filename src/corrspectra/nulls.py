@@ -116,9 +116,8 @@ def _ensemble_block(config: NullConfig, max_rank: int, keep: int,
     beta_rows = np.empty((stop - start, n))
     abs_corr = np.empty((max_rank, stop - start, n))
     for row, s in enumerate(range(start, stop)):
-        _, decomposition, pr[row], abs_r = analyze_window(
+        _, beta_rows[row], _, pr[row], abs_r = analyze_window(
             null_window(config, s), max_rank, s)
-        beta_rows[row] = decomposition.eigenvalues
         abs_corr[:, row] = abs_r.T
     return pr, beta_rows, _largest(
         abs_corr.reshape(max_rank, (stop - start) * n), keep)

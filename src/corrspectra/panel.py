@@ -139,9 +139,9 @@ def load_price_panel(prices_path, meta_path) -> PricePanel:
 
     The prices file has header ``date,<ticker>,...`` and ISO dates; column
     order of the prices file defines the asset order of the panel. Every
-    cell must be a finite positive decimal; any gap, zero, negative,
-    non-finite or non-numeric value raises PanelFormatError naming the row
-    and column.
+    cell must be a finite positive ASCII decimal; any gap, zero, negative,
+    non-finite or non-numeric value, "_" or non-ASCII digit raises
+    PanelFormatError naming the row and column.
     """
     meta_by_ticker = {m.ticker: m for m in _read_meta(meta_path)}
 
@@ -185,6 +185,9 @@ def load_price_panel(prices_path, meta_path) -> PricePanel:
             )
         dates.append(date)
         values = []
+        # float() also reads "1_000" and non-ASCII (e.g. Arabic-Indic) digits
+        text = "".join(row[1:])
+        plain = text.isascii() and "_" not in text
         for ticker, cell in zip(tickers, row[1:]):
             cell = cell.strip()
             if not cell:
@@ -192,6 +195,8 @@ def load_price_panel(prices_path, meta_path) -> PricePanel:
                     f"{prices_path}: row {lineno}: missing value in column {ticker!r}"
                 )
             try:
+                if not (plain or cell.isascii() and "_" not in cell):
+                    raise ValueError(cell)
                 value = float(cell)
             except ValueError:
                 raise PanelFormatError(
@@ -280,6 +285,8 @@ def window_count(returns: ReturnPanel, length: int, step: int = 1) -> int:
     """floor((L - length) / step) + 1: the number of windows at starts 0,
     step, 2*step, ... that fit in the L returns."""
     n_returns = returns.returns.shape[1]
+    if length < 2:
+        raise ValueError(f"window length must be >= 2, got {length}")
     if length > n_returns:
         raise ValueError(
             f"window length {length} exceeds available returns {n_returns}"

@@ -10,7 +10,8 @@ inputs, configuration, and seed produce byte-identical files.
 baseline, then streams into the report files the text that `_window_rows`
 renders for each block of windows: all three CSVs' lines, built in the
 process that analysed it (every CSV float through `_csv_lines`). In-memory
-results come from the per-window functions the kernel calls (see README).
+results come from the per-window functions the kernel calls, which take and
+return plain arrays and floats (see README).
 `_csv_lines` writes each float as `'%.15g' % x` would, byte for byte, but
 builds most fields in numpy from the float's exactly rounded 15-digit
 mantissa, since CPython's dtoa is slow at 15 digits.
@@ -24,13 +25,13 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .analytics import (
-    _abs_r_adjusted,
+    adjusted_component_correlations,
     analyze_window,
     kaiser_guttman_count,
     scree_exceedance_count,
@@ -148,21 +149,20 @@ def _window_rows(returns: ReturnPanel, config: RunConfig,
     pairs = np.empty((len(indices), n_assets, max_rank, 2))  # |r|, adjusted
     for row, index in enumerate(indices):
         first = index * config.step  # the window's first return
-        values, decomposition, pr, abs_r = analyze_window(
+        values, beta, omega, pr, abs_r = analyze_window(
             standardize_window(returns, first, config.window_len, index),
             max_rank, index)
-        beta, omega = decomposition.eigenvalues, decomposition.eigenvectors
         end_date = returns.dates[first + config.window_len - 1]
         keys.append(f"{index},{end_date.isoformat()}")
-        numbers[row] = [*astuple(coefficient_moments(values)),
-                        *variance_fractions(decomposition)[:max_rank],
-                        *pr[:max_rank], kaiser_guttman_count(decomposition),
+        numbers[row] = [*coefficient_moments(values),
+                        *variance_fractions(beta)[:max_rank],
+                        *pr[:max_rank], kaiser_guttman_count(beta),
                         scree_significant_count(beta, stats),
                         scree_exceedance_count(beta, stats)]
         eigenvalues[row] = beta
         pairs[row, :, :, 0] = abs_r
-        pairs[row, :, :, 1] = _abs_r_adjusted(beta[:max_rank],
-                                              omega[:max_rank])
+        pairs[row, :, :, 1] = adjusted_component_correlations(
+            beta[:max_rank], omega[:max_rank])
     return (_csv_lines([""], keys, numbers[None]),
             _csv_lines([f"{key}," for key in keys],
                        [str(k) for k in range(1, n_assets + 1)],

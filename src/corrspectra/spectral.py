@@ -1,5 +1,8 @@
 """Checked symmetric eigendecomposition and random-matrix reference spectra.
 
+`eigendecompose` returns a window's spectrum as two plain arrays: the
+eigenvalues, descending, and one eigenvector per row.
+
 Eigenvalues of a correlation matrix of uncorrelated Gaussian series follow,
 for large N at fixed Q = T/N >= 1, a known limiting density supported on
 [gamma_minus, gamma_plus]. Observed eigenvalues above gamma_plus signal
@@ -20,19 +23,6 @@ RECONSTRUCTION_TOL = 1e-8
 ORTHOGONALITY_TOL = 1e-8
 TRACE_TOL = 1e-8
 MIN_EIGENVALUE = -1e-8
-
-
-@dataclass
-class SpectralDecomposition:
-    """Eigenvalues sorted descending; row k of `eigenvectors` is the k-th
-    unit eigenvector under the deterministic sign convention."""
-
-    eigenvalues: np.ndarray  # length N, descending
-    eigenvectors: np.ndarray  # N x N, row per eigenvector
-
-    @property
-    def n_assets(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 @dataclass(frozen=True)
@@ -60,9 +50,12 @@ def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(values: np.ndarray,
-                   window_index: int = -1) -> SpectralDecomposition:
-    """Full spectrum of the correlation matrix `values` (LAPACK), checked
-    against the accuracy contract and deterministic for equal input.
+                   window_index: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors): the full spectrum of the correlation
+    matrix `values` (LAPACK), checked against the accuracy contract and
+    deterministic for equal input. The N eigenvalues are sorted
+    descending; row k of the N x N eigenvectors is the k-th unit
+    eigenvector under the deterministic sign convention.
 
     Raises EigenComputationError naming `window_index` and carrying the
     residual if the solver fails, the result misses the reconstruction or
@@ -106,7 +99,7 @@ def eigendecompose(values: np.ndarray,
             residual=trace_gap,
             window_index=window_index,
         )
-    return SpectralDecomposition(beta, omega)
+    return beta, omega
 
 
 def mp_bounds(q: float, sigma2: float = 1.0) -> MPBounds:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from corrspectra import AssetMeta, ReturnPanel, SpectralDecomposition
+from corrspectra import AssetMeta, ReturnPanel
 
 from helpers import weekly_dates
 
@@ -108,17 +108,18 @@ def shuffle_panel(returns: ReturnPanel, seed: int) -> ReturnPanel:
     )
 
 
-def eigenvector_zscores(decomposition: SpectralDecomposition, rank: int) -> np.ndarray:
-    """sqrt(N)-scaled elements of the rank-th eigenvector (rank is 1-based).
+def eigenvector_zscores(eigenvectors: np.ndarray, rank: int) -> np.ndarray:
+    """sqrt(N)-scaled elements of the rank-th eigenvector row of the N x N
+    `eigenvectors` (rank is 1-based).
 
     Elements of a unit eigenvector have variance 1/N, so this scaling makes
     them directly comparable with the unit-variance Gaussian expected for
     eigenvectors of random symmetric matrices.
     """
-    n = decomposition.n_assets
+    n = len(eigenvectors)
     if rank < 1 or rank > n:
         raise ValueError(f"rank must be in [1, {n}], got {rank}")
-    return math.sqrt(n) * decomposition.eigenvectors[rank - 1]
+    return math.sqrt(n) * eigenvectors[rank - 1]
 
 
 def self_correlation_deltas(

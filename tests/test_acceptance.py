@@ -14,6 +14,8 @@ from scipy import integrate
 
 from corrspectra import (
     NullConfig,
+    adjusted_component_correlations,
+    analyze_window,
     correlation_matrix,
     eigendecompose,
     mp_bounds,
@@ -24,7 +26,6 @@ from corrspectra import (
     standardize_window,
     window_count,
     scree_significant_count,
-    asset_component_correlations,
 )
 from corrspectra.cli import main
 
@@ -100,8 +101,8 @@ def test_criterion_04_mp_density_fit():
     eigenvalues = []
     for s in range(config.sims):
         z_hat = null_window(config, s)
-        d = eigendecompose(correlation_matrix(z_hat))
-        eigenvalues.append(d.eigenvalues)
+        beta, _ = eigendecompose(correlation_matrix(z_hat))
+        eigenvalues.append(beta)
     pooled = np.concatenate(eigenvalues)
 
     lo, hi, bins = 0.5, 3.96, 30
@@ -154,9 +155,8 @@ def test_criterion_06_asset_component_identity():
         n_assets = 3 + s % 18
         n_steps = 25 + s % 10
         z_hat = random_correlation_window(rng, n_assets, n_steps)
-        d = eigendecompose(correlation_matrix(z_hat))
-        abs_r, _ = asset_component_correlations(d)
-        components = d.eigenvectors @ z_hat
+        _, _, omega, _, abs_r = analyze_window(z_hat, n_assets, 0)
+        components = omega @ z_hat
         for i in range(n_assets):
             for k in range(n_assets):
                 direct = abs(pearson_pop(z_hat[i], components[k]))
@@ -182,9 +182,9 @@ def test_criterion_07_algebraic_conservation():
         windows.append(standardize_window(panel, 0, 100, 0))
     for z_hat in windows:
         n = z_hat.shape[0]
-        d = eigendecompose(correlation_matrix(z_hat))
-        worst_trace = max(worst_trace, abs(float(d.eigenvalues.sum()) - n))
-        energy = (d.eigenvalues[:, None] * d.eigenvectors**2).sum(axis=0)
+        beta, omega = eigendecompose(correlation_matrix(z_hat))
+        worst_trace = max(worst_trace, abs(float(beta.sum()) - n))
+        energy = (beta[:, None] * omega**2).sum(axis=0)
         worst_energy = max(worst_energy, float(np.abs(energy - 1.0).max()))
     ok = worst_trace <= 1e-8 and worst_energy <= 1e-8
     check("criterion 7", ok,
@@ -194,9 +194,9 @@ def test_criterion_07_algebraic_conservation():
 
 def test_criterion_08_participation_limits():
     n = 98
-    uniform = eigendecompose(np.ones((n, n)))
+    _, uniform = eigendecompose(np.ones((n, n)))
     pr_uniform = participation(uniform)[0]
-    localized = eigendecompose(np.eye(n))
+    _, localized = eigendecompose(np.eye(n))
     pr_localized = participation(localized)
     ok = abs(pr_uniform - n) <= 1e-10 and np.allclose(pr_localized, 1.0,
                                                       atol=1e-12)
@@ -224,8 +224,8 @@ def test_criterion_09a_planted_scree_recovery():
     hits = 0
     for seed in range(100):
         window = _planted_panel_window(seed)
-        d = eigendecompose(correlation_matrix(window))
-        hits += scree_significant_count(d.eigenvalues, baseline) == 3
+        beta, _ = eigendecompose(correlation_matrix(window))
+        hits += scree_significant_count(beta, baseline) == 3
     check("criterion 9a", hits >= 90,
           f"scree count == 3 in {hits}/100 seeds (need >= 90)")
 
@@ -235,8 +235,8 @@ def test_criterion_09b_planted_block_assignment():
     total = 0
     for seed in range(100):
         window = _planted_panel_window(seed)
-        d = eigendecompose(correlation_matrix(window))
-        ranks = max_correlation_rank(asset_component_correlations(d)[0])
+        abs_r = analyze_window(window, 90, 0)[4]
+        ranks = max_correlation_rank(abs_r)
         for b in range(3):
             members = ranks[b * 30 : (b + 1) * 30]
             mode = np.bincount(members).argmax()
@@ -249,9 +249,9 @@ def test_criterion_09b_planted_block_assignment():
 
 def _planted_delta_medians(seed):
     window = _planted_panel_window(seed)
-    d = eigendecompose(correlation_matrix(window))
-    deltas = self_correlation_deltas(*asset_component_correlations(d),
-                                     max_rank=5)
+    _, beta, omega, _, abs_r = analyze_window(window, 90, 0)
+    deltas = self_correlation_deltas(
+        abs_r, adjusted_component_correlations(beta, omega), max_rank=5)
     return np.array([np.median(np.abs(sample)) for sample in deltas])
 
 
@@ -277,13 +277,13 @@ def test_criterion_11_eigenvector_goe_zscores():
     count = 0
     for s in range(config.sims):
         z_hat = null_window(config, s)
-        d = eigendecompose(correlation_matrix(z_hat))
+        _, omega = eigendecompose(correlation_matrix(z_hat))
         # eigenvector signs are arbitrary; the deterministic output
         # convention must not bias the ensemble, so each vector enters
         # with a random orientation
         signs = sign_rng.choice((-1.0, 1.0), size=98)
         for rank in range(1, 99):
-            scores = signs[rank - 1] * eigenvector_zscores(d, rank)
+            scores = signs[rank - 1] * eigenvector_zscores(omega, rank)
             total += scores.sum()
             total_sq += (scores**2).sum()
             count += scores.size

@@ -69,10 +69,10 @@ class TestCoefficientMoments:
     def test_degenerate_spread(self):
         values = np.full((3, 3), 0.5)
         np.fill_diagonal(values, 1.0)
-        m = coefficient_moments(values)
-        assert m.mean == 0.5
-        assert m.std == 0.0
-        assert np.isnan(m.skewness) and np.isnan(m.kurtosis)
+        mean, std, skewness, kurtosis = coefficient_moments(values)
+        assert mean == 0.5
+        assert std == 0.0
+        assert np.isnan(skewness) and np.isnan(kurtosis)
 
     def test_symmetric_coefficients_have_zero_skew(self):
         a = 0.3
@@ -80,9 +80,9 @@ class TestCoefficientMoments:
         values[0, 1] = values[1, 0] = -a
         values[0, 2] = values[2, 0] = 0.0
         values[1, 2] = values[2, 1] = a
-        m = coefficient_moments(values)
-        assert abs(m.skewness) <= 1e-12
-        assert abs(m.mean) <= 1e-15
+        mean, _, skewness, _ = coefficient_moments(values)
+        assert abs(skewness) <= 1e-12
+        assert abs(mean) <= 1e-15
 
     def test_requires_three_assets(self):
         with pytest.raises(ValueError):

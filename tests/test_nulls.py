@@ -435,7 +435,7 @@ class TestScreeProfile:
 def _pooled_abs_r(config, max_rank, kernel=analyze_window):
     """Every sim's |r| of ranks 1..max_rank pooled per rank, as a
     (max_rank, sims * N) array: the sample the ensemble's p99 summarizes."""
-    rows = [kernel(null_window(config, s), max_rank, s)[3]
+    rows = [kernel(null_window(config, s), max_rank, s)[4]
             for s in range(config.sims)]
     return np.concatenate(rows).T
 

@@ -5,7 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +56,12 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     exec(compile(code, str(README), "exec"), namespace)
     assert namespace["index"] == 9  # the last of 10 windows
     assert namespace["values"].shape == (n_assets, n_assets)
+    assert namespace["beta"].shape == (n_assets,)
+    assert namespace["omega"].shape == (n_assets, n_assets)
     assert namespace["pr"].shape == (n_assets,)
     assert namespace["abs_r"].shape == (n_assets, namespace["max_rank"])
     assert namespace["abs_r_adjusted"].shape == (n_assets, n_assets)
+    assert len(namespace["moments"]) == 4
 
 
 def test_readme_cli_example_parses():
@@ -204,10 +207,9 @@ def test_one_block_size():
 
 
 def test_one_window_form():
-    # a window is its standardized N x T array and a decomposition its
-    # eigenpairs; the caller already holds the window's index and end date
-    assert [f.name for f in fields(corrspectra.SpectralDecomposition)] == [
-        "eigenvalues", "eigenvectors"]
+    # a window is its standardized N x T array and every per-window result
+    # a plain array or float, with no result records; the caller already
+    # holds the window's index and end date
     n_assets, n_dates = 4, 12
     returns = corrspectra.compute_log_returns(corrspectra.PricePanel(
         dates=weekly_dates(n_dates),
@@ -216,7 +218,28 @@ def test_one_window_form():
               for i in range(n_assets)]))
     window = corrspectra.standardize_window(returns, 2, 6, 0)
     assert type(window) is np.ndarray and window.shape == (n_assets, 6)
-    assert not hasattr(corrspectra, "WindowView")
+    values = corrspectra.correlation_matrix(window)
+    decomposition = corrspectra.eigendecompose(values)
+    assert type(decomposition) is tuple
+    assert [(type(part), part.shape) for part in decomposition] == [
+        (np.ndarray, (n_assets,)), (np.ndarray, (n_assets, n_assets))]
+    moments = corrspectra.coefficient_moments(values)
+    assert type(moments) is tuple
+    assert [type(moment) for moment in moments] == [float] * 4
+    for name in ("SpectralDecomposition", "CoefficientMoments",
+                 "asset_component_correlations", "WindowView"):
+        assert not hasattr(corrspectra, name), name
+
+
+def test_no_private_name_crosses_modules():
+    # what one module needs from another is public there
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "corrspectra"):
+                private = [alias.name for alias in node.names
+                           if alias.name.startswith("_")]
+                assert not private, (path.name, node.module, private)
 
 
 def test_windows_are_standardized_one_at_a_time():

@@ -108,18 +108,24 @@ class TestLoadPricePanel:
         with pytest.raises(PanelFormatError, match="AAA"):
             load_price_panel(prices, meta)
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
-    def test_non_finite_price_exits_two(self, tmp_path, capsys, cell):
+    @pytest.mark.parametrize("cell, problem", [
+        *[(cell, f"non-finite price {cell}")
+          for cell in ("nan", "inf", "-inf", "1e400")],
+        # float() reads these as 1000.0, 12.5 and 3.0
+        *[(cell, f"non-numeric price {cell!r}")
+          for cell in ("1_000", "\uff11\uff12.5", "\u0663")]])
+    def test_bad_price_exits_two(self, tmp_path, capsys, cell, problem):
         prices = tmp_path / "p.csv"
         meta = tmp_path / "m.csv"
         prices.write_text("date,AAA,BBB\n2001-01-05,1.0,2.0\n"
-                          f"2001-01-12,1.5,{cell}\n2001-01-19,1.2,2.5\n")
+                          f"2001-01-12,1.5,{cell}\n2001-01-19,1.2,2.5\n",
+                          encoding="utf-8")
         write_meta_csv(meta, ["AAA", "BBB"], ["equities", "equities"])
         args = ["--prices", str(prices), "--meta", str(meta),
                 "--out", str(tmp_path / "out"), "--window", "2", "--sims", "2"]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert f"row 3: non-finite price {cell} in column 'BBB'" in err
+        assert f"row 3: {problem} in column 'BBB'" in err
         assert not (tmp_path / "out").exists()
 
     def test_meta_ticker_missing_from_header(self, tmp_path):
@@ -398,9 +404,11 @@ class TestRollWindows:
         assert window_count(returns, 4, 3) == 3
         standardize_window(returns, 2 * 3, 4, 2)  # the last window fits
 
-    def test_window_longer_than_data(self):
-        with pytest.raises(ValueError):
-            window_count(self._returns(5), 6, 1)
+    @pytest.mark.parametrize("length", [6, 1, 0])
+    def test_window_length_out_of_range(self, length):
+        with pytest.raises(ValueError, match=f"window length {length} "
+                           if length > 5 else "window length must be >= 2"):
+            window_count(self._returns(5), length, 1)
 
     def test_adjacent_windows_share_raw_columns(self):
         returns = self._returns(30)

@@ -34,7 +34,6 @@ from corrspectra import (
 )
 from corrspectra import blocks, nulls, pipeline
 from corrspectra.cli import main
-from corrspectra.correlation import CoefficientMoments
 
 from helpers import (
     random_walk_prices,
@@ -343,8 +342,8 @@ class TestEmitReports:
         assert window_count(returns, 10) == N_WINDOWS
         for index in range(N_WINDOWS):
             window = standardize_window(returns, index, 10, index)
-            decomposition = eigendecompose(correlation_matrix(window), index)
-            for k, beta in enumerate(decomposition.eigenvalues, start=1):
+            eigenvalues, _ = eigendecompose(correlation_matrix(window), index)
+            for k, beta in enumerate(eigenvalues, start=1):
                 stored = parsed[(index, k)]
                 assert stored == pytest.approx(beta, rel=1e-14, abs=1e-15)
 
@@ -461,8 +460,8 @@ class TestRenderers:
         if adjusted_nan:
             adjusted[2, 1] = np.nan
         # window 1 has constant coefficients: NaN skewness and kurtosis
-        moments = (CoefficientMoments(0.5, 0.0, np.nan, np.nan) if adjusted_nan
-                   else CoefficientMoments(0.1, 0.2, 0.3, 3.0))
+        moments = ((0.5, 0.0, np.nan, np.nan) if adjusted_nan
+                   else (0.1, 0.2, 0.3, 3.0))
         return SimpleNamespace(
             window_index=index,
             end_date=weekly_dates(index + 1)[-1],
@@ -480,30 +479,32 @@ class TestRenderers:
     def _patch_window_functions(self, monkeypatch, windows, config, stats):
         """Stand in for each per-window function that _window_rows looks up
         in pipeline: the hand-built window passes through in place of the
-        arrays, the decomposition's eigenvectors hold its index, and its
-        eigenvalues are the window's own array, for the scree counts
-        against the baseline `stats`."""
+        correlation matrix, its eigenvectors hold its index, and its
+        eigenvalues are the window's own array, by which the functions that
+        take them find the window (the scree counts against the baseline
+        `stats`)."""
         def standardize_window(returns, start, length, index):
             assert (start, length) == (index * config.step, config.window_len)
             return windows[index]
 
         def analyze_window(z_hat, max_rank, index):
             assert z_hat is windows[index] and max_rank == config.max_rank
-            decomposition = SimpleNamespace(
-                eigenvalues=z_hat.eigenvalues, window=z_hat,
-                eigenvectors=np.full((4, 4), float(index)))
-            return z_hat, decomposition, z_hat.pr, z_hat.abs_r
+            return (z_hat, z_hat.eigenvalues, np.full((4, 4), float(index)),
+                    z_hat.pr, z_hat.abs_r)
 
         def abs_r_adjusted(beta, omega):
             assert beta.shape == (config.max_rank,)
             assert omega.shape == (config.max_rank, 4)
             return windows[int(omega[0, 0])].abs_r_adjusted
 
+        def window_of(eigenvalues):
+            [window] = [w for w in windows if w.eigenvalues is eigenvalues]
+            return window
+
         def scree_count(name):
             def count(eigenvalues, baseline):
                 assert baseline is stats
-                [window] = [w for w in windows if w.eigenvalues is eigenvalues]
-                return getattr(window, name)
+                return getattr(window_of(eigenvalues), name)
             return count
 
         for name, function in [
@@ -511,10 +512,10 @@ class TestRenderers:
                 ("analyze_window", analyze_window),
                 ("coefficient_moments", lambda window: window.moments),
                 ("variance_fractions",
-                 lambda decomposition: decomposition.window.variance_fractions),
+                 lambda beta: window_of(beta).variance_fractions),
                 ("kaiser_guttman_count",
-                 lambda decomposition: decomposition.window.kaiser_count),
-                ("_abs_r_adjusted", abs_r_adjusted),
+                 lambda beta: window_of(beta).kaiser_count),
+                ("adjusted_component_correlations", abs_r_adjusted),
                 ("scree_significant_count", scree_count("scree_count")),
                 ("scree_exceedance_count",
                  scree_count("scree_exceedance_count"))]:
@@ -538,8 +539,7 @@ class TestRenderers:
                 expected_eig.append(f"{rep.window_index},"
                                     f"{rep.end_date.isoformat()},{k},"
                                     f"{_fmt_oracle(beta)}")
-            m = rep.moments
-            floats = [m.mean, m.std, m.skewness, m.kurtosis,
+            floats = [*rep.moments,
                       *rep.variance_fractions[:n_ranks], *rep.pr[:n_ranks]]
             counts = [rep.kaiser_count, rep.scree_count,
                       rep.scree_exceedance_count]

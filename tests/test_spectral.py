@@ -25,55 +25,55 @@ def _random_matrix(seed, n_assets=6, n_steps=40):
 
 class TestEigendecompose:
     def test_identity(self):
-        d = eigendecompose(np.eye(2))
-        assert np.allclose(d.eigenvalues, [1.0, 1.0])
+        beta, _ = eigendecompose(np.eye(2))
+        assert np.allclose(beta, [1.0, 1.0])
 
     def test_rank_one(self):
-        d = eigendecompose(np.ones((2, 2)))
-        assert np.allclose(d.eigenvalues, [2.0, 0.0], atol=1e-12)
-        assert np.allclose(d.eigenvectors[0], [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
+        beta, omega = eigendecompose(np.ones((2, 2)))
+        assert np.allclose(beta, [2.0, 0.0], atol=1e-12)
+        assert np.allclose(omega[0], [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
 
     def test_matches_charpoly_bisection(self):
         for seed in range(5):
             matrix = _random_matrix(seed, n_assets=3, n_steps=25)
-            d = eigendecompose(matrix)
+            beta, _ = eigendecompose(matrix)
             roots = charpoly_roots_3x3(matrix)
             assert len(roots) == 3
-            assert np.abs(np.array(roots) - d.eigenvalues).max() <= 1e-8
+            assert np.abs(np.array(roots) - beta).max() <= 1e-8
 
     def test_invariants(self):
         matrix = _random_matrix(17, n_assets=10, n_steps=60)
-        d = eigendecompose(matrix)
+        beta, omega = eigendecompose(matrix)
         n = 10
-        assert np.abs((d.eigenvectors**2).sum(axis=1) - 1.0).max() <= 1e-10
-        off = d.eigenvectors @ d.eigenvectors.T - np.eye(n)
+        assert np.abs((omega**2).sum(axis=1) - 1.0).max() <= 1e-10
+        off = omega @ omega.T - np.eye(n)
         assert np.abs(off).max() <= 1e-8
-        recon = d.eigenvectors.T @ (d.eigenvalues[:, None] * d.eigenvectors)
+        recon = omega.T @ (beta[:, None] * omega)
         assert np.abs(recon - matrix).max() <= 1e-8
-        assert abs(d.eigenvalues.sum() - n) <= 1e-8
-        assert d.eigenvalues[-1] >= -1e-8
-        assert np.all(np.diff(d.eigenvalues) <= 1e-14)
+        assert abs(beta.sum() - n) <= 1e-8
+        assert beta[-1] >= -1e-8
+        assert np.all(np.diff(beta) <= 1e-14)
 
     def test_deterministic_and_sign_fixed(self):
         matrix = _random_matrix(23)
-        d1 = eigendecompose(matrix)
-        d2 = eigendecompose(matrix)
-        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
-        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-        sums = d1.eigenvectors.sum(axis=1)
+        beta1, omega1 = eigendecompose(matrix)
+        beta2, omega2 = eigendecompose(matrix)
+        assert np.array_equal(omega1, omega2)
+        assert np.array_equal(beta1, beta2)
+        sums = omega1.sum(axis=1)
         for k, total in enumerate(sums):
             if abs(total) > 1e-12:
                 assert total > 0
             else:
-                lead = d1.eigenvectors[k][np.argmax(np.abs(d1.eigenvectors[k]))]
+                lead = omega1[k][np.argmax(np.abs(omega1[k]))]
                 assert lead > 0
 
     def test_zero_sum_tiebreak(self):
         values = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        d = eigendecompose(values)
+        _, omega = eigendecompose(values)
         # top eigenvector sums to zero; first largest-magnitude entry positive
-        assert abs(d.eigenvectors[0].sum()) <= 1e-12
-        assert d.eigenvectors[0][0] > 0
+        assert abs(omega[0].sum()) <= 1e-12
+        assert omega[0][0] > 0
 
     def test_non_psd_rejected(self):
         values = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.999], [0.0, 0.999, 1.0]])
@@ -142,21 +142,21 @@ class TestEigenvectorZscores:
         return eigendecompose(np.ones((n, n)))
 
     def test_uniform_vector_gives_ones(self):
-        d = self._uniform_decomposition()
-        assert np.abs(eigenvector_zscores(d, 1) - 1.0).max() <= 1e-10
+        _, omega = self._uniform_decomposition()
+        assert np.abs(eigenvector_zscores(omega, 1) - 1.0).max() <= 1e-10
 
     def test_localized_vector(self):
-        d = eigendecompose(np.eye(9))
-        scores = eigenvector_zscores(d, 1)
+        _, omega = eigendecompose(np.eye(9))
+        scores = eigenvector_zscores(omega, 1)
         assert abs(np.abs(scores).max() - 3.0) <= 1e-12
         assert np.sum(np.abs(scores) > 1e-12) == 1
 
     def test_rank_bounds(self):
-        d = self._uniform_decomposition(4)
+        _, omega = self._uniform_decomposition(4)
         with pytest.raises(ValueError):
-            eigenvector_zscores(d, 0)
+            eigenvector_zscores(omega, 0)
         with pytest.raises(ValueError):
-            eigenvector_zscores(d, 5)
+            eigenvector_zscores(omega, 5)
 
     def test_null_ensemble_variance_near_one(self):
         config = NullConfig(n_assets=50, window_len=60, sims=40,
@@ -164,8 +164,8 @@ class TestEigenvectorZscores:
         pooled = []
         for index in range(config.sims):
             z_hat = null_window(config, index)
-            d = eigendecompose(correlation_matrix(z_hat), index)
+            _, omega = eigendecompose(correlation_matrix(z_hat), index)
             for rank in range(1, 51):
-                pooled.append(eigenvector_zscores(d, rank))
+                pooled.append(eigenvector_zscores(omega, rank))
         pooled = np.concatenate(pooled)
         assert abs(pooled.var() - 1.0) <= 0.05
