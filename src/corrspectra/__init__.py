@@ -32,7 +32,6 @@ from .nulls import (
 )
 from .panel import (
     ASSET_CLASSES,
-    AssetMeta,
     PricePanel,
     ReturnPanel,
     compute_log_returns,
@@ -42,22 +41,15 @@ from .panel import (
     window_count,
 )
 from .pipeline import RunConfig, write_reports
-from .spectral import (
-    MPBounds,
-    eigendecompose,
-    mp_bounds,
-    mp_density,
-)
+from .spectral import eigendecompose, mp_bounds, mp_density
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ASSET_CLASSES",
-    "AssetMeta",
     "BaselineMismatchError",
     "DegenerateWindowError",
     "EigenComputationError",
-    "MPBounds",
     "NullConfig",
     "NullEnsembleStats",
     "PanelFormatError",

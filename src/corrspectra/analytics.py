@@ -5,21 +5,17 @@ variance fractions, eigenvector participation ratios, two
 significant-component counts, and the correlations between each asset and
 each principal component, with and without the asset's own contribution.
 The functions after the kernel take the eigenvalues (descending) or the
-eigenvector rows that `eigendecompose` returns, or the leading ones.
+eigenvector rows that `eigendecompose` returns, or the leading ones; the
+scree counts also take the null's profile as an array of the same length.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .correlation import correlation_matrix
 from .errors import BaselineMismatchError
 from .spectral import eigendecompose
-
-if TYPE_CHECKING:
-    from .nulls import NullEnsembleStats
 
 
 def analyze_window(z_hat: np.ndarray, max_rank: int, window_index: int):
@@ -68,34 +64,32 @@ def kaiser_guttman_count(eigenvalues: np.ndarray) -> int:
     return int((eigenvalues > 1.0).sum())
 
 
-def _check_baseline(eigenvalues: np.ndarray, baseline: NullEnsembleStats):
+def _check_baseline(eigenvalues: np.ndarray, profile: np.ndarray):
     n = len(eigenvalues)
-    if baseline.config.n_assets != n:
+    if len(profile) != n:
         raise BaselineMismatchError(
-            f"baseline is for N={baseline.config.n_assets}, window has N={n}"
+            f"baseline is for N={len(profile)}, window has N={n}"
         )
 
 
-def scree_significant_count(
-    eigenvalues: np.ndarray, baseline: NullEnsembleStats
-) -> int:
+def scree_significant_count(eigenvalues: np.ndarray,
+                            profile: np.ndarray) -> int:
     """Length of the leading run of eigenvalues (descending) above the null
-    scree profile.
+    scree profile of the same length, such as a baseline's scree_mean.
 
     The contiguous-prefix rule keeps the count well-defined when observed
     and null curves cross more than once.
     """
-    _check_baseline(eigenvalues, baseline)
-    above = eigenvalues > baseline.scree_mean
+    _check_baseline(eigenvalues, profile)
+    above = eigenvalues > profile
     return int(above.size if above.all() else above.argmin())
 
 
-def scree_exceedance_count(
-    eigenvalues: np.ndarray, baseline: NullEnsembleStats
-) -> int:
+def scree_exceedance_count(eigenvalues: np.ndarray,
+                           profile: np.ndarray) -> int:
     """Total ranks whose eigenvalue exceeds the null profile, crossings ignored."""
-    _check_baseline(eigenvalues, baseline)
-    return int((eigenvalues > baseline.scree_mean).sum())
+    _check_baseline(eigenvalues, profile)
+    return int((eigenvalues > profile).sum())
 
 
 # An adjusted component with variance at or below this is treated as

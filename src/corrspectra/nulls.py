@@ -2,9 +2,10 @@
 
 Baselines summarize ensembles of single null windows: participation-ratio
 statistics, the mean sorted eigenvalue profile, and 99th percentiles of
-absolute asset-component correlations. The null is the paper's
-uncorrelated random price changes: each window is i.i.d. standard Gaussian
-draws, so no panel's returns enter a baseline.
+absolute asset-component correlations, as the four arrays of a
+NullEnsembleStats. The NullConfig that made them stays with the caller. The
+null is the paper's uncorrelated random price changes: each window is
+i.i.d. standard Gaussian draws, so no panel's returns enter a baseline.
 
 Reproducibility contract: simulation s draws from
 ``numpy.random.default_rng(SeedSequence(master_seed, spawn_key=(s,)))``,
@@ -61,19 +62,14 @@ class NullConfig:
 
 @dataclass
 class NullEnsembleStats:
-    """Per-rank Monte Carlo summaries; abs_corr_p99 is NaN beyond the
-    max_rank it was computed for."""
+    """Per-rank Monte Carlo summaries of one NullConfig's ensemble, one
+    value per rank each; abs_corr_p99 is NaN beyond the max_rank it was
+    computed for. The cache and null_baselines.json store these fields."""
 
     pr_mean: np.ndarray
     pr_std: np.ndarray
     scree_mean: np.ndarray
     abs_corr_p99: np.ndarray
-    config: NullConfig
-
-
-# The baseline arrays, as the cache and null_baselines.json store them.
-_ARRAYS = tuple(field.name for field in fields(NullEnsembleStats)
-                if field.name != "config")
 
 
 def sim_rng(master_seed: int, sim_index: int) -> np.random.Generator:
@@ -167,7 +163,6 @@ def null_ensemble_stats(config: NullConfig, max_rank: int = 0) -> NullEnsembleSt
         pr_std=np.sqrt(pr_var),
         scree_mean=scree_sum / config.sims,
         abs_corr_p99=p99,
-        config=config,
     )
 
 
@@ -185,7 +180,8 @@ def _json_floats(values) -> list:
 
 def stats_payload(stats: NullEnsembleStats) -> dict:
     """The baseline arrays as stored in the cache and null_baselines.json."""
-    return {name: _json_floats(getattr(stats, name)) for name in _ARRAYS}
+    return {field.name: _json_floats(getattr(stats, field.name))
+            for field in fields(stats)}
 
 
 def _payload_to_stats(payload: dict, config: NullConfig) -> NullEnsembleStats:
@@ -201,8 +197,8 @@ def _payload_to_stats(payload: dict, config: NullConfig) -> NullEnsembleStats:
             raise ValueError(f"{key} holds a non-finite value")
         return values
 
-    return NullEnsembleStats(**{name: arr(name) for name in _ARRAYS},
-                             config=config)
+    return NullEnsembleStats(**{field.name: arr(field.name)
+                                for field in fields(NullEnsembleStats)})
 
 
 def _read_cache(cache_path: Path) -> tuple[dict, object]:

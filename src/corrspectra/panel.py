@@ -1,10 +1,10 @@
 """Price-panel ingestion, log returns, and standardized rolling windows.
 
-A panel is an assets x dates matrix of weekly prices plus per-asset class
-labels. All functions here are pure: they validate, never mutate, and never
-resample or impute. Missing, non-finite or non-positive prices are rejected
-at load time because silently filling gaps would corrupt downstream
-correlation estimates.
+A panel is an assets x dates matrix of weekly prices plus each row's
+ticker and asset class, as two lists. All functions here are pure: they
+validate, never mutate, and never resample or impute. Missing, non-finite
+or non-positive prices are rejected at load time because silently filling
+gaps would corrupt downstream correlation estimates.
 """
 
 from __future__ import annotations
@@ -29,27 +29,19 @@ ASSET_CLASSES = (
 )
 
 
-@dataclass(frozen=True)
-class AssetMeta:
-    ticker: str
-    asset_class: str
-
-
 @dataclass
 class PricePanel:
-    """Weekly prices, one row per asset, columns ordered by date."""
+    """Weekly prices, one row per asset, columns ordered by date; row i is
+    asset tickers[i] of class classes[i]."""
 
     dates: list[dt.date]
     prices: np.ndarray  # N x (L+1), strictly positive
-    meta: list[AssetMeta]
-
-    @property
-    def tickers(self) -> list[str]:
-        return [m.ticker for m in self.meta]
+    tickers: list[str]
+    classes: list[str]
 
     @property
     def n_assets(self) -> int:
-        return len(self.meta)
+        return len(self.tickers)
 
 
 @dataclass
@@ -58,15 +50,12 @@ class ReturnPanel:
 
     dates: list[dt.date]
     returns: np.ndarray  # N x L
-    meta: list[AssetMeta]
-
-    @property
-    def tickers(self) -> list[str]:
-        return [m.ticker for m in self.meta]
+    tickers: list[str]
+    classes: list[str]
 
     @property
     def n_assets(self) -> int:
-        return len(self.meta)
+        return len(self.tickers)
 
 
 def _csv_rows(path, kind):
@@ -102,15 +91,15 @@ def _csv_rows(path, kind):
         raise PanelFormatError(f"{path}: row {lineno + 1}: {exc}") from None
 
 
-def _read_meta(meta_path) -> list[AssetMeta]:
+def _read_meta(meta_path) -> dict[str, str]:
+    """{ticker: asset class} of the metadata file, in file order."""
     records = _csv_rows(meta_path, "metadata")
     header = next(records)
     if [h.strip() for h in header] != ["ticker", "asset_class"]:
         raise PanelFormatError(
             f"{meta_path}: expected header 'ticker,asset_class', got {header!r}"
         )
-    seen: set[str] = set()
-    meta = []
+    meta: dict[str, str] = {}
     for lineno, (ticker, klass) in records:
         klass = klass.strip()
         if not ticker:
@@ -118,17 +107,16 @@ def _read_meta(meta_path) -> list[AssetMeta]:
         if any(c in ticker for c in ',"\r\n\0'):  # reports are unquoted CSV
             raise PanelFormatError(f"{meta_path}: row {lineno}: ticker {ticker!r} "
                                    "holds a comma, quote, line break or NUL")
-        if ticker in seen:
+        if ticker in meta:
             raise PanelFormatError(
                 f"{meta_path}: row {lineno}: duplicate ticker {ticker!r}"
             )
-        seen.add(ticker)
         if klass not in ASSET_CLASSES:
             raise PanelFormatError(
                 f"{meta_path}: row {lineno}: unknown asset_class {klass!r} "
                 f"for ticker {ticker!r}"
             )
-        meta.append(AssetMeta(ticker=ticker, asset_class=klass))
+        meta[ticker] = klass
     if not meta:
         raise PanelFormatError(f"{meta_path}: no assets listed")
     return meta
@@ -143,7 +131,7 @@ def load_price_panel(prices_path, meta_path) -> PricePanel:
     non-finite or non-numeric value, "_" or non-ASCII digit raises
     PanelFormatError naming the row and column.
     """
-    meta_by_ticker = {m.ticker: m for m in _read_meta(meta_path)}
+    meta = _read_meta(meta_path)
 
     records = _csv_rows(prices_path, "prices")
     header = next(records)
@@ -159,11 +147,11 @@ def load_price_panel(prices_path, meta_path) -> PricePanel:
         raise PanelFormatError(f"{prices_path}: duplicate columns {dupes}")
 
     for ticker in tickers:
-        if ticker not in meta_by_ticker:
+        if ticker not in meta:
             raise PanelFormatError(
                 f"{prices_path}: column {ticker!r} has no entry in {meta_path}"
             )
-    for ticker in meta_by_ticker:
+    for ticker in meta:
         if ticker not in tickers:
             raise PanelFormatError(
                 f"{meta_path}: ticker {ticker!r} is not a column of {prices_path}"
@@ -218,8 +206,8 @@ def load_price_panel(prices_path, meta_path) -> PricePanel:
     # force row-major layout so subsetted panels and panels loaded from
     # pre-subsetted files run bit-identical linear algebra
     prices = np.ascontiguousarray(np.asarray(rows, dtype=float).T)
-    meta = [meta_by_ticker[t] for t in tickers]
-    return PricePanel(dates=dates, prices=prices, meta=meta)
+    return PricePanel(dates=dates, prices=prices, tickers=tickers,
+                      classes=[meta[t] for t in tickers])
 
 
 def compute_log_returns(panel: PricePanel) -> ReturnPanel:
@@ -230,12 +218,13 @@ def compute_log_returns(panel: PricePanel) -> ReturnPanel:
     if not np.all(np.isfinite(returns)):
         bad = np.argwhere(~np.isfinite(returns))[0]
         raise PanelFormatError(
-            f"non-finite return for asset {panel.meta[bad[0]].ticker!r} at step {bad[1]}"
+            f"non-finite return for asset {panel.tickers[bad[0]]!r} at step {bad[1]}"
         )
-    return ReturnPanel(dates=panel.dates[1:], returns=returns, meta=panel.meta)
+    return ReturnPanel(dates=panel.dates[1:], returns=returns,
+                       tickers=panel.tickers, classes=panel.classes)
 
 
-def standardize(block: np.ndarray, window_index: int, meta=None,
+def standardize(block: np.ndarray, window_index: int, tickers=None,
                 start: int = 0) -> np.ndarray:
     """Center each row of an assets x returns block and scale it by its own
     population standard deviation (divide by the window length, not
@@ -244,14 +233,14 @@ def standardize(block: np.ndarray, window_index: int, meta=None,
     A constant row is an error: dropping the asset would change N
     mid-series, so callers must clean their panel instead. The
     DegenerateWindowError names window `window_index`, the block's returns
-    counted from `start`, and the asset from `meta` (else its row).
+    counted from `start`, and the asset from `tickers` (else its row).
     """
     centered = block - block.mean(axis=1, keepdims=True)
     # numpy's own std steps, so sigma equals block.std(axis=1) bit for bit
     sigma = np.sqrt(np.mean(centered * centered, axis=1))
     if np.any(sigma == 0.0):
         idx = int(np.argmax(sigma == 0.0))
-        ticker = meta[idx].ticker if meta else None
+        ticker = tickers[idx] if tickers else None
         raise DegenerateWindowError(
             f"asset {ticker or idx!r} has zero variance in window {window_index} "
             f"(returns {start}..{start + block.shape[1] - 1})",
@@ -278,7 +267,7 @@ def standardize_window(
             f"window [{start}, {start + length}) out of range for {n_returns} returns"
         )
     block = returns.returns[:, start : start + length]
-    return standardize(block, window_index, returns.meta, start)
+    return standardize(block, window_index, returns.tickers, start)
 
 
 def window_count(returns: ReturnPanel, length: int, step: int = 1) -> int:
@@ -304,7 +293,7 @@ def subset_by_class(panel: PricePanel, classes) -> PricePanel:
     unknown = classes - set(ASSET_CLASSES)
     if unknown:
         raise ValueError(f"unknown asset classes: {sorted(unknown)}")
-    keep = [i for i, m in enumerate(panel.meta) if m.asset_class in classes]
+    keep = [i for i, klass in enumerate(panel.classes) if klass in classes]
     if len(keep) < 2:
         raise ValueError(
             f"only {len(keep)} assets match classes {sorted(classes)}; "
@@ -313,5 +302,6 @@ def subset_by_class(panel: PricePanel, classes) -> PricePanel:
     return PricePanel(
         dates=list(panel.dates),
         prices=panel.prices[keep].copy(),
-        meta=[panel.meta[i] for i in keep],
+        tickers=[panel.tickers[i] for i in keep],
+        classes=[panel.classes[i] for i in keep],
     )

@@ -157,8 +157,8 @@ def _window_rows(returns: ReturnPanel, config: RunConfig,
         numbers[row] = [*coefficient_moments(values),
                         *variance_fractions(beta)[:max_rank],
                         *pr[:max_rank], kaiser_guttman_count(beta),
-                        scree_significant_count(beta, stats),
-                        scree_exceedance_count(beta, stats)]
+                        scree_significant_count(beta, stats.scree_mean),
+                        scree_exceedance_count(beta, stats.scree_mean)]
         eigenvalues[row] = beta
         pairs[row, :, :, 0] = abs_r
         pairs[row, :, :, 1] = adjusted_component_correlations(
@@ -303,11 +303,11 @@ def _csv_columns(max_rank: int) -> tuple[list[str], ...]:
             ["window_index", "asset", "rank", "abs_r", "abs_r_adjusted"])
 
 
-def _baselines_json(stats: NullEnsembleStats) -> str:
+def _baselines_json(stats: NullEnsembleStats, null_config: NullConfig) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         # each simulation is one null window
-        "config": {**asdict(stats.config), "num_windows": 1,
+        "config": {**asdict(null_config), "num_windows": 1,
                    "kind": NULL_KIND},
         **stats_payload(stats),
     }
@@ -440,13 +440,14 @@ def write_reports(config: RunConfig) -> tuple[int, list[Path]]:
             raise ValueError(f"{what} is a report file")
     with (_staged_reports(output_dir) as staging,
           contextlib.ExitStack() as stack):
-        stats = cached_ensemble_stats(
-            NullConfig(n_assets=returns.n_assets, window_len=config.window_len,
-                       sims=config.sims, master_seed=config.master_seed),
-            config.max_rank, config.baseline_cache)
+        null_config = NullConfig(
+            n_assets=returns.n_assets, window_len=config.window_len,
+            sims=config.sims, master_seed=config.master_seed)
+        stats = cached_ensemble_stats(null_config, config.max_rank,
+                                      config.baseline_cache)
         heads = (*(",".join(columns) + "\n"
                    for columns in _csv_columns(config.max_rank)),
-                 _baselines_json(stats),
+                 _baselines_json(stats, null_config),
                  _manifest_json(config, n_windows, returns.tickers))
         blocks = stack.enter_context(map_blocks(
             _window_rows, (returns, config, stats), n_windows))

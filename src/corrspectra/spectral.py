@@ -6,13 +6,14 @@ eigenvalues, descending, and one eigenvector per row.
 Eigenvalues of a correlation matrix of uncorrelated Gaussian series follow,
 for large N at fixed Q = T/N >= 1, a known limiting density supported on
 [gamma_minus, gamma_plus]. Observed eigenvalues above gamma_plus signal
-structure beyond noise.
+structure beyond noise. `mp_bounds(q, sigma2)` returns the two edges as
+floats and `mp_density(gamma, q, sigma2)` the density: the law's shape is
+its arguments, not a record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +24,6 @@ RECONSTRUCTION_TOL = 1e-8
 ORTHOGONALITY_TOL = 1e-8
 TRACE_TOL = 1e-8
 MIN_EIGENVALUE = -1e-8
-
-
-@dataclass(frozen=True)
-class MPBounds:
-    gamma_minus: float
-    gamma_plus: float
-    q: float
-    sigma2: float
 
 
 def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
@@ -102,34 +95,28 @@ def eigendecompose(values: np.ndarray,
     return beta, omega
 
 
-def mp_bounds(q: float, sigma2: float = 1.0) -> MPBounds:
-    """Support edges sigma2 * (1 +- sqrt(1/q))^2 of the null eigenvalue density."""
+def mp_bounds(q: float, sigma2: float = 1.0) -> tuple[float, float]:
+    """(gamma_minus, gamma_plus): the support edges sigma2 * (1 -+ sqrt(1/q))^2
+    of the null eigenvalue density for q = T/N >= 1 and variance sigma2 > 0."""
     if q < 1.0:
         raise ValueError(f"q = T/N must be >= 1, got {q}")
     if sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     root = math.sqrt(1.0 / q)
-    return MPBounds(
-        gamma_minus=sigma2 * (1.0 - root) ** 2,
-        gamma_plus=sigma2 * (1.0 + root) ** 2,
-        q=q,
-        sigma2=sigma2,
-    )
+    return sigma2 * (1.0 - root) ** 2, sigma2 * (1.0 + root) ** 2
 
 
-def mp_density(gamma: float, bounds: MPBounds) -> float:
-    """Null eigenvalue density at `gamma`; zero outside (gamma_minus, gamma_plus].
+def mp_density(gamma: float, q: float, sigma2: float = 1.0) -> float:
+    """Null eigenvalue density at `gamma` for q = T/N and variance sigma2;
+    zero outside (gamma_minus, gamma_plus] of mp_bounds(q, sigma2), whose
+    checks apply.
 
     For q = 1 the density diverges like 1/sqrt(gamma) toward zero but stays
     integrable; the total mass over the support is 1.
     """
-    if gamma <= bounds.gamma_minus or gamma > bounds.gamma_plus:
+    gamma_minus, gamma_plus = mp_bounds(q, sigma2)
+    if gamma <= gamma_minus or gamma > gamma_plus:
         return 0.0
-    radicand = (bounds.gamma_plus - gamma) * (gamma - bounds.gamma_minus)
-    return (
-        bounds.q
-        / (2.0 * math.pi * bounds.sigma2)
-        * math.sqrt(radicand)
-        / gamma
-    )
+    radicand = (gamma_plus - gamma) * (gamma - gamma_minus)
+    return q / (2.0 * math.pi * sigma2) * math.sqrt(radicand) / gamma
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from corrspectra import AssetMeta, ReturnPanel
+from corrspectra import ReturnPanel
 
 from helpers import weekly_dates
 
@@ -50,12 +50,13 @@ class FactorSpec:
         return sum(self.block_sizes)
 
 
-def _synthetic_meta(prefix: str, n_assets: int) -> list[AssetMeta]:
+def _synthetic_meta(prefix: str, n_assets: int) -> dict[str, list[str]]:
+    """The `tickers` and `classes` fields of a panel of equities."""
     width = max(3, len(str(n_assets)))
-    return [
-        AssetMeta(ticker=f"{prefix}{i + 1:0{width}d}", asset_class="equities")
-        for i in range(n_assets)
-    ]
+    return {
+        "tickers": [f"{prefix}{i + 1:0{width}d}" for i in range(n_assets)],
+        "classes": ["equities"] * n_assets,
+    }
 
 
 def simulate_gaussian_panel(n_assets: int, length: int, seed: int) -> ReturnPanel:
@@ -66,7 +67,7 @@ def simulate_gaussian_panel(n_assets: int, length: int, seed: int) -> ReturnPane
     return ReturnPanel(
         dates=weekly_dates(length, _EPOCH),
         returns=rng.standard_normal((n_assets, length)),
-        meta=_synthetic_meta("SIM", n_assets),
+        **_synthetic_meta("SIM", n_assets),
     )
 
 
@@ -86,7 +87,7 @@ def synthetic_factor_panel(spec: FactorSpec, length: int, seed: int) -> ReturnPa
     return ReturnPanel(
         dates=weekly_dates(length, _EPOCH),
         returns=returns,
-        meta=_synthetic_meta("FAC", spec.n_assets),
+        **_synthetic_meta("FAC", spec.n_assets),
     )
 
 
@@ -104,7 +105,8 @@ def shuffle_panel(returns: ReturnPanel, seed: int) -> ReturnPanel:
     for i in range(returns.returns.shape[0]):
         shuffled[i] = rng.permutation(returns.returns[i])
     return ReturnPanel(
-        dates=list(returns.dates), returns=shuffled, meta=list(returns.meta)
+        dates=list(returns.dates), returns=shuffled,
+        tickers=list(returns.tickers), classes=list(returns.classes),
     )
 
 

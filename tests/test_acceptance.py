@@ -55,10 +55,10 @@ def check(label, ok, detail):
 
 
 def test_criterion_01_mp_upper_bound():
-    bounds = mp_bounds(1.02, 1.0)
-    ok = abs(bounds.gamma_plus - 3.96) <= 0.01
+    _, gamma_plus = mp_bounds(1.02, 1.0)
+    ok = abs(gamma_plus - 3.96) <= 0.01
     check("criterion 1", ok,
-          f"gamma_plus(Q=1.02) = {bounds.gamma_plus:.6f}, target 3.96 +- 0.01")
+          f"gamma_plus(Q=1.02) = {gamma_plus:.6f}, target 3.96 +- 0.01")
 
 
 def test_criterion_02_pr_baselines():
@@ -108,9 +108,8 @@ def test_criterion_04_mp_density_fit():
     lo, hi, bins = 0.5, 3.96, 30
     counts, edges = np.histogram(pooled, bins=bins, range=(lo, hi))
     empirical = counts / counts.sum()
-    bounds = mp_bounds(1.0, 1.0)
     model = np.array([
-        integrate.quad(mp_density, edges[b], edges[b + 1], args=(bounds,),
+        integrate.quad(mp_density, edges[b], edges[b + 1], args=(1.0, 1.0),
                        limit=200)[0]
         for b in range(bins)
     ])
@@ -225,7 +224,7 @@ def test_criterion_09a_planted_scree_recovery():
     for seed in range(100):
         window = _planted_panel_window(seed)
         beta, _ = eigendecompose(correlation_matrix(window))
-        hits += scree_significant_count(beta, baseline) == 3
+        hits += scree_significant_count(beta, baseline.scree_mean) == 3
     check("criterion 9a", hits >= 90,
           f"scree count == 3 in {hits}/100 seeds (need >= 90)")
 

@@ -3,8 +3,6 @@ import pytest
 
 from corrspectra import (
     BaselineMismatchError,
-    NullConfig,
-    NullEnsembleStats,
     adjusted_component_correlations,
     analyze_window,
     correlation_matrix,
@@ -27,15 +25,8 @@ from synthetic import (
 
 
 def _baseline(scree_mean):
-    scree_mean = np.asarray(scree_mean, dtype=float)
-    n = len(scree_mean)
-    return NullEnsembleStats(
-        pr_mean=np.full(n, np.nan),
-        pr_std=np.full(n, np.nan),
-        scree_mean=scree_mean,
-        abs_corr_p99=np.full(n, np.nan),
-        config=NullConfig(n_assets=n, window_len=10, sims=1),
-    )
+    """The null scree profile the counts take, as a baseline's scree_mean."""
+    return np.asarray(scree_mean, dtype=float)
 
 
 def _window_and_decomposition(seed, n_assets=8, n_steps=50):
@@ -178,9 +169,14 @@ class TestScreeCounts:
             assert scree_significant_count(observed, _baseline(null)) == count
 
     def test_size_mismatch(self):
+        # a length-1 profile would broadcast against any spectrum
         eigenvalues = np.array([2.0, 1.0])
-        with pytest.raises(BaselineMismatchError):
-            scree_significant_count(eigenvalues, _baseline([1.0, 1.0, 1.0]))
+        for profile in ([1.0, 1.0, 1.0], [1.0]):
+            for count in (scree_significant_count, scree_exceedance_count):
+                with pytest.raises(BaselineMismatchError,
+                                   match=f"baseline is for N={len(profile)}, "
+                                         "window has N=2"):
+                    count(eigenvalues, _baseline(profile))
 
     def test_sign_flip_invariance(self):
         z_hat, (eigenvalues, _) = _window_and_decomposition(

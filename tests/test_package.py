@@ -1,11 +1,12 @@
 import ast
+import importlib.util
 import inspect
 import os
 import re
 import shlex
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from helpers import (
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(corrspectra.__file__).resolve().parent
 HELPERS = Path(__file__).resolve().parent / "helpers.py"
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_all_exports_resolve_once():
@@ -209,13 +211,15 @@ def test_one_block_size():
 def test_one_window_form():
     # a window is its standardized N x T array and every per-window result
     # a plain array or float, with no result records; the caller already
-    # holds the window's index and end date
+    # holds the window's index and end date, and no record repeats what
+    # its caller holds: a panel names its assets in two lists, the null's
+    # edges are floats and a baseline is its four arrays
     n_assets, n_dates = 4, 12
     returns = corrspectra.compute_log_returns(corrspectra.PricePanel(
         dates=weekly_dates(n_dates),
         prices=random_walk_prices(np.random.default_rng(5), n_assets, n_dates),
-        meta=[corrspectra.AssetMeta(f"A{i}", "equities")
-              for i in range(n_assets)]))
+        tickers=[f"A{i}" for i in range(n_assets)],
+        classes=["equities"] * n_assets))
     window = corrspectra.standardize_window(returns, 2, 6, 0)
     assert type(window) is np.ndarray and window.shape == (n_assets, 6)
     values = corrspectra.correlation_matrix(window)
@@ -227,8 +231,49 @@ def test_one_window_form():
     assert type(moments) is tuple
     assert [type(moment) for moment in moments] == [float] * 4
     for name in ("SpectralDecomposition", "CoefficientMoments",
-                 "asset_component_correlations", "WindowView"):
+                 "asset_component_correlations", "WindowView", "AssetMeta",
+                 "MPBounds"):
         assert not hasattr(corrspectra, name), name
+    for record, names in (
+            (corrspectra.PricePanel, ("dates", "prices", "tickers", "classes")),
+            (corrspectra.ReturnPanel, ("dates", "returns", "tickers", "classes")),
+            (corrspectra.NullEnsembleStats,
+             ("pr_mean", "pr_std", "scree_mean", "abs_corr_p99"))):
+        assert tuple(field.name for field in fields(record)) == names
+    edges = corrspectra.mp_bounds(2.0)
+    assert type(edges) is tuple
+    assert [type(edge) for edge in edges] == [float] * 2
+    assert not [module for module, _ in _imports(SRC / "analytics.py")
+                if module.split(".")[-1] == "nulls"]
+
+
+# perfbench/spans.py's targets that no longer resolve: ROADMAP A1 retargets
+# them and then deletes this list
+_MISSING_SPANS = {
+    "corrspectra.cli.run_analysis",
+    "corrspectra.cli.emit_reports",
+    "corrspectra.pipeline.roll_windows",
+    "corrspectra.pipeline.correlation_matrix",
+    "corrspectra.pipeline.eigendecompose",
+    "corrspectra.pipeline.participation",
+    "corrspectra.nulls.decompose_symmetric",
+    "corrspectra.nulls.corr_from_standardized",
+}
+
+
+def test_span_targets_resolve():
+    # the benchmark times the names perfbench/spans.py wraps; a rename
+    # that drops a live span loses its metrics without an error, so every
+    # target but the known-missing ones must still be a callable
+    spec = importlib.util.spec_from_file_location("corrspectra_bench_spans",
+                                                  SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = set()
+    for module, attr, _ in spans.TARGETS:
+        if not callable(getattr(importlib.import_module(module), attr, None)):
+            missing.add(f"{module}.{attr}")
+    assert missing == _MISSING_SPANS
 
 
 def test_no_private_name_crosses_modules():

@@ -9,7 +9,6 @@ from corrspectra import (
     DegenerateWindowError,
     PanelFormatError,
     PricePanel,
-    AssetMeta,
     compute_log_returns,
     load_price_panel,
     standardize_window,
@@ -75,7 +74,7 @@ class TestLoadPricePanel:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         panel = load_price_panel(*toy_files)
         assert panel.tickers == ["AAA", "BBB"]
-        assert panel.meta[1].asset_class == "gov_bonds"
+        assert panel.classes[1] == "gov_bonds"
 
     def test_column_order_defines_asset_order(self, tmp_path):
         prices = tmp_path / "p.csv"
@@ -85,7 +84,7 @@ class TestLoadPricePanel:
         write_meta_csv(meta, ["AA", "ZZ"], ["equities", "metals"])
         panel = load_price_panel(prices, meta)
         assert panel.tickers == ["ZZ", "AA"]
-        assert panel.meta[0].asset_class == "metals"
+        assert panel.classes == ["metals", "equities"]
 
     def test_zero_price_names_row(self, tmp_path):
         prices = tmp_path / "p.csv"
@@ -264,7 +263,7 @@ class TestLogReturns:
         panel = PricePanel(
             dates=weekly_dates(2),
             prices=np.array([[100.0, 110.0]]),
-            meta=[AssetMeta("AAA", "equities")],
+            tickers=["AAA"], classes=["equities"],
         )
         returns = compute_log_returns(panel)
         assert returns.returns.shape == (1, 1)
@@ -274,7 +273,7 @@ class TestLogReturns:
         panel = PricePanel(
             dates=weekly_dates(3),
             prices=np.array([[100.0, 100.0, 100.0]]),
-            meta=[AssetMeta("AAA", "equities")],
+            tickers=["AAA"], classes=["equities"],
         )
         assert np.array_equal(compute_log_returns(panel).returns, [[0.0, 0.0]])
 
@@ -282,7 +281,7 @@ class TestLogReturns:
         panel = PricePanel(
             dates=weekly_dates(3),
             prices=np.array([[1.0, math.e, math.e**2]]),
-            meta=[AssetMeta("AAA", "equities")],
+            tickers=["AAA"], classes=["equities"],
         )
         assert np.allclose(compute_log_returns(panel).returns, [[1.0, 1.0]], atol=1e-15)
 
@@ -290,7 +289,7 @@ class TestLogReturns:
         panel = PricePanel(
             dates=weekly_dates(1),
             prices=np.array([[100.0]]),
-            meta=[AssetMeta("AAA", "equities")],
+            tickers=["AAA"], classes=["equities"],
         )
         with pytest.raises(PanelFormatError):
             compute_log_returns(panel)
@@ -300,7 +299,7 @@ class TestLogReturns:
         panel = PricePanel(
             dates=dates,
             prices=np.array([[1.0, 2.0, 3.0]]),
-            meta=[AssetMeta("AAA", "equities")],
+            tickers=["AAA"], classes=["equities"],
         )
         assert compute_log_returns(panel).dates == dates[1:]
 
@@ -310,7 +309,7 @@ class TestLogReturns:
         panel = PricePanel(
             dates=weekly_dates(120),
             prices=prices,
-            meta=[AssetMeta(f"A{i}", "equities") for i in range(6)],
+            tickers=[f"A{i}" for i in range(6)], classes=["equities"] * 6,
         )
         returns = compute_log_returns(panel)
         rebuilt = prices[:, :1] * np.exp(np.cumsum(returns.returns, axis=1))
@@ -323,7 +322,8 @@ class TestStandardizeWindow:
         return PricePanel(
             dates=weekly_dates(rows.shape[1] + 1),
             prices=np.exp(np.cumsum(np.concatenate([np.zeros((rows.shape[0], 1)), rows], axis=1), axis=1)),
-            meta=[AssetMeta(f"A{i}", "equities") for i in range(rows.shape[0])],
+            tickers=[f"A{i}" for i in range(rows.shape[0])],
+            classes=["equities"] * rows.shape[0],
         )
 
     def test_two_point_row(self):
@@ -342,7 +342,7 @@ class TestStandardizeWindow:
         returns = ReturnPanel(
             dates=weekly_dates(3),
             returns=np.array([[5.0, 5.0, 5.0], [0.1, 0.2, 0.3]]),
-            meta=[AssetMeta("A0", "equities"), AssetMeta("A1", "equities")],
+            tickers=["A0", "A1"], classes=["equities"] * 2,
         )
         with pytest.raises(DegenerateWindowError, match="A0") as excinfo:
             standardize_window(returns, 0, 3, 5)
@@ -389,7 +389,7 @@ class TestRollWindows:
             PricePanel(
                 dates=weekly_dates(n_returns + 1),
                 prices=prices,
-                meta=[AssetMeta(f"A{i}", "equities") for i in range(3)],
+                tickers=[f"A{i}" for i in range(3)], classes=["equities"] * 3,
             )
         )
 
@@ -460,7 +460,7 @@ class TestSubsetByClass:
         panel = PricePanel(
             dates=weekly_dates(2),
             prices=np.array([[1.0, 2.0], [1.0, 2.0]]),
-            meta=[AssetMeta("X", "gov_bonds"), AssetMeta("Y", "gov_bonds")],
+            tickers=["X", "Y"], classes=["gov_bonds"] * 2,
         )
         with pytest.raises(ValueError):
             subset_by_class(panel, {"equities"})
@@ -469,7 +469,7 @@ class TestSubsetByClass:
         panel = PricePanel(
             dates=weekly_dates(2),
             prices=np.array([[1.0, 2.0], [1.0, 2.0]]),
-            meta=[AssetMeta("X", "gov_bonds"), AssetMeta("Y", "gov_bonds")],
+            tickers=["X", "Y"], classes=["gov_bonds"] * 2,
         )
         with pytest.raises(ValueError, match="unknown"):
             subset_by_class(panel, {"bonds"})
@@ -478,5 +478,5 @@ class TestSubsetByClass:
         panel = self._table1_panel(tmp_path)
         subset_first = compute_log_returns(subset_by_class(panel, {"metals"}))
         full_returns = compute_log_returns(panel)
-        keep = [i for i, m in enumerate(panel.meta) if m.asset_class == "metals"]
+        keep = [i for i, klass in enumerate(panel.classes) if klass == "metals"]
         assert np.array_equal(subset_first.returns, full_returns.returns[keep])

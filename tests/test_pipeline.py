@@ -321,12 +321,11 @@ class TestEmitReports:
                                  for name in paths},
             "classes": ["metals", "equities"], "null_kind": nulls.NULL_KIND}
         assert manifest["config"]["prices_path"] == str(tmp_path / "prices.csv")
-        stats = cached_ensemble_stats(
-            NullConfig(n_assets=4, window_len=10, sims=15, master_seed=5), 3,
-            config.baseline_cache)
+        null_config = NullConfig(n_assets=4, window_len=10, sims=15,
+                                 master_seed=5)
         payload = json.loads((tmp_path / "out" / "null_baselines.json")
                              .read_text(encoding="utf-8"))
-        assert payload["config"] == {**asdict(stats.config), "num_windows": 1,
+        assert payload["config"] == {**asdict(null_config), "num_windows": 1,
                                      "kind": nulls.NULL_KIND}
 
     def test_csv_floats_roundtrip_at_15_digits(self, tmp_path):
@@ -481,8 +480,8 @@ class TestRenderers:
         in pipeline: the hand-built window passes through in place of the
         correlation matrix, its eigenvectors hold its index, and its
         eigenvalues are the window's own array, by which the functions that
-        take them find the window (the scree counts against the baseline
-        `stats`)."""
+        take them find the window (the scree counts against the profile
+        `stats.scree_mean`)."""
         def standardize_window(returns, start, length, index):
             assert (start, length) == (index * config.step, config.window_len)
             return windows[index]
@@ -502,8 +501,8 @@ class TestRenderers:
             return window
 
         def scree_count(name):
-            def count(eigenvalues, baseline):
-                assert baseline is stats
+            def count(eigenvalues, profile):
+                assert profile is stats.scree_mean
                 return getattr(window_of(eigenvalues), name)
             return count
 
@@ -549,7 +548,8 @@ class TestRenderers:
         # the window loop, on the windows above
         config = RunConfig(prices_path="p.csv", meta_path="m.csv",
                            output_dir="out", max_rank=n_ranks)
-        stats = object()  # the null baseline, passed through untouched
+        # the null baseline, whose profile is passed through untouched
+        stats = SimpleNamespace(scree_mean=object())
         self._patch_window_functions(monkeypatch, reports, config, stats)
         # window i ends on return i + window_len - 1
         returns = SimpleNamespace(

@@ -91,47 +91,44 @@ class TestEigendecompose:
 
 class TestMPBounds:
     def test_reference_upper_edge(self):
-        bounds = mp_bounds(1.02, 1.0)
-        assert abs(bounds.gamma_plus - 3.9607) <= 1e-4
+        _, gamma_plus = mp_bounds(1.02, 1.0)
+        assert abs(gamma_plus - 3.9607) <= 1e-4
 
     def test_square_case(self):
-        bounds = mp_bounds(1.0, 1.0)
-        assert bounds.gamma_minus == 0.0
-        assert bounds.gamma_plus == 4.0
+        assert mp_bounds(1.0, 1.0) == (0.0, 4.0)
 
     def test_q_four(self):
-        bounds = mp_bounds(4.0, 1.0)
-        assert abs(bounds.gamma_minus - 0.25) <= 1e-15
-        assert abs(bounds.gamma_plus - 2.25) <= 1e-15
+        gamma_minus, gamma_plus = mp_bounds(4.0, 1.0)
+        assert abs(gamma_minus - 0.25) <= 1e-15
+        assert abs(gamma_plus - 2.25) <= 1e-15
 
     def test_rejects_q_below_one(self):
         with pytest.raises(ValueError):
             mp_bounds(0.5)
+        with pytest.raises(ValueError):  # the density's shape, likewise
+            mp_density(1.0, 0.5)
 
     def test_sigma_scaling(self):
-        bounds = mp_bounds(1.0, 2.0)
-        assert bounds.gamma_plus == 8.0
+        _, gamma_plus = mp_bounds(1.0, 2.0)
+        assert gamma_plus == 8.0
 
 
 class TestMPDensity:
     def test_outside_support(self):
-        bounds = mp_bounds(1.02)
-        assert mp_density(-0.5, bounds) == 0.0
-        assert mp_density(0.0, bounds) == 0.0
-        assert mp_density(bounds.gamma_plus + 0.01, bounds) == 0.0
+        _, gamma_plus = mp_bounds(1.02)
+        assert mp_density(-0.5, 1.02) == 0.0
+        assert mp_density(0.0, 1.02) == 0.0
+        assert mp_density(gamma_plus + 0.01, 1.02) == 0.0
 
     def test_square_case_midpoint(self):
-        bounds = mp_bounds(1.0)
-        assert abs(mp_density(2.0, bounds) - 1.0 / (2.0 * math.pi)) <= 1e-15
+        assert abs(mp_density(2.0, 1.0) - 1.0 / (2.0 * math.pi)) <= 1e-15
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 4.0])
     def test_integrates_to_one(self, q):
-        bounds = mp_bounds(q)
         total, err = integrate.quad(
             mp_density,
-            bounds.gamma_minus,
-            bounds.gamma_plus,
-            args=(bounds,),
+            *mp_bounds(q),
+            args=(q,),
             limit=200,
         )
         assert abs(total - 1.0) <= 1e-6
