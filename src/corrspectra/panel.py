@@ -230,10 +230,10 @@ def standardize(block: np.ndarray, window_index: int, tickers=None,
     population standard deviation (divide by the window length, not
     length - 1).
 
-    A constant row is an error: dropping the asset would change N
-    mid-series, so callers must clean their panel instead. The
-    DegenerateWindowError names window `window_index`, the block's returns
-    counted from `start`, and the asset from `tickers` (else its row).
+    A constant row raises DegenerateWindowError, whose message names
+    window `window_index`, the block's returns counted from `start`, and
+    the asset from `tickers` (else its row): dropping the asset would
+    change N mid-series, so callers must clean their panel instead.
     """
     centered = block - block.mean(axis=1, keepdims=True)
     # numpy's own std steps, so sigma equals block.std(axis=1) bit for bit
@@ -243,10 +243,7 @@ def standardize(block: np.ndarray, window_index: int, tickers=None,
         ticker = tickers[idx] if tickers else None
         raise DegenerateWindowError(
             f"asset {ticker or idx!r} has zero variance in window {window_index} "
-            f"(returns {start}..{start + block.shape[1] - 1})",
-            ticker=ticker,
-            window_index=window_index,
-        )
+            f"(returns {start}..{start + block.shape[1] - 1})")
     return centered / sigma[:, None]
 
 

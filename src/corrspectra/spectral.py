@@ -50,17 +50,17 @@ def eigendecompose(values: np.ndarray,
     descending; row k of the N x N eigenvectors is the k-th unit
     eigenvector under the deterministic sign convention.
 
-    Raises EigenComputationError naming `window_index` and carrying the
-    residual if the solver fails, the result misses the reconstruction or
-    orthogonality tolerances, an eigenvalue is below MIN_EIGENVALUE, or the
-    eigenvalues do not sum to N within TRACE_TOL.
+    Raises EigenComputationError naming `window_index` if the solver
+    fails, or if the result misses its accuracy contract: the
+    reconstruction residual and the orthogonality error within their
+    tolerances, no eigenvalue below MIN_EIGENVALUE, and the eigenvalues
+    summing to N within TRACE_TOL. That message gives all four quantities.
     """
     try:
         vals, vecs = np.linalg.eigh(values)
     except np.linalg.LinAlgError as exc:
         raise EigenComputationError(
-            f"window {window_index}: eigensolver did not converge: {exc}",
-            window_index=window_index,
+            f"window {window_index}: eigensolver did not converge: {exc}"
         ) from exc
     beta = vals[::-1].copy()
     omega = _apply_sign_convention(vecs[:, ::-1].T.copy())
@@ -69,29 +69,16 @@ def eigendecompose(values: np.ndarray,
     recon = omega.T @ (beta[:, None] * omega)
     residual = float(np.abs(recon - values).max())
     ortho = float(np.abs(omega @ omega.T - np.eye(n)).max())
-    # written so that NaN, which compares false, fails each check
-    if not (residual <= RECONSTRUCTION_TOL and ortho <= ORTHOGONALITY_TOL):
-        raise EigenComputationError(
-            f"window {window_index}: decomposition residual {residual:.3e} "
-            f"(orthogonality {ortho:.3e}) exceeds tolerance",
-            residual=residual,
-            window_index=window_index,
-        )
-    if not beta[-1] >= MIN_EIGENVALUE:
-        raise EigenComputationError(
-            f"window {window_index}: eigenvalue {beta[-1]:.3e} below "
-            f"{MIN_EIGENVALUE}; matrix is not positive semidefinite",
-            residual=float(beta[-1]),
-            window_index=window_index,
-        )
+    smallest = float(beta[-1])
     trace_gap = float(abs(beta.sum() - n))
-    if not trace_gap <= TRACE_TOL:
+    # written so that NaN, which compares false, fails the check
+    if not (residual <= RECONSTRUCTION_TOL and ortho <= ORTHOGONALITY_TOL
+            and smallest >= MIN_EIGENVALUE and trace_gap <= TRACE_TOL):
         raise EigenComputationError(
-            f"window {window_index}: eigenvalue sum deviates from "
-            f"{n} by {trace_gap:.3e}",
-            residual=trace_gap,
-            window_index=window_index,
-        )
+            f"window {window_index}: decomposition misses its accuracy "
+            f"contract: residual {residual:.3e}, orthogonality error "
+            f"{ortho:.3e}, smallest eigenvalue {smallest:.3e}, eigenvalue "
+            f"sum deviates from {n} by {trace_gap:.3e}")
     return beta, omega
 
 

@@ -10,6 +10,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import corrspectra
 from corrspectra import blocks, cli, pipeline
@@ -245,6 +246,35 @@ def test_one_window_form():
     assert [type(edge) for edge in edges] == [float] * 2
     assert not [module for module, _ in _imports(SRC / "analytics.py")
                 if module.split(".")[-1] == "nulls"]
+
+
+def test_numerical_errors_are_messages():
+    # a window's numerical failure carries its message and nothing else:
+    # the window, the asset and the contract's quantities are in the text,
+    # and a plain exception pickles through its args
+    errors = (corrspectra.DegenerateWindowError,
+              corrspectra.EigenComputationError)
+    for error in errors:
+        assert "__init__" not in vars(error), error.__name__
+    flat = corrspectra.ReturnPanel(
+        dates=weekly_dates(4), returns=np.array([[0.1, 0.1, 0.1, 0.1],
+                                                 [0.1, 0.2, 0.3, 0.4]]),
+        tickers=["A0", "A1"], classes=["equities"] * 2)
+    with pytest.raises(errors[0], match="'A0' .* window 2 ") as degenerate:
+        corrspectra.standardize_window(flat, 0, 4, 2)
+    values = np.eye(3)
+    values[0, 1] = values[1, 0] = np.nan
+    with pytest.raises(errors[1], match="^window 6: .*residual nan") as eigen:
+        corrspectra.eigendecompose(values, 6)
+    for exc in (degenerate.value, eigen.value):
+        assert vars(exc) == {}
+        assert exc.args == (str(exc),)
+    raises = [node for node in ast.walk(ast.parse(
+        (SRC / "spectral.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "EigenComputationError"]
+    assert len(raises) == 2
 
 
 # perfbench/spans.py's targets that no longer resolve: ROADMAP A1 retargets

@@ -32,7 +32,7 @@ from corrspectra import (
     window_count,
     write_reports,
 )
-from corrspectra import blocks, nulls, pipeline
+from corrspectra import blocks, nulls, pipeline, spectral
 from corrspectra.cli import main
 
 from helpers import (
@@ -225,9 +225,8 @@ class TestWriteReports:
         with pytest.raises(DegenerateWindowError) as kernel:
             pipeline._window_rows(returns, config, stats, 0, 30)
         assert str(checked.value) == str(kernel.value)
-        assert (checked.value.ticker, checked.value.window_index) \
-            == (kernel.value.ticker, kernel.value.window_index) == ("A01", 20)
-        assert type(checked.value.window_index) is int
+        assert str(checked.value) == (
+            "asset 'A01' has zero variance in window 20 (returns 20..29)")
 
     def test_classes_take_a_sequence_of_names(self, tmp_path):
         # a str is a sequence of characters, not of class names
@@ -661,8 +660,7 @@ def _eigen_failure_in_window_20(returns, config, stats, start, stop):
         return _real_window_rows(returns, config, stats, start, stop)
     if multiprocessing.parent_process() is None:
         raise AssertionError("expected to run in a pool worker")
-    raise EigenComputationError("eigensolver failed in window 20",
-                                window_index=20)
+    raise EigenComputationError("eigensolver failed in window 20")
 
 
 class TestCLI:
@@ -853,6 +851,20 @@ class TestCLI:
         assert main(args) == 0  # a fresh run
         assert _file_bytes(tmp_path / "cli_out") == hit != earlier
         assert cache.read_bytes() == entry
+
+    def test_broken_eigen_contract_exits_three(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the first null sim misses the contract; its one message names the
+        # window and the four quantities
+        monkeypatch.setattr(spectral, "TRACE_TOL", -1.0)
+        prices_path, meta_path = make_input_files(tmp_path)
+        assert main(self._args(tmp_path, prices_path, meta_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corrspectra: numerical failure: window 0: ")
+        for quantity in ("residual", "orthogonality error",
+                         "smallest eigenvalue", "eigenvalue sum deviates"):
+            assert quantity in err
+        assert not (tmp_path / "cli_out").exists()
 
     def test_stale_staging_directory_is_removed(self, tmp_path, capsys):
         # the staging directories of a SIGKILLed run and of a live one, and
