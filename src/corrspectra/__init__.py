@@ -8,13 +8,17 @@ spectra and eigenvector diagnostics against Monte Carlo null baselines.
 from .analytics import (
     adjusted_component_correlations,
     analyze_window,
+    coefficient_moments,
+    correlation_matrix,
+    eigendecompose,
     kaiser_guttman_count,
+    mp_bounds,
+    mp_density,
     participation,
     scree_exceedance_count,
     scree_significant_count,
     variance_fractions,
 )
-from .correlation import coefficient_moments, correlation_matrix
 from .errors import (
     BaselineMismatchError,
     DegenerateWindowError,
@@ -41,7 +45,6 @@ from .panel import (
     window_count,
 )
 from .pipeline import RunConfig, write_reports
-from .spectral import eigendecompose, mp_bounds, mp_density
 
 __version__ = "0.1.0"
 

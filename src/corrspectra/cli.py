@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 input or configuration error, 3 numerical failure
-(the message names the window and asset involved), 4 I/O error, 5 a
-worker process died. The reports are staged in a hidden directory inside
-the output directory and moved into it only when the run succeeds, so a
-failed run leaves no partial reports, and the reports of an earlier run
-there keep their bytes.
+(the message names the window or null simulation, and the asset
+involved), 4 I/O error, 5 a worker process died. The reports are staged
+in a hidden directory inside the output directory and moved into it only
+when the run succeeds, so a failed run leaves no partial reports, and the
+reports of an earlier run there keep their bytes.
 """
 
 from __future__ import annotations

@@ -85,7 +85,7 @@ def null_window(config: NullConfig, sim_index: int) -> np.ndarray:
     sim_rng(config.master_seed, sim_index)."""
     x = sim_rng(config.master_seed, sim_index).standard_normal(
         (config.n_assets, config.window_len))
-    return standardize(x, sim_index)
+    return standardize(x, f"null simulation {sim_index}")
 
 
 def _largest(values: np.ndarray, keep: int) -> np.ndarray:
@@ -113,7 +113,7 @@ def _ensemble_block(config: NullConfig, max_rank: int, keep: int,
     abs_corr = np.empty((max_rank, stop - start, n))
     for row, s in enumerate(range(start, stop)):
         _, beta_rows[row], _, pr[row], abs_r = analyze_window(
-            null_window(config, s), max_rank, s)
+            null_window(config, s), max_rank, f"null simulation {s}")
         abs_corr[:, row] = abs_r.T
     return pr, beta_rows, _largest(
         abs_corr.reshape(max_rank, (stop - start) * n), keep)

@@ -173,9 +173,6 @@ def load_price_panel(prices_path, meta_path) -> PricePanel:
             )
         dates.append(date)
         values = []
-        # float() also reads "1_000" and non-ASCII (e.g. Arabic-Indic) digits
-        text = "".join(row[1:])
-        plain = text.isascii() and "_" not in text
         for ticker, cell in zip(tickers, row[1:]):
             cell = cell.strip()
             if not cell:
@@ -183,7 +180,8 @@ def load_price_panel(prices_path, meta_path) -> PricePanel:
                     f"{prices_path}: row {lineno}: missing value in column {ticker!r}"
                 )
             try:
-                if not (plain or cell.isascii() and "_" not in cell):
+                # float() also reads "1_000" and non-ASCII digits
+                if not cell.isascii() or "_" in cell:
                     raise ValueError(cell)
                 value = float(cell)
             except ValueError:
@@ -214,7 +212,8 @@ def compute_log_returns(panel: PricePanel) -> ReturnPanel:
     """Log return series z[t] = ln(p[t+1] / p[t]) for each asset."""
     if len(panel.dates) < 2:
         raise PanelFormatError("need at least 2 dates to compute returns")
-    returns = np.log(panel.prices[:, 1:] / panel.prices[:, :-1])
+    with np.errstate(all="ignore"):  # an overflowing ratio is caught below
+        returns = np.log(panel.prices[:, 1:] / panel.prices[:, :-1])
     if not np.all(np.isfinite(returns)):
         bad = np.argwhere(~np.isfinite(returns))[0]
         raise PanelFormatError(
@@ -224,15 +223,15 @@ def compute_log_returns(panel: PricePanel) -> ReturnPanel:
                        tickers=panel.tickers, classes=panel.classes)
 
 
-def standardize(block: np.ndarray, window_index: int, tickers=None,
+def standardize(block: np.ndarray, label: str, tickers=None,
                 start: int = 0) -> np.ndarray:
     """Center each row of an assets x returns block and scale it by its own
     population standard deviation (divide by the window length, not
     length - 1).
 
-    A constant row raises DegenerateWindowError, whose message names
-    window `window_index`, the block's returns counted from `start`, and
-    the asset from `tickers` (else its row): dropping the asset would
+    A constant row raises DegenerateWindowError, whose message names the
+    block by `label` (such as "window 20"), its returns counted from
+    `start`, and the asset from `tickers` (else its row): dropping the asset would
     change N mid-series, so callers must clean their panel instead.
     """
     centered = block - block.mean(axis=1, keepdims=True)
@@ -242,7 +241,7 @@ def standardize(block: np.ndarray, window_index: int, tickers=None,
         idx = int(np.argmax(sigma == 0.0))
         ticker = tickers[idx] if tickers else None
         raise DegenerateWindowError(
-            f"asset {ticker or idx!r} has zero variance in window {window_index} "
+            f"asset {ticker or idx!r} has zero variance in {label} "
             f"(returns {start}..{start + block.shape[1] - 1})")
     return centered / sigma[:, None]
 
@@ -264,7 +263,8 @@ def standardize_window(
             f"window [{start}, {start + length}) out of range for {n_returns} returns"
         )
     block = returns.returns[:, start : start + length]
-    return standardize(block, window_index, returns.tickers, start)
+    return standardize(block, f"window {window_index}", returns.tickers,
+                       start)
 
 
 def window_count(returns: ReturnPanel, length: int, step: int = 1) -> int:

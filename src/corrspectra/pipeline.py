@@ -33,13 +33,13 @@ import numpy as np
 from .analytics import (
     adjusted_component_correlations,
     analyze_window,
+    coefficient_moments,
     kaiser_guttman_count,
     scree_exceedance_count,
     scree_significant_count,
     variance_fractions,
 )
 from .blocks import map_blocks
-from .correlation import coefficient_moments
 from .nulls import (
     NULL_KIND,
     NullConfig,
@@ -151,7 +151,7 @@ def _window_rows(returns: ReturnPanel, config: RunConfig,
         first = index * config.step  # the window's first return
         values, beta, omega, pr, abs_r = analyze_window(
             standardize_window(returns, first, config.window_len, index),
-            max_rank, index)
+            max_rank, f"window {index}")
         end_date = returns.dates[first + config.window_len - 1]
         keys.append(f"{index},{end_date.isoformat()}")
         numbers[row] = [*coefficient_moments(values),

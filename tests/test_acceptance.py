@@ -154,7 +154,7 @@ def test_criterion_06_asset_component_identity():
         n_assets = 3 + s % 18
         n_steps = 25 + s % 10
         z_hat = random_correlation_window(rng, n_assets, n_steps)
-        _, _, omega, _, abs_r = analyze_window(z_hat, n_assets, 0)
+        _, _, omega, _, abs_r = analyze_window(z_hat, n_assets, "window 0")
         components = omega @ z_hat
         for i in range(n_assets):
             for k in range(n_assets):
@@ -234,7 +234,7 @@ def test_criterion_09b_planted_block_assignment():
     total = 0
     for seed in range(100):
         window = _planted_panel_window(seed)
-        abs_r = analyze_window(window, 90, 0)[4]
+        abs_r = analyze_window(window, 90, "window 0")[4]
         ranks = max_correlation_rank(abs_r)
         for b in range(3):
             members = ranks[b * 30 : (b + 1) * 30]
@@ -248,7 +248,7 @@ def test_criterion_09b_planted_block_assignment():
 
 def _planted_delta_medians(seed):
     window = _planted_panel_window(seed)
-    _, beta, omega, _, abs_r = analyze_window(window, 90, 0)
+    _, beta, omega, _, abs_r = analyze_window(window, 90, "window 0")
     deltas = self_correlation_deltas(
         abs_r, adjusted_component_correlations(beta, omega), max_rank=5)
     return np.array([np.median(np.abs(sample)) for sample in deltas])

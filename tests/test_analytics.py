@@ -37,7 +37,7 @@ def _window_and_decomposition(seed, n_assets=8, n_steps=50):
 
 def _correlations(z_hat):
     """(abs_r, abs_r_adjusted) of every rank of the window `z_hat`."""
-    _, beta, omega, _, abs_r = analyze_window(z_hat, len(z_hat), 0)
+    _, beta, omega, _, abs_r = analyze_window(z_hat, len(z_hat), "window 0")
     return abs_r, adjusted_component_correlations(beta, omega)
 
 
@@ -58,13 +58,13 @@ class TestAnalyzeWindow:
         z_hat, _ = _window_and_decomposition(3, n_assets=5, n_steps=20)
         message = rf"max_rank must be in \[0, 5\], got {max_rank}"
         with pytest.raises(ValueError, match=message):
-            analyze_window(z_hat, max_rank, 0)
+            analyze_window(z_hat, max_rank, "window 0")
 
     @pytest.mark.parametrize("max_rank", [0, 5])
     def test_max_rank_at_either_end(self, max_rank):
         z_hat, (beta, omega) = _window_and_decomposition(3, n_assets=5,
                                                          n_steps=20)
-        abs_r = analyze_window(z_hat, max_rank, 0)[4]
+        abs_r = analyze_window(z_hat, max_rank, "window 0")[4]
         assert abs_r.shape == (5, max_rank)
         assert np.array_equal(abs_r, np.abs(omega[:max_rank].T)
                               * np.sqrt(beta[:max_rank]))
@@ -206,14 +206,15 @@ class TestAssetComponentCorrelations:
         assert abs(abs_r[1, 0] - 1.0) <= 1e-12
 
     def test_identity_matrix_gives_coefficients(self):
-        values, _, omega, _, abs_r = analyze_window(_IDENTITY_WINDOW, 3, 0)
+        values, _, omega, _, abs_r = analyze_window(_IDENTITY_WINDOW, 3,
+                                                    "window 0")
         assert np.array_equal(values, np.eye(3))
         assert np.allclose(abs_r, np.abs(omega.T))
         assert np.allclose(np.sort(abs_r, axis=1), [0.0, 0.0, 1.0])
 
     def test_matches_direct_pearson(self):
         z_hat, _ = _window_and_decomposition(12, n_assets=7, n_steps=40)
-        _, _, omega, _, abs_r = analyze_window(z_hat, 7, 0)
+        _, _, omega, _, abs_r = analyze_window(z_hat, 7, "window 0")
         components = omega @ z_hat
         for i in range(7):
             for k in range(7):

@@ -57,7 +57,7 @@ class TestCorrelationMatrix:
 
     @pytest.mark.parametrize("analyse", [
         correlation_matrix,
-        lambda z: analyze_window(z, max_rank=1, window_index=0),
+        lambda z: analyze_window(z, max_rank=1, label="window 0"),
     ], ids=["correlation_matrix", "analyze_window"])
     def test_nonfinite_rejected(self, analyse):
         z = np.array([[1.0, -1.0], [np.nan, 1.0]])

@@ -27,7 +27,7 @@ from corrspectra import (
     null_window,
     sim_rng,
 )
-from corrspectra import WorkerProcessError, blocks, nulls, spectral
+from corrspectra import WorkerProcessError, analytics, blocks, nulls
 
 from helpers import nearest_rank_percentile
 from synthetic import (
@@ -129,12 +129,12 @@ class TestSeedContract:
     def test_sims_pass_the_eigen_checks(self, monkeypatch, name, bound):
         # each clause of the accuracy contract alone fails every
         # decomposition once its bound is out of reach; the message names
-        # the window and all four quantities
-        monkeypatch.setattr(spectral, name, bound)
+        # the null simulation and all four quantities
+        monkeypatch.setattr(analytics, name, bound)
         config = NullConfig(n_assets=6, window_len=15, sims=3, master_seed=5)
         with pytest.raises(EigenComputationError, match=(
-                r"^window 0: .*residual \S+, orthogonality error \S+, "
-                r"smallest eigenvalue \S+, eigenvalue sum deviates from 6 "
+                r"^null simulation 0: .*residual \S+, orthogonality error "
+                r"\S+, smallest eigenvalue \S+, eigenvalue sum deviates from 6 "
                 r"by \S+$")):
             null_ensemble_stats(config, max_rank=2)
 
@@ -474,18 +474,28 @@ class TestScreeProfile:
 def _pooled_abs_r(config, max_rank, kernel=analyze_window):
     """Every sim's |r| of ranks 1..max_rank pooled per rank, as a
     (max_rank, sims * N) array: the sample the ensemble's p99 summarizes."""
-    rows = [kernel(null_window(config, s), max_rank, s)[4]
+    rows = [kernel(null_window(config, s), max_rank,
+                   f"null simulation {s}")[4]
             for s in range(config.sims)]
     return np.concatenate(rows).T
 
 
-def _coarse_analyze_window(z_hat, max_rank, window_index):
+def _coarse_analyze_window(z_hat, max_rank, label):
     """analyze_window with |r| rounded to 0.1, so its values tie."""
-    *head, abs_r = analyze_window(z_hat, max_rank, window_index)
+    *head, abs_r = analyze_window(z_hat, max_rank, label)
     return (*head, np.round(abs_r, 1))
 
 
 class TestAbsCorrPercentiles:
+    @pytest.mark.parametrize("max_rank", [-1, 7])
+    def test_max_rank_outside_the_assets_rejected(self, monkeypatch,
+                                                  max_rank):
+        monkeypatch.setattr(nulls, "map_blocks", _no_ensemble)
+        config = NullConfig(n_assets=6, window_len=12, sims=5)
+        with pytest.raises(ValueError, match=(
+                rf"^max_rank must be in \[0, 6\], got {max_rank}$")):
+            null_ensemble_stats(config, max_rank)
+
     def test_nearest_rank_definition(self):
         values = np.arange(1, 101, dtype=float)
         assert nearest_rank_percentile(values, 99.0) == 99.0
@@ -654,6 +664,23 @@ class TestBaselineCache:
         rewritten = cached_ensemble_stats(config, max_rank=2, cache_path=cache)
         assert capsys.readouterr().err == ""
         assert np.array_equal(rewritten.pr_mean, fresh.pr_mean)
+
+    def test_other_schema_version_is_a_silent_miss(self, tmp_path, capsys):
+        # a cache of another schema version holds values computed another
+        # way: its entries are dropped without a warning, and the file is
+        # rewritten at this version
+        cache = tmp_path / "baselines.json"
+        key = "N=6,T=12,sims=25,kind=gaussian,seed=4"
+        config = NullConfig(n_assets=6, window_len=12, sims=25, master_seed=4)
+        fresh = nulls.stats_payload(null_ensemble_stats(config, max_rank=2))
+        stale = {field: [0.5] * 6 for field in fresh}  # a hit at version 2
+        cache.write_text(json.dumps({"schema_version": "1", "entries": {
+            key: stale, "N=7": stale}}))
+        stats = cached_ensemble_stats(config, max_rank=2, cache_path=cache)
+        assert capsys.readouterr().err == ""
+        assert nulls.stats_payload(stats) == fresh
+        assert json.loads(cache.read_text()) == {
+            "schema_version": "2", "entries": {key: fresh}}
 
     @pytest.mark.parametrize("field", ["pr_mean", "pr_std", "scree_mean"])
     def test_null_baseline_value_is_a_miss(self, tmp_path, capsys, field):

@@ -99,10 +99,15 @@ def _imports(path):
 
 
 def test_module_boundaries():
-    # the block runner alone handles processes and BLAS threads, and
-    # needs nothing of the package but its errors
+    # the block runner alone handles processes and BLAS threads; it and the
+    # per-window math, matrix to diagnostics, need nothing of the package
+    # but its errors
     imports = {path.stem: list(_imports(path)) for path in SRC.glob("*.py")}
-    assert {m for m, _ in imports["blocks"] if m.startswith(".")} == {".errors"}
+    assert sorted(imports) == ["__init__", "analytics", "blocks", "cli",
+                               "errors", "nulls", "panel", "pipeline"]
+    for stem in ("analytics", "blocks"):
+        assert {m for m, _ in imports[stem] if m.startswith(".")} \
+            == {".errors"}, stem
     for stem, found in imports.items():
         if stem == "blocks":
             continue
@@ -265,12 +270,12 @@ def test_numerical_errors_are_messages():
     values = np.eye(3)
     values[0, 1] = values[1, 0] = np.nan
     with pytest.raises(errors[1], match="^window 6: .*residual nan") as eigen:
-        corrspectra.eigendecompose(values, 6)
+        corrspectra.eigendecompose(values, "window 6")
     for exc in (degenerate.value, eigen.value):
         assert vars(exc) == {}
         assert exc.args == (str(exc),)
     raises = [node for node in ast.walk(ast.parse(
-        (SRC / "spectral.py").read_text(encoding="utf-8")))
+        (SRC / "analytics.py").read_text(encoding="utf-8")))
         if isinstance(node, ast.Raise)
         and isinstance(node.exc, ast.Call)
         and getattr(node.exc.func, "id", None) == "EigenComputationError"]

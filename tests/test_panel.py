@@ -233,6 +233,35 @@ class TestLoadPricePanel:
         with pytest.raises(PanelFormatError, match=message):
             load_price_panel(prices, meta)
 
+    @pytest.mark.parametrize("prices, meta, problem", [
+        ("", None, "{prices}: empty prices file"),
+        (None, "", "{meta}: empty metadata file"),
+        (None, "ticker,class\nAAA,equities\n",
+         "{meta}: expected header 'ticker,asset_class', got ['ticker', "
+         "'class']"),
+        (None, "ticker,asset_class\n,equities\n",
+         "{meta}: row 2: empty ticker"),
+        (None, "ticker,asset_class\n", "{meta}: no assets listed"),
+        ("date\n2001-01-05\n", None, "{prices}: no asset columns in header"),
+        ("date,AAA,AAA\n2001-01-05,1.0,1.0\n", None,
+         "{prices}: duplicate columns ['AAA']"),
+        ("date,AAA\n2001-01-05,1.0\n2001-02-30,1.0\n", None,
+         "{prices}: row 3: bad date '2001-02-30'"),
+        ("date,AAA\n", None, "{prices}: no price rows"),
+    ], ids=["empty_prices", "empty_meta", "meta_header", "empty_ticker",
+            "no_assets", "no_asset_column", "duplicate_columns", "bad_date",
+            "no_price_rows"])
+    def test_malformed_file_names_the_problem(self, tmp_path, prices, meta,
+                                              problem):
+        paths = {"prices": tmp_path / "p.csv", "meta": tmp_path / "m.csv"}
+        paths["prices"].write_text("date,AAA\n2001-01-05,1.0\n"
+                                   if prices is None else prices)
+        paths["meta"].write_text("ticker,asset_class\nAAA,equities\n"
+                                 if meta is None else meta)
+        with pytest.raises(PanelFormatError) as excinfo:
+            load_price_panel(paths["prices"], paths["meta"])
+        assert str(excinfo.value) == problem.format(**paths)
+
     @pytest.mark.parametrize("fault, line", [
         ("long_field", 2), ("latin1", 2), ("long_field", 1), ("latin1", 1),
     ], ids=["long_field", "latin1", "long_field_in_row_2", "latin1_in_row_2"])
@@ -284,6 +313,20 @@ class TestLogReturns:
             tickers=["AAA"], classes=["equities"],
         )
         assert np.allclose(compute_log_returns(panel).returns, [[1.0, 1.0]], atol=1e-15)
+
+    @pytest.mark.parametrize("prices", [[1e-300, 1e300], [1e300, 1e-300]],
+                             ids=["overflow", "underflow"])
+    def test_extreme_ratio_is_a_format_error(self, prices):
+        # the ratio overflows to inf, or underflows to 0 whose log is -inf;
+        # numpy warns of neither (pytest.ini turns its warnings into errors)
+        panel = PricePanel(
+            dates=weekly_dates(2),
+            prices=np.array([prices, [1.0, 2.0]]),
+            tickers=["A", "B"], classes=["equities"] * 2,
+        )
+        with pytest.raises(PanelFormatError, match=(
+                "^non-finite return for asset 'A' at step 0$")):
+            compute_log_returns(panel)
 
     def test_needs_two_dates(self):
         panel = PricePanel(
@@ -371,7 +414,7 @@ class TestStandardizeWindow:
             assert np.array_equal(sigma, np.std(block, axis=1))
             two_pass = ((block - block.mean(axis=1, keepdims=True))
                         / block.std(axis=1)[:, None])
-            assert np.array_equal(standardize(block, 0), two_pass)
+            assert np.array_equal(standardize(block, "window 0"), two_pass)
 
     def test_bounds_checked(self):
         returns = compute_log_returns(self._panel([[0.1, 0.2, 0.3]]))
@@ -409,6 +452,12 @@ class TestRollWindows:
         with pytest.raises(ValueError, match=f"window length {length} "
                            if length > 5 else "window length must be >= 2"):
             window_count(self._returns(5), length, 1)
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_step_below_one_rejected(self, step):
+        with pytest.raises(ValueError,
+                           match=f"^step must be >= 1, got {step}$"):
+            window_count(self._returns(5), 2, step)
 
     def test_adjacent_windows_share_raw_columns(self):
         returns = self._returns(30)

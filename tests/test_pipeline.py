@@ -32,7 +32,7 @@ from corrspectra import (
     window_count,
     write_reports,
 )
-from corrspectra import blocks, nulls, pipeline, spectral
+from corrspectra import analytics, blocks, nulls, pipeline
 from corrspectra.cli import main
 
 from helpers import (
@@ -340,7 +340,8 @@ class TestEmitReports:
         assert window_count(returns, 10) == N_WINDOWS
         for index in range(N_WINDOWS):
             window = standardize_window(returns, index, 10, index)
-            eigenvalues, _ = eigendecompose(correlation_matrix(window), index)
+            eigenvalues, _ = eigendecompose(correlation_matrix(window),
+                                            f"window {index}")
             for k, beta in enumerate(eigenvalues, start=1):
                 stored = parsed[(index, k)]
                 assert stored == pytest.approx(beta, rel=1e-14, abs=1e-15)
@@ -485,7 +486,8 @@ class TestRenderers:
             assert (start, length) == (index * config.step, config.window_len)
             return windows[index]
 
-        def analyze_window(z_hat, max_rank, index):
+        def analyze_window(z_hat, max_rank, label):
+            index = int(label.removeprefix("window "))
             assert z_hat is windows[index] and max_rank == config.max_rank
             return (z_hat, z_hat.eigenvalues, np.full((4, 4), float(index)),
                     z_hat.pr, z_hat.abs_r)
@@ -855,16 +857,25 @@ class TestCLI:
     def test_broken_eigen_contract_exits_three(self, tmp_path, capsys,
                                                monkeypatch):
         # the first null sim misses the contract; its one message names the
-        # window and the four quantities
-        monkeypatch.setattr(spectral, "TRACE_TOL", -1.0)
+        # sim and the four quantities. With the null read from a cache, the
+        # panel's first window fails instead, under its own name
         prices_path, meta_path = make_input_files(tmp_path)
-        assert main(self._args(tmp_path, prices_path, meta_path)) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("corrspectra: numerical failure: window 0: ")
-        for quantity in ("residual", "orthogonality error",
-                         "smallest eigenvalue", "eigenvalue sum deviates"):
-            assert quantity in err
-        assert not (tmp_path / "cli_out").exists()
+        cache = tmp_path / "cache.json"
+        assert main(self._args(tmp_path, prices_path, meta_path, out="fill",
+                               baseline_cache=cache)) == 0
+        args = self._args(tmp_path, prices_path, meta_path)
+        cached = self._args(tmp_path, prices_path, meta_path,
+                            baseline_cache=cache)
+        capsys.readouterr()
+        monkeypatch.setattr(analytics, "TRACE_TOL", -1.0)
+        for argv, item in ((args, "null simulation 0"), (cached, "window 0")):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"corrspectra: numerical failure: {item}: ")
+            for quantity in ("residual", "orthogonality error",
+                             "smallest eigenvalue", "eigenvalue sum deviates"):
+                assert quantity in err
+            assert not (tmp_path / "cli_out").exists()
 
     def test_stale_staging_directory_is_removed(self, tmp_path, capsys):
         # the staging directories of a SIGKILLed run and of a live one, and
@@ -1260,6 +1271,25 @@ class TestCLI:
         assert main(args) == 2
         assert "classes must be nonempty" in capsys.readouterr().err
         assert not (tmp_path / "cli_out").exists()
+
+    @pytest.mark.parametrize("option, value, problem", [
+        ("window", 1, "window must be >= 2, got 1"),
+        ("step", 0, "step must be >= 1, got 0"),
+        ("sims", 0, "sims must be >= 1, got 0"),
+        ("max_rank", 0, "max-rank must be >= 1, got 0"),
+        ("seed", -1, "seed must be an unsigned 64-bit integer"),
+        ("seed", 2**64, "seed must be an unsigned 64-bit integer"),
+    ])
+    def test_bad_run_config_exits_two(self, tmp_path, capsys, option, value,
+                                      problem):
+        prices_path, meta_path = make_input_files(tmp_path)
+        args = self._args(tmp_path, prices_path, meta_path,
+                          baseline_cache=tmp_path / "cache.json",
+                          **{option: value})
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"corrspectra: {problem}\n"
+        assert not (tmp_path / "cli_out").exists()
+        assert not (tmp_path / "cache.json").exists()
 
     def test_empty_output_exits_two(self, tmp_path, capsys, monkeypatch):
         # Path("") is the current directory, whose reports it would replace

@@ -85,8 +85,21 @@ class TestEigendecompose:
     def test_non_finite_rejected(self):
         values = np.eye(3)
         values[0, 1] = values[1, 0] = np.nan
-        with pytest.raises(EigenComputationError, match="window 4"):
-            eigendecompose(values, window_index=4)
+        with pytest.raises(EigenComputationError, match="^window 4: "):
+            eigendecompose(values, label="window 4")
+
+    @pytest.mark.parametrize("label", [(), ("null simulation 3",)],
+                             ids=["default", "labelled"])
+    def test_solver_failure_names_the_matrix(self, monkeypatch, label):
+        def no_convergence(values):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        name = label[0] if label else "matrix"
+        with pytest.raises(EigenComputationError, match=(
+                f"^{name}: eigensolver did not converge: Eigenvalues did "
+                "not converge$")):
+            eigendecompose(np.eye(3), *label)
 
 
 class TestMPBounds:
@@ -107,6 +120,14 @@ class TestMPBounds:
             mp_bounds(0.5)
         with pytest.raises(ValueError):  # the density's shape, likewise
             mp_density(1.0, 0.5)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0])
+    def test_rejects_non_positive_sigma2(self, sigma2):
+        message = f"sigma2 must be positive, got {sigma2}"
+        with pytest.raises(ValueError, match=message):
+            mp_bounds(2.0, sigma2)
+        with pytest.raises(ValueError, match=message):
+            mp_density(1.0, 2.0, sigma2)
 
     def test_sigma_scaling(self):
         _, gamma_plus = mp_bounds(1.0, 2.0)
@@ -161,7 +182,8 @@ class TestEigenvectorZscores:
         pooled = []
         for index in range(config.sims):
             z_hat = null_window(config, index)
-            _, omega = eigendecompose(correlation_matrix(z_hat), index)
+            _, omega = eigendecompose(correlation_matrix(z_hat),
+                                      f"null simulation {index}")
             for rank in range(1, 51):
                 pooled.append(eigenvector_zscores(omega, rank))
         pooled = np.concatenate(pooled)
