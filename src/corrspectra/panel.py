@@ -231,8 +231,9 @@ def standardize(block: np.ndarray, label: str, tickers=None,
 
     A constant row raises DegenerateWindowError, whose message names the
     block by `label` (such as "window 20"), its returns counted from
-    `start`, and the asset from `tickers` (else its row): dropping the asset would
-    change N mid-series, so callers must clean their panel instead.
+    `start`, and the asset from `tickers` (else its row): dropping the
+    asset would change N mid-series, so callers must clean their panel
+    instead.
     """
     centered = block - block.mean(axis=1, keepdims=True)
     # numpy's own std steps, so sigma equals block.std(axis=1) bit for bit
