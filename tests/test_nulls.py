@@ -490,7 +490,9 @@ class TestAbsCorrPercentiles:
     @pytest.mark.parametrize("max_rank", [-1, 7])
     def test_max_rank_outside_the_assets_rejected(self, monkeypatch,
                                                   max_rank):
-        monkeypatch.setattr(nulls, "map_blocks", _no_ensemble)
+        # analyze_window would reject the rank too, but only once sims ran
+        monkeypatch.setattr(nulls, "map_blocks",
+                            lambda *args: pytest.fail("the ensemble ran"))
         config = NullConfig(n_assets=6, window_len=12, sims=5)
         with pytest.raises(ValueError, match=(
                 rf"^max_rank must be in \[0, 6\], got {max_rank}$")):
