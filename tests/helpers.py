@@ -3,10 +3,14 @@
 The oracles here deliberately avoid the library's own code paths: plain
 loops for correlations, explicit determinant expansion plus bisection for
 eigenvalues, so library results are checked against independent routes.
+Whole runs are checked by perfbench/checks.py's plain-numpy route, which
+`bench_module` loads and `null_reference` extends to the null baseline.
 """
 
 import datetime as dt
+import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +90,37 @@ def nearest_rank_percentile(values, pct):
     ordered = np.sort(values, axis=None)
     rank = max(1, math.ceil(pct / 100.0 * ordered.size))
     return float(ordered[rank - 1])
+
+
+def bench_module(name):
+    """perfbench/<name>.py, loaded once by its path as the module
+    corrspectra_bench_<name>, so it never stands in for the benchmark's
+    own import of <name>."""
+    module_name = f"corrspectra_bench_{name}"
+    if module_name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            module_name, DATA_DIR.parent / "perfbench" / f"{name}.py")
+        sys.modules[module_name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[module_name])
+    return sys.modules[module_name]
+
+
+def null_reference(n_assets, window_len, sims, seed, max_rank):
+    """The four arrays of null_baselines.json by the plain-numpy reference
+    route, from the documented seed contract alone: simulation s draws
+    default_rng(SeedSequence(seed, spawn_key=(s,))).standard_normal((N, T)).
+    pr_std is the population std; abs_corr_p99 is NaN beyond max_rank."""
+    oracle = bench_module("checks")._oracle
+    refs = [oracle(np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(s,))).standard_normal((n_assets, window_len)).T,
+        n_assets) for s in range(sims)]
+    pr = np.array([ref["pr"] for ref in refs])
+    abs_r = np.array([ref["abs_r"] for ref in refs])  # sims x assets x ranks
+    p99 = [nearest_rank_percentile(abs_r[:, :, k], 99) if k < max_rank
+           else np.nan for k in range(n_assets)]
+    return {"pr_mean": pr.mean(axis=0), "pr_std": pr.std(axis=0),
+            "scree_mean": np.mean([ref["eigenvalues"] for ref in refs], axis=0),
+            "abs_corr_p99": np.array(p99)}
 
 
 def random_correlation_window(rng, n_assets, n_steps):

@@ -1,5 +1,5 @@
 import ast
-import importlib.util
+import importlib
 import inspect
 import os
 import re
@@ -16,6 +16,7 @@ import corrspectra
 from corrspectra import blocks, cli, pipeline
 
 from helpers import (
+    bench_module,
     random_walk_prices,
     weekly_dates,
     write_meta_csv,
@@ -25,7 +26,6 @@ from helpers import (
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(corrspectra.__file__).resolve().parent
 HELPERS = Path(__file__).resolve().parent / "helpers.py"
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_all_exports_resolve_once():
@@ -300,12 +300,8 @@ def test_span_targets_resolve():
     # the benchmark times the names perfbench/spans.py wraps; a rename
     # that drops a live span loses its metrics without an error, so every
     # target but the known-missing ones must still be a callable
-    spec = importlib.util.spec_from_file_location("corrspectra_bench_spans",
-                                                  SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
     missing = set()
-    for module, attr, _ in spans.TARGETS:
+    for module, attr, _ in bench_module("spans").TARGETS:
         if not callable(getattr(importlib.import_module(module), attr, None)):
             missing.add(f"{module}.{attr}")
     assert missing == _MISSING_SPANS

@@ -5,13 +5,13 @@ import json
 import mmap
 import multiprocessing
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,12 +36,15 @@ from corrspectra import analytics, blocks, nulls, pipeline
 from corrspectra.cli import main
 
 from helpers import (
+    bench_module,
+    null_reference,
     random_walk_prices,
     weekly_dates,
     write_meta_csv,
     write_prices_csv,
 )
 
+checks = bench_module("checks")
 CLASSES = ["equities", "equities", "metals", "metals"]
 
 
@@ -151,43 +154,10 @@ class TestWriteReports:
         payload = json.loads((out / "null_baselines.json").read_text())
         assert payload["config"]["n_assets"] == 3
 
-    def test_reports_are_ordered_and_complete(self, tmp_path):
-        config = make_config(tmp_path)
-        assert write_reports(config)[0] == N_WINDOWS
-        out = tmp_path / "out"
-        order = list(range(N_WINDOWS))
-        assert [int(row[0]) for row in _report_rows(out / "windows.csv")] \
-            == order
-        assert [int(row[0]) for row in _report_rows(out / "eigenvalues.csv")] \
-            == [w for w in order for _ in range(4)]
-        assert [int(row[0]) for row in _report_rows(out / "asset_pc_corr.csv")] \
-            == [w for w in order for _ in range(4 * 3)]
-
     def test_step_three_dates_windows_by_price_row(self, tmp_path):
         config = make_config(tmp_path, step=3)
         write_reports(config)
-        # the prices file read with plain numpy: one row per date
-        lines = Path(config.prices_path).read_text().splitlines()[1:]
-        dates = [line.split(",", 1)[0] for line in lines]
-        prices = np.array([line.split(",")[1:] for line in lines], dtype=float)
-        n_returns, length = len(lines) - 1, config.window_len
-        out = tmp_path / "out"
-        windows = _report_rows(out / "windows.csv")
-        assert len(windows) == (n_returns - length) // 3 + 1
-        # window w spans returns 3w..3w+T-1, which end at price row 3w+T
-        assert [row[1] for row in windows] == [
-            dates[3 * w + length] for w in range(len(windows))]
-        eig_dates, eigenvalues = {}, {}
-        for index, end_date, _, value in _report_rows(out / "eigenvalues.csv"):
-            eig_dates.setdefault(int(index), set()).add(end_date)
-            eigenvalues.setdefault(int(index), []).append(float(value))
-        assert eig_dates == {w: {dates[3 * w + length]}
-                             for w in range(len(windows))}
-        for w in (0, len(windows) - 1):
-            block = np.log(prices[3 * w:3 * w + length + 1])
-            expected = np.linalg.eigvalsh(np.corrcoef(np.diff(block, axis=0).T))
-            assert np.allclose(eigenvalues[w], expected[::-1], rtol=0,
-                               atol=1e-9)
+        assert _reference_mismatches(tmp_path / "out", asdict(config)) == []
 
     def test_max_rank_capped_by_panel(self, tmp_path):
         config = make_config(tmp_path, max_rank=9)
@@ -259,40 +229,11 @@ class TestWriteReports:
 
 class TestEmitReports:
     def test_files_and_headers(self, tmp_path):
+        # every header, key and value, and the manifest, by the reference
         config = make_config(tmp_path)
-        n_windows, written = write_reports(config)
-        assert n_windows == N_WINDOWS
-        assert [p.name for p in written] == EXPECTED_FILES
-        windows_lines = (tmp_path / "out" / "windows.csv").read_text().splitlines()
-        assert windows_lines[0] == (
-            "window_index,end_date,corr_mean,corr_std,corr_skewness,"
-            "corr_kurtosis,variance_fraction_1,variance_fraction_2,"
-            "variance_fraction_3,pr_1,pr_2,pr_3,kaiser_count,scree_count,"
-            "scree_exceedance_count"
-        )
-        assert len(windows_lines) == 1 + N_WINDOWS
-        eig_lines = (tmp_path / "out" / "eigenvalues.csv").read_text().splitlines()
-        assert eig_lines[0] == "window_index,end_date,rank,eigenvalue"
-        assert len(eig_lines) == 1 + N_WINDOWS * 4
-        corr_lines = (tmp_path / "out" / "asset_pc_corr.csv").read_text().splitlines()
-        assert corr_lines[0] == "window_index,asset,rank,abs_r,abs_r_adjusted"
-        assert len(corr_lines) == 1 + N_WINDOWS * 4 * 3
-        assert corr_lines[1].split(",")[1] == "A00"
-
-    def test_manifest_documents_schema(self, tmp_path):
-        config = make_config(tmp_path)
-        write_reports(config)
-        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
-        assert manifest["schema_version"] == "1"
-        assert manifest["config"]["window_len"] == 10
-        assert manifest["config"]["master_seed"] == 5
-        assert manifest["n_windows"] == N_WINDOWS
-        assert "windows.csv" in manifest["files"]
-        assert "conventions" in manifest
-        for name in pipeline.REPORT_FILES[:3]:  # the CSVs: their header lines
-            head = (tmp_path / "out" / name).read_text(encoding="utf-8")
-            assert manifest["files"][name]["columns"] == \
-                head.split("\n", 1)[0].split(",")
+        assert write_reports(config) == (
+            N_WINDOWS, [tmp_path / "out" / name for name in EXPECTED_FILES])
+        assert _reference_mismatches(tmp_path / "out", asdict(config)) == []
 
     def test_baselines_json_roundtrip(self, tmp_path):
         config = make_config(tmp_path)
@@ -449,132 +390,6 @@ def _fmt_oracle(value):
 
 
 class TestRenderers:
-    TICKERS = ["nan", "NaN", "x%sy", "50%"]
-    VALUES = [1e-300, 0.1, 1.0 - 2.0**-52, 0.5, 1.0, 0.0, 2.0 / 3.0, 1e-17]
-
-    def _window(self, index, adjusted_nan):
-        n_ranks = 2
-        values = np.resize(self.VALUES, (4, n_ranks))
-        adjusted = values[::-1].copy()
-        if adjusted_nan:
-            adjusted[2, 1] = np.nan
-        # window 1 has constant coefficients: NaN skewness and kurtosis
-        moments = ((0.5, 0.0, np.nan, np.nan) if adjusted_nan
-                   else (0.1, 0.2, 0.3, 3.0))
-        return SimpleNamespace(
-            window_index=index,
-            end_date=weekly_dates(index + 1)[-1],
-            moments=moments,
-            eigenvalues=np.array([2.0 - 2.0**-51, 1.0, 0.1, 1e-300]),
-            variance_fractions=np.roll(self.VALUES, index)[:4],
-            pr=np.full(4, 2.0),
-            kaiser_count=index + 1,
-            scree_count=10 * index,
-            scree_exceedance_count=123456,
-            abs_r=values,
-            abs_r_adjusted=adjusted,
-        )
-
-    def _patch_window_functions(self, monkeypatch, windows, config, stats):
-        """Stand in for each per-window function that _window_rows looks up
-        in pipeline: the hand-built window passes through in place of the
-        correlation matrix, its eigenvectors hold its index, and its
-        eigenvalues are the window's own array, by which the functions that
-        take them find the window (the scree counts against the profile
-        `stats.scree_mean`)."""
-        def standardize_window(returns, start, length, index):
-            assert (start, length) == (index * config.step, config.window_len)
-            return windows[index]
-
-        def analyze_window(z_hat, max_rank, label):
-            index = int(label.removeprefix("window "))
-            assert z_hat is windows[index] and max_rank == config.max_rank
-            return (z_hat, z_hat.eigenvalues, np.full((4, 4), float(index)),
-                    z_hat.pr, z_hat.abs_r)
-
-        def abs_r_adjusted(beta, omega):
-            assert beta.shape == (config.max_rank,)
-            assert omega.shape == (config.max_rank, 4)
-            return windows[int(omega[0, 0])].abs_r_adjusted
-
-        def window_of(eigenvalues):
-            [window] = [w for w in windows if w.eigenvalues is eigenvalues]
-            return window
-
-        def scree_count(name):
-            def count(eigenvalues, profile):
-                assert profile is stats.scree_mean
-                return getattr(window_of(eigenvalues), name)
-            return count
-
-        for name, function in [
-                ("standardize_window", standardize_window),
-                ("analyze_window", analyze_window),
-                ("coefficient_moments", lambda window: window.moments),
-                ("variance_fractions",
-                 lambda beta: window_of(beta).variance_fractions),
-                ("kaiser_guttman_count",
-                 lambda beta: window_of(beta).kaiser_count),
-                ("adjusted_component_correlations", abs_r_adjusted),
-                ("scree_significant_count", scree_count("scree_count")),
-                ("scree_exceedance_count",
-                 scree_count("scree_exceedance_count"))]:
-            monkeypatch.setattr(pipeline, name, function)
-
-    def test_templates_match_per_value_formatting(self, monkeypatch):
-        reports = [self._window(0, False), self._window(1, True),
-                   self._window(2, False)]
-        n_ranks = 2
-        expected_corr = ["window_index,asset,rank,abs_r,abs_r_adjusted"]
-        expected_eig = ["window_index,end_date,rank,eigenvalue"]
-        expected_win = []
-        for rep in reports:
-            for i, name in enumerate(self.TICKERS):
-                for k in range(rep.abs_r.shape[1]):
-                    expected_corr.append(
-                        f"{rep.window_index},{name},{k + 1},"
-                        f"{_fmt_oracle(rep.abs_r[i, k])},"
-                        f"{_fmt_oracle(rep.abs_r_adjusted[i, k])}")
-            for k, beta in enumerate(rep.eigenvalues, start=1):
-                expected_eig.append(f"{rep.window_index},"
-                                    f"{rep.end_date.isoformat()},{k},"
-                                    f"{_fmt_oracle(beta)}")
-            floats = [*rep.moments,
-                      *rep.variance_fractions[:n_ranks], *rep.pr[:n_ranks]]
-            counts = [rep.kaiser_count, rep.scree_count,
-                      rep.scree_exceedance_count]
-            expected_win.append(",".join(
-                [str(rep.window_index), rep.end_date.isoformat()]
-                + [_fmt_oracle(v) for v in floats] + [str(c) for c in counts]))
-        # the window loop, on the windows above
-        config = RunConfig(prices_path="p.csv", meta_path="m.csv",
-                           output_dir="out", max_rank=n_ranks)
-        # the null baseline, whose profile is passed through untouched
-        stats = SimpleNamespace(scree_mean=object())
-        self._patch_window_functions(monkeypatch, reports, config, stats)
-        # window i ends on return i + window_len - 1
-        returns = SimpleNamespace(
-            tickers=self.TICKERS, n_assets=4,
-            dates=[None] * (config.window_len - 1)
-            + [rep.end_date for rep in reports])
-        [windows], eig_texts, corr_texts = pipeline._window_rows(
-            returns, config, stats, 0, len(reports))
-        _, eig_head, corr_head = ((",".join(columns) + "\n").encode()
-                                  for columns in pipeline._csv_columns(n_ranks))
-        corr = corr_head + b"".join(corr_texts)
-        eig = eig_head + b"".join(eig_texts)
-        assert corr == ("\n".join(expected_corr) + "\n").encode()
-        assert eig == ("\n".join(expected_eig) + "\n").encode()
-        assert windows == ("\n".join(expected_win) + "\n").encode()
-        assert b"1,x%sy,2,0,NaN\n" in corr
-        assert (f"1,{reports[1].end_date.isoformat()},0.5,0,NaN,NaN,".encode()
-                in windows)
-        assert windows.endswith(b",3,20,123456\n")
-        for text in (corr, windows):
-            assert all(b"nan" not in line.split(b",")[2:]
-                       for line in text.splitlines())
-
-
     def test_csv_lines_match_the_per_value_oracle(self):
         # the numpy renderer against "%.15g" one value at a time, on edge
         # values, 15-digit ties and random values of every exponent: three
@@ -646,6 +461,159 @@ class TestRenderers:
         assert all(n % size == 0 and n < pipeline._CHUNK + size
                    for n in sizes)
         assert all(n >= pipeline._CHUNK for n in sizes[:-1])
+
+
+# The reference runs: 7 assets with tickers that the renderer's "%" escaping
+# and NaN spelling must keep, 113 returns in 12-return windows and 150 sims,
+# so step 1 crosses blocks.BLOCK in both loops. Shapes: step, max-rank, classes
+REFERENCE_TICKERS = ["nan", "NaN", "x%sy", "50%", "Zürich", "A05", "A06"]
+REFERENCE_SHAPES = {"step-1": (1, 3, None), "step-3-every-rank": (3, 7, None),
+                    "class-subset": (1, 2, ["metals", "equities"])}
+ORACLE_TOL = checks.ORACLE_TOL
+
+
+@pytest.fixture(scope="module")
+def reference_runs(tmp_path_factory):
+    """The RunConfig fields of the CLI run of each REFERENCE_SHAPES entry;
+    its output_dir holds the run's reports."""
+    root = tmp_path_factory.mktemp("reference")
+    prices, meta = str(root / "prices.csv"), str(root / "meta.csv")
+    write_prices_csv(prices, weekly_dates(114), random_walk_prices(
+        np.random.default_rng(17), 7, 114), REFERENCE_TICKERS)
+    write_meta_csv(meta, REFERENCE_TICKERS,
+                   ["equities", "metals", "fuels"] * 2 + ["metals"])
+    runs = {}
+    for name, (step, max_rank, classes) in REFERENCE_SHAPES.items():
+        runs[name] = dict(
+            prices_path=prices, meta_path=meta, output_dir=str(root / name),
+            window_len=12, step=step, sims=150, master_seed=23,
+            max_rank=max_rank, classes=classes, baseline_cache=None)
+        assert main(["--prices", prices, "--meta", meta, "--out",
+                     str(root / name), "--window", "12", "--step", str(step),
+                     "--sims", "150", "--seed", "23", "--max-rank",
+                     str(max_rank), *(["--classes", ",".join(classes)]
+                                      if classes else [])]) == 0
+    return runs
+
+
+def _reference_mismatches(out, config):
+    """A message for each value of the reports in the Path `out` that the
+    plain-numpy reference route, run on the input CSVs of the RunConfig
+    fields `config`, does not give; window w ends on the prices file's date
+    row w * step + T. Floats agree as np.isclose(rtol=atol=ORACLE_TOL) would
+    and NaN reads "NaN", counts lie in checks._count_range of the reported
+    eigenvalues and scree_mean, and headers, keys and JSON configs match."""
+    lines = Path(config["prices_path"]).read_text(encoding="utf-8").splitlines()
+    meta = dict(line.split(",") for line in Path(config["meta_path"])
+                .read_text(encoding="utf-8").splitlines()[1:])
+    header = lines[0].split(",")[1:]
+    tickers = [ticker for ticker in header if config["classes"] is None
+               or meta[ticker] in config["classes"]]
+    returns = checks.load_returns(config["prices_path"])[
+        :, [header.index(ticker) for ticker in tickers]]
+    n, length = len(tickers), config["window_len"]
+    ranks = range(1, config["max_rank"] + 1)
+    expected = {  # each CSV's header, then its rows' keys (text) and floats
+        "windows.csv": [["window_index", "end_date", "corr_mean", "corr_std",
+                         "corr_skewness", "corr_kurtosis",
+                         *[f"variance_fraction_{k}" for k in ranks],
+                         *[f"pr_{k}" for k in ranks], "kaiser_count",
+                         "scree_count", "scree_exceedance_count"]],
+        "eigenvalues.csv": [["window_index", "end_date", "rank", "eigenvalue"]],
+        "asset_pc_corr.csv": [["window_index", "asset", "rank", "abs_r",
+                               "abs_r_adjusted"]]}
+    starts = range(0, len(returns) - length + 1, config["step"])
+    for w, start in enumerate(starts):
+        ref = checks._oracle(returns[start:start + length], len(ranks))
+        key = [str(w), lines[1 + start + length].split(",")[0]]
+        expected["windows.csv"].append(
+            key + [*ref["moments"], *ref["variance_fraction"], *ref["pr"]])
+        expected["eigenvalues.csv"] += [
+            key + [str(k), beta]
+            for k, beta in enumerate(ref["eigenvalues"], start=1)]
+        expected["asset_pc_corr.csv"] += [
+            [str(w), ticker, str(k), ref["abs_r"][i, k - 1],
+             ref["abs_r_adjusted"][i, k - 1]]
+            for i, ticker in enumerate(tickers) for k in ranks]
+    failures, reported = [], {}
+    for name, rows in expected.items():
+        reported[name] = [line.split(",") for line in (out / name)
+                          .read_text(encoding="utf-8").splitlines()]
+        if [len(row) for row in reported[name]] != [len(rows[0])] * len(rows):
+            return [f"{name}: rows or columns differ"]
+        for fields, want in zip(reported[name], rows):
+            for column, field, value in zip(rows[0], fields, want):
+                value = "NaN" if value != value else value
+                if (field != value if isinstance(value, str) else
+                        not abs(float(field) - value)
+                        <= ORACLE_TOL * (1 + abs(value))):
+                    failures.append(f"{name}: {column} {field} of window "
+                                    f"{fields[0]}, the reference {value}")
+    baselines = json.loads((out / "null_baselines.json").read_text("utf-8"))
+    scree = np.array(baselines["scree_mean"], float)  # JSON null reads NaN
+    beta = np.array([row[3] for row in reported["eigenvalues.csv"][1:]],
+                    float).reshape(-1, n)
+    counts = np.array([row[-3:] for row in reported["windows.csv"][1:]], float)
+    for j, (threshold, prefix) in enumerate([(1.0, False), (scree, True),
+                                             (scree, False)]):
+        lo, hi = checks._count_range(beta, threshold, prefix)
+        if not np.all((lo <= counts[:, j]) & (counts[:, j] <= hi)):
+            failures.append(f"windows.csv: {expected['windows.csv'][0][j - 3]}"
+                            " does not count the reported eigenvalues")
+    for name, want in null_reference(n, length, config["sims"],
+                                     config["master_seed"], len(ranks)).items():
+        value = np.array(baselines.pop(name), float)
+        if value.shape != want.shape or not np.allclose(
+                value, want, rtol=ORACLE_TOL, atol=ORACLE_TOL, equal_nan=True):
+            failures.append(f"null_baselines.json: {name} is off the reference")
+    if baselines != {"schema_version": "1", "config": {
+            "n_assets": n, "window_len": length, "sims": config["sims"],
+            "master_seed": config["master_seed"], "num_windows": 1,
+            "kind": "gaussian"}}:
+        failures.append("null_baselines.json: schema or config differs")
+    manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+    files = {name: {"columns": rows[0]} for name, rows in expected.items()}
+    files["null_baselines.json"] = {
+        "keyed_by": "(n_assets, window_len, sims, kind, master_seed)"}
+    if manifest.pop("conventions", None) is None or manifest != {
+            "schema_version": "1", "n_windows": len(starts),
+            "config": {**config, "null_kind": "gaussian"},
+            "tickers": tickers, "files": files}:
+        failures.append("run_manifest.json: config, tickers or files differ")
+    return failures
+
+
+class TestReferenceRoute:
+    @pytest.mark.parametrize("shape", REFERENCE_SHAPES)
+    def test_reports_match_the_reference_route(self, reference_runs, shape):
+        config = reference_runs[shape]
+        assert _reference_mismatches(Path(config["output_dir"]), config) == []
+
+    @pytest.mark.parametrize("name, row, column, delta", [
+        ("windows.csv", 1, "corr_mean", 0.0),  # the untouched copy passes
+        ("windows.csv", 40, "corr_std", 1e-6),
+        ("eigenvalues.csv", 300, "eigenvalue", 1e-6),
+        ("asset_pc_corr.csv", 500, "abs_r", 1e-6),
+        ("null_baselines.json", 2, "pr_std", 1e-6),
+        ("windows.csv", 101, "kaiser_count", 1)])
+    def test_one_moved_value_fails_the_reference_route(
+            self, reference_runs, tmp_path, name, row, column, delta):
+        config = reference_runs["step-1"]
+        path = shutil.copytree(config["output_dir"], tmp_path / "out") / name
+        if name.endswith(".json"):
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload[column][row] += delta
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        else:
+            lines = [line.split(",") for line
+                     in path.read_text(encoding="utf-8").splitlines()]
+            index = lines[0].index(column)
+            lines[row][index] = format(float(lines[row][index]) + delta, ".15g")
+            path.write_text("".join(",".join(line) + "\n" for line in lines),
+                            encoding="utf-8")
+        failures = _reference_mismatches(path.parent, config)
+        assert (failures == [] if delta == 0 else any(
+            f.startswith(f"{name}: {column} ") for f in failures)), failures
 
 
 def _die_in_worker(*args):
