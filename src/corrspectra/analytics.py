@@ -134,30 +134,27 @@ def eigendecompose(values: np.ndarray,
     return beta, omega
 
 
-def mp_bounds(q: float, sigma2: float = 1.0) -> tuple[float, float]:
-    """(gamma_minus, gamma_plus): the support edges sigma2 * (1 -+ sqrt(1/q))^2
-    of the null eigenvalue density for q = T/N >= 1 and variance sigma2 > 0."""
+def mp_bounds(q: float) -> tuple[float, float]:
+    """(gamma_minus, gamma_plus): the support edges (1 -+ sqrt(1/q))^2 of the
+    null eigenvalue density of a correlation matrix for q = T/N >= 1."""
     if q < 1.0:
         raise ValueError(f"q = T/N must be >= 1, got {q}")
-    if sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
     root = math.sqrt(1.0 / q)
-    return sigma2 * (1.0 - root) ** 2, sigma2 * (1.0 + root) ** 2
+    return (1.0 - root) ** 2, (1.0 + root) ** 2
 
 
-def mp_density(gamma: float, q: float, sigma2: float = 1.0) -> float:
-    """Null eigenvalue density at `gamma` for q = T/N and variance sigma2;
-    zero outside (gamma_minus, gamma_plus] of mp_bounds(q, sigma2), whose
-    checks apply.
+def mp_density(gamma: float, q: float) -> float:
+    """Null eigenvalue density at `gamma` for q = T/N; zero outside
+    (gamma_minus, gamma_plus] of mp_bounds(q), whose check applies.
 
     For q = 1 the density diverges like 1/sqrt(gamma) toward zero but stays
     integrable; the total mass over the support is 1.
     """
-    gamma_minus, gamma_plus = mp_bounds(q, sigma2)
+    gamma_minus, gamma_plus = mp_bounds(q)
     if gamma <= gamma_minus or gamma > gamma_plus:
         return 0.0
     radicand = (gamma_plus - gamma) * (gamma - gamma_minus)
-    return q / (2.0 * math.pi * sigma2) * math.sqrt(radicand) / gamma
+    return q / (2.0 * math.pi) * math.sqrt(radicand) / gamma
 
 
 def analyze_window(z_hat: np.ndarray, max_rank: int, label: str):

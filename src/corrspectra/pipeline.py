@@ -101,6 +101,9 @@ class RunConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not os.fspath(self.output_dir):  # Path("") is the cwd
             raise ValueError("output directory must be nonempty")
+        if self.baseline_cache is not None and not os.fspath(
+                self.baseline_cache):
+            raise ValueError("baseline cache must be nonempty")
         if isinstance(self.classes, str):
             raise ValueError("classes takes a sequence of class names, "
                              f"not the string {self.classes!r}")

@@ -123,6 +123,12 @@ def null_reference(n_assets, window_len, sims, seed, max_rank):
             "abs_corr_p99": np.array(p99)}
 
 
+def no_ensemble(config, max_rank=0):
+    """A stand-in for nulls.null_ensemble_stats in a run that should fail
+    before the null ensemble, or read its cache entry."""
+    raise AssertionError("the null ensemble ran")
+
+
 def random_correlation_window(rng, n_assets, n_steps):
     """A standardized window of i.i.d. Gaussian returns (test input only)."""
     x = rng.standard_normal((n_assets, n_steps))

@@ -55,7 +55,7 @@ def check(label, ok, detail):
 
 
 def test_criterion_01_mp_upper_bound():
-    _, gamma_plus = mp_bounds(1.02, 1.0)
+    _, gamma_plus = mp_bounds(1.02)
     ok = abs(gamma_plus - 3.96) <= 0.01
     check("criterion 1", ok,
           f"gamma_plus(Q=1.02) = {gamma_plus:.6f}, target 3.96 +- 0.01")
@@ -109,7 +109,7 @@ def test_criterion_04_mp_density_fit():
     counts, edges = np.histogram(pooled, bins=bins, range=(lo, hi))
     empirical = counts / counts.sum()
     model = np.array([
-        integrate.quad(mp_density, edges[b], edges[b + 1], args=(1.0, 1.0),
+        integrate.quad(mp_density, edges[b], edges[b + 1], args=(1.0,),
                        limit=200)[0]
         for b in range(bins)
     ])

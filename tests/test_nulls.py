@@ -29,17 +29,13 @@ from corrspectra import (
 )
 from corrspectra import WorkerProcessError, analytics, blocks, nulls
 
-from helpers import nearest_rank_percentile
+from helpers import nearest_rank_percentile, no_ensemble
 from synthetic import (
     FactorSpec,
     shuffle_panel,
     simulate_gaussian_panel,
     synthetic_factor_panel,
 )
-
-
-def _no_ensemble(config, max_rank=0):
-    raise AssertionError("the null ensemble ran")
 
 
 class TestShufflePanel:
@@ -705,9 +701,6 @@ class TestBaselineCache:
     def test_entry_keyed_with_the_gaussian_kind_hits(self, tmp_path,
                                                      monkeypatch):
         # caches written while a null kind could be chosen keep hitting
-        def no_ensemble(config, max_rank=0):
-            raise AssertionError("a cached baseline was recomputed")
-
         stored = {"pr_mean": [2.5, 2.0, 1.5, 1.25, 1.125, 1.0],
                   "pr_std": [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.0],
                   "scree_mean": [2.0, 1.5, 1.0, 0.75, 0.5, 0.25],
@@ -716,7 +709,7 @@ class TestBaselineCache:
         cache.write_text(json.dumps({"schema_version": "2", "entries": {
             "N=6,T=12,sims=25,kind=gaussian,seed=4": stored}}))
         before = cache.read_bytes()
-        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         config = NullConfig(n_assets=6, window_len=12, sims=25, master_seed=4)
         stats = cached_ensemble_stats(config, max_rank=2, cache_path=cache)
         assert nulls.stats_payload(stats) == stored
@@ -804,7 +797,7 @@ class TestBaselineCache:
     def test_directory_path_raises_before_the_ensemble(self, tmp_path,
                                                        monkeypatch, name):
         # a directory can be neither read as a cache nor replaced by one
-        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cache_dir").mkdir()
         config = NullConfig(n_assets=5, window_len=12, sims=10, master_seed=4)
@@ -824,7 +817,7 @@ class TestBaselineCache:
 
         monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
             Path(path) != tmp_path and access(path, mode, **kw)))
-        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         hit = cached_ensemble_stats(config, 1, cache)
         assert np.array_equal(hit.scree_mean, filled.scree_mean)
         other = NullConfig(n_assets=5, window_len=12, sims=10, master_seed=5)

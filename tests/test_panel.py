@@ -1,5 +1,3 @@
-import csv
-import datetime as dt
 import math
 
 import numpy as np
@@ -44,6 +42,73 @@ def _cli_inputs(tmp_path):
         "--max-rank", "3", "--baseline-cache", str(tmp_path / "cache.json")]
 
 
+# id: (prices text, metadata text, the whole PanelFormatError message),
+# where None is a valid file of the one asset AAA and {prices} and {meta}
+# stand for the files' paths
+MALFORMED = {
+    "empty_prices": ("", None, "{prices}: empty prices file"),
+    "empty_meta": (None, "", "{meta}: empty metadata file"),
+    "meta_header": (None, "ticker,class\nAAA,equities\n",
+                    "{meta}: expected header 'ticker,asset_class', got "
+                    "['ticker', 'class']"),
+    "empty_ticker": (None, "ticker,asset_class\n,equities\n",
+                     "{meta}: row 2: empty ticker"),
+    "no_assets": (None, "ticker,asset_class\n", "{meta}: no assets listed"),
+    "no_asset_column": ("date\n2001-01-05\n", None,
+                        "{prices}: no asset columns in header"),
+    "duplicate_columns": ("date,AAA,AAA\n2001-01-05,1.0,1.0\n", None,
+                          "{prices}: duplicate columns ['AAA']"),
+    "bad_date": ("date,AAA\n2001-01-05,1.0\n2001-02-30,1.0\n", None,
+                 "{prices}: row 3: bad date '2001-02-30'"),
+    "no_price_rows": ("date,AAA\n", None, "{prices}: no price rows"),
+    "zero_price": ("date,AAA\n2001-01-05,1.0\n2001-01-12,1.1\n"
+                   "2001-01-19,0.0\n", None,
+                   "{prices}: row 4: non-positive price 0.0 in column 'AAA'"),
+    "negative_price": ("date,AAA\n2001-01-05,1.0\n2001-01-12,-1.0\n", None,
+                       "{prices}: row 3: non-positive price -1.0 in column "
+                       "'AAA'"),
+    "non_numeric_price": ("date,AAA\n2001-01-05,abc\n", None,
+                          "{prices}: row 2: non-numeric price 'abc' in "
+                          "column 'AAA'"),
+    "empty_cell": ("date,AAA\n2001-01-05,1.0\n2001-01-12,\n", None,
+                   "{prices}: row 3: missing value in column 'AAA'"),
+    "missing_cell": ("date,AAA,BBB\n2001-01-05,1.0,2.0\n2001-01-12,1.1\n",
+                     "ticker,asset_class\nAAA,equities\nBBB,equities\n",
+                     "{prices}: row 3: expected 3 fields, got 2"),
+    "dates_must_increase": ("date,AAA\n2001-01-12,1.0\n2001-01-05,1.0\n",
+                            None, "{prices}: row 3: date 2001-01-05 is not "
+                            "after 2001-01-12"),
+    "meta_ticker_missing_from_header": (
+        None, "ticker,asset_class\nAAA,equities\nGHOST,metals\n",
+        "{meta}: ticker 'GHOST' is not a column of {prices}"),
+    "header_ticker_missing_from_meta": (
+        "date,AAA,BBB\n2001-01-05,1.0,2.0\n", None,
+        "{prices}: column 'BBB' has no entry in {meta}"),
+    "unknown_asset_class": (None, "ticker,asset_class\nAAA,crypto\n",
+                            "{meta}: row 2: unknown asset_class 'crypto' "
+                            "for ticker 'AAA'"),
+    "duplicate_meta_ticker": (
+        None, "ticker,asset_class\nAAA,equities\nAAA,metals\n",
+        "{meta}: row 3: duplicate ticker 'AAA'"),
+    # valid CSV when quoted, but the reports are written unquoted, so such
+    # a ticker would shift their fields
+    **{f"ticker_{name}": (None, f"ticker,asset_class\nAAA,equities\n"
+                                f"{cell},metals\n",
+                          f"{{meta}}: row 3: ticker {ticker!r} holds a "
+                          "comma, quote, line break or NUL")
+       for name, cell, ticker in [
+           ("comma", '"A,B"', "A,B"), ("quote", '"A""B"', 'A"B'),
+           ("cr", '"A\rB"', "A\rB"), ("lf", '"A\nB"', "A\nB"),
+           ("nul", "A\0B", "A\0B")]},
+    # only empty lines are skipped, as csv.DictReader does
+    "header_after_blank_line": ("\ndate,AAA\n2001-01-05,1.0\n", None,
+                                "{prices}: first header column must be "
+                                "'date', got []"),
+    "line_of_spaces": ("date,AAA\n2001-01-05,1.0\n   \n", None,
+                       "{prices}: row 3: expected 2 fields, got 1"),
+}
+
+
 @pytest.fixture
 def toy_files(tmp_path):
     prices = tmp_path / "prices.csv"
@@ -86,27 +151,6 @@ class TestLoadPricePanel:
         assert panel.tickers == ["ZZ", "AA"]
         assert panel.classes == ["metals", "equities"]
 
-    def test_zero_price_names_row(self, tmp_path):
-        prices = tmp_path / "p.csv"
-        meta = tmp_path / "m.csv"
-        write_prices_csv(
-            prices,
-            weekly_dates(4),
-            [[100.0, 101.0, 0.0, 99.0], [50.0, 50.0, 50.0, 50.0]],
-            ["AAA", "BBB"],
-        )
-        write_meta_csv(meta, ["AAA", "BBB"], ["equities", "equities"])
-        with pytest.raises(PanelFormatError, match="row 4"):
-            load_price_panel(prices, meta)
-
-    def test_negative_price_rejected(self, tmp_path):
-        prices = tmp_path / "p.csv"
-        meta = tmp_path / "m.csv"
-        write_prices_csv(prices, weekly_dates(2), [[100.0, -1.0]], ["AAA"])
-        write_meta_csv(meta, ["AAA"], ["equities"])
-        with pytest.raises(PanelFormatError, match="AAA"):
-            load_price_panel(prices, meta)
-
     @pytest.mark.parametrize("cell, problem", [
         *[(cell, f"non-finite price {cell}")
           for cell in ("nan", "inf", "-inf", "1e400")],
@@ -127,86 +171,6 @@ class TestLoadPricePanel:
         assert f"row 3: {problem} in column 'BBB'" in err
         assert not (tmp_path / "out").exists()
 
-    def test_meta_ticker_missing_from_header(self, tmp_path):
-        prices = tmp_path / "p.csv"
-        meta = tmp_path / "m.csv"
-        write_prices_csv(prices, weekly_dates(2), [[1.0, 2.0]], ["AAA"])
-        write_meta_csv(meta, ["AAA", "GHOST"], ["equities", "metals"])
-        with pytest.raises(PanelFormatError, match="GHOST"):
-            load_price_panel(prices, meta)
-
-    def test_header_ticker_missing_from_meta(self, tmp_path):
-        prices = tmp_path / "p.csv"
-        meta = tmp_path / "m.csv"
-        write_prices_csv(prices, weekly_dates(2), [[1.0, 2.0], [1.0, 2.0]], ["AAA", "BBB"])
-        write_meta_csv(meta, ["AAA"], ["equities"])
-        with pytest.raises(PanelFormatError, match="BBB"):
-            load_price_panel(prices, meta)
-
-    def test_unknown_asset_class(self, tmp_path):
-        prices = tmp_path / "p.csv"
-        meta = tmp_path / "m.csv"
-        write_prices_csv(prices, weekly_dates(2), [[1.0, 2.0]], ["AAA"])
-        write_meta_csv(meta, ["AAA"], ["crypto"])
-        with pytest.raises(PanelFormatError, match="crypto"):
-            load_price_panel(prices, meta)
-
-    def test_missing_cell(self, tmp_path):
-        prices = tmp_path / "p.csv"
-        meta = tmp_path / "m.csv"
-        prices.write_text("date,AAA,BBB\n2001-01-05,1.0,2.0\n2001-01-12,1.1\n")
-        write_meta_csv(meta, ["AAA", "BBB"], ["equities", "equities"])
-        with pytest.raises(PanelFormatError, match="row 3"):
-            load_price_panel(prices, meta)
-
-    def test_empty_cell(self, tmp_path):
-        prices = tmp_path / "p.csv"
-        meta = tmp_path / "m.csv"
-        prices.write_text("date,AAA\n2001-01-05,1.0\n2001-01-12,\n")
-        write_meta_csv(meta, ["AAA"], ["equities"])
-        with pytest.raises(PanelFormatError, match="missing value"):
-            load_price_panel(prices, meta)
-
-    def test_non_numeric_price(self, tmp_path):
-        prices = tmp_path / "p.csv"
-        meta = tmp_path / "m.csv"
-        prices.write_text("date,AAA\n2001-01-05,abc\n")
-        write_meta_csv(meta, ["AAA"], ["equities"])
-        with pytest.raises(PanelFormatError, match="non-numeric"):
-            load_price_panel(prices, meta)
-
-    def test_dates_must_increase(self, tmp_path):
-        prices = tmp_path / "p.csv"
-        meta = tmp_path / "m.csv"
-        prices.write_text("date,AAA\n2001-01-12,1.0\n2001-01-05,1.0\n")
-        write_meta_csv(meta, ["AAA"], ["equities"])
-        with pytest.raises(PanelFormatError, match="not .*after"):
-            load_price_panel(prices, meta)
-
-    def test_duplicate_meta_ticker(self, tmp_path):
-        prices = tmp_path / "p.csv"
-        meta = tmp_path / "m.csv"
-        write_prices_csv(prices, weekly_dates(2), [[1.0, 2.0]], ["AAA"])
-        meta.write_text("ticker,asset_class\nAAA,equities\nAAA,metals\n")
-        with pytest.raises(PanelFormatError, match="duplicate"):
-            load_price_panel(prices, meta)
-
-    @pytest.mark.parametrize("ticker", ["A,B", 'A"B', "A\rB", "A\nB", "A\0B"])
-    def test_ticker_that_needs_csv_quoting_names_row(self, tmp_path, ticker):
-        # the reports are written unquoted, so such a ticker would shift
-        # their fields; quoted in both inputs, it is valid CSV
-        prices = tmp_path / "p.csv"
-        meta = tmp_path / "m.csv"
-        with open(prices, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([["date", "AAA", ticker],
-                                      ["2001-01-05", 1.0, 2.0],
-                                      ["2001-01-12", 1.5, 2.5]])
-        with open(meta, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([["ticker", "asset_class"],
-                                      ["AAA", "equities"], [ticker, "metals"]])
-        with pytest.raises(PanelFormatError, match="row 3: ticker"):
-            load_price_panel(prices, meta)
-
     def test_blank_lines_are_skipped(self, tmp_path):
         # as csv.DictReader does; the same files without them give the
         # same reports
@@ -221,36 +185,8 @@ class TestLoadPricePanel:
                             for name in REPORT_FILES})
         assert reports[0] == reports[1]
 
-    @pytest.mark.parametrize("text, message", [
-        ("\ndate,AAA\n2001-01-05,1.0\n", "first header column must be 'date'"),
-        ("date,AAA\n2001-01-05,1.0\n   \n", "row 3: expected 2 fields, got 1"),
-    ], ids=["header_after_blank_line", "line_of_spaces"])
-    def test_only_empty_lines_are_skipped(self, tmp_path, text, message):
-        prices = tmp_path / "p.csv"
-        meta = tmp_path / "m.csv"
-        prices.write_text(text)
-        write_meta_csv(meta, ["AAA"], ["equities"])
-        with pytest.raises(PanelFormatError, match=message):
-            load_price_panel(prices, meta)
-
-    @pytest.mark.parametrize("prices, meta, problem", [
-        ("", None, "{prices}: empty prices file"),
-        (None, "", "{meta}: empty metadata file"),
-        (None, "ticker,class\nAAA,equities\n",
-         "{meta}: expected header 'ticker,asset_class', got ['ticker', "
-         "'class']"),
-        (None, "ticker,asset_class\n,equities\n",
-         "{meta}: row 2: empty ticker"),
-        (None, "ticker,asset_class\n", "{meta}: no assets listed"),
-        ("date\n2001-01-05\n", None, "{prices}: no asset columns in header"),
-        ("date,AAA,AAA\n2001-01-05,1.0,1.0\n", None,
-         "{prices}: duplicate columns ['AAA']"),
-        ("date,AAA\n2001-01-05,1.0\n2001-02-30,1.0\n", None,
-         "{prices}: row 3: bad date '2001-02-30'"),
-        ("date,AAA\n", None, "{prices}: no price rows"),
-    ], ids=["empty_prices", "empty_meta", "meta_header", "empty_ticker",
-            "no_assets", "no_asset_column", "duplicate_columns", "bad_date",
-            "no_price_rows"])
+    @pytest.mark.parametrize("prices, meta, problem", MALFORMED.values(),
+                             ids=list(MALFORMED))
     def test_malformed_file_names_the_problem(self, tmp_path, prices, meta,
                                               problem):
         paths = {"prices": tmp_path / "p.csv", "meta": tmp_path / "m.csv"}

@@ -37,6 +37,7 @@ from corrspectra.cli import main
 
 from helpers import (
     bench_module,
+    no_ensemble,
     null_reference,
     random_walk_prices,
     weekly_dates,
@@ -70,11 +71,6 @@ def make_flat_asset_files(tmp_path):
     write_prices_csv(prices_path, weekly_dates(40), prices, tickers)
     write_meta_csv(meta_path, tickers, CLASSES)
     return prices_path, meta_path
-
-
-def _no_ensemble(config, max_rank=0):
-    raise AssertionError("the null ensemble ran: the run should have failed "
-                         "before it, or read its cache entry")
 
 
 def _no_window(*args):
@@ -159,15 +155,9 @@ class TestWriteReports:
         write_reports(config)
         assert _reference_mismatches(tmp_path / "out", asdict(config)) == []
 
-    def test_max_rank_capped_by_panel(self, tmp_path):
-        config = make_config(tmp_path, max_rank=9)
-        with pytest.raises(ValueError, match="max-rank"):
-            write_reports(config)
-        assert not (tmp_path / "out").exists()
-
     def test_degenerate_window_raises_before_the_null_ensemble(
             self, tmp_path, monkeypatch):
-        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         prices_path, meta_path = make_flat_asset_files(tmp_path)
         cache = tmp_path / "cache.json"
         config = RunConfig(prices_path=str(prices_path),
@@ -209,22 +199,6 @@ class TestWriteReports:
         # subset_by_class sorts the unknown names for its message
         with pytest.raises(ValueError, match="classes must be strings"):
             make_config(tmp_path, classes=("x", 5))
-
-    def test_needs_three_assets(self, tmp_path):
-        prices_path, meta_path = make_input_files(
-            tmp_path, n_assets=2, classes=["equities", "metals"]
-        )
-        config = RunConfig(
-            prices_path=str(prices_path),
-            meta_path=str(meta_path),
-            output_dir=str(tmp_path / "out"),
-            window_len=5,
-            sims=5,
-            max_rank=2,
-        )
-        with pytest.raises(ValueError, match="3 assets"):
-            write_reports(config)
-        assert not (tmp_path / "out").exists()
 
 
 class TestEmitReports:
@@ -633,6 +607,33 @@ def _eigen_failure_in_window_20(returns, config, stats, start, stop):
     raise EigenComputationError("eigensolver failed in window 20")
 
 
+# id: (option, value, the whole message after "corrspectra: "), for
+# TestCLI._args' run of make_input_files' four assets (two metals); {tmp}
+# stands for the test's tmp_path
+BAD_OPTIONS = {
+    "window_1": ("window", 1, "window must be >= 2, got 1"),
+    "step_0": ("step", 0, "step must be >= 1, got 0"),
+    "sims_0": ("sims", 0, "sims must be >= 1, got 0"),
+    "max_rank_0": ("max_rank", 0, "max-rank must be >= 1, got 0"),
+    "seed_negative": ("seed", -1, "seed must be an unsigned 64-bit integer"),
+    "seed_2_64": ("seed", 2**64, "seed must be an unsigned 64-bit integer"),
+    "empty_baseline_cache": ("baseline_cache", "",
+                             "baseline cache must be nonempty"),
+    "missing_prices": ("prices", "{tmp}/nope.csv",
+                       "cannot read {tmp}/nope.csv: [Errno 2] No such file "
+                       "or directory: '{tmp}/nope.csv'"),
+    "unknown_class": ("classes", "crypto",
+                      "unknown asset classes: ['crypto']"),
+    # "" names no class, as "," does
+    "empty_classes_empty": ("classes", "", "classes must be nonempty"),
+    "empty_classes_comma": ("classes", ",", "classes must be nonempty"),
+    "empty_classes_space": ("classes", " ", "classes must be nonempty"),
+    "max_rank_above_panel": ("max_rank", 9, "max-rank 9 exceeds panel size 4"),
+    "two_assets": ("classes", "metals",
+                   "reports need at least 3 assets, panel has 2"),
+}
+
+
 class TestCLI:
     @staticmethod
     def _args(tmp_path, prices_path, meta_path, out="cli_out", **extra):
@@ -654,18 +655,6 @@ class TestCLI:
         assert main(self._args(tmp_path, prices_path, meta_path)) == 0
         for name in EXPECTED_FILES:
             assert (tmp_path / "cli_out" / name).exists()
-
-    def test_missing_file_exit_two(self, tmp_path, capsys):
-        prices_path, meta_path = make_input_files(tmp_path)
-        code = main(self._args(tmp_path, tmp_path / "nope.csv", meta_path))
-        assert code == 2
-
-    def test_bad_class_exit_two(self, tmp_path, capsys):
-        prices_path, meta_path = make_input_files(tmp_path)
-        code = main(
-            self._args(tmp_path, prices_path, meta_path, classes="crypto")
-        )
-        assert code == 2
 
     def test_dead_worker_exit_five(self, tmp_path, capsys, monkeypatch):
         def dead_worker(config, max_rank=0):
@@ -727,7 +716,7 @@ class TestCLI:
 
     def test_degenerate_window_exits_before_the_null_ensemble(
             self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         prices_path, meta_path = make_flat_asset_files(tmp_path)
         cache = tmp_path / "cache.json"
         args = self._args(tmp_path, prices_path, meta_path,
@@ -814,7 +803,7 @@ class TestCLI:
             == sorted([*entries, "cache.json"])  # and no staging directory
         entry = cache.read_bytes()
         with monkeypatch.context() as patch:
-            patch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+            patch.setattr(nulls, "null_ensemble_stats", no_ensemble)
             assert main(args) == 0  # a cache hit
         hit = _file_bytes(tmp_path / "cli_out")
         cache.unlink()
@@ -926,7 +915,7 @@ class TestCLI:
             self, tmp_path, capsys, monkeypatch):
         # Path.exists() reads blocked/out as missing; making it fails
         # before the null ensemble
-        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         prices_path, meta_path = make_input_files(tmp_path)
         (tmp_path / "blocked").write_text("not a directory")
         before = _file_bytes(tmp_path)
@@ -941,7 +930,7 @@ class TestCLI:
             self, tmp_path, capsys, monkeypatch):
         # Path.exists() reads the link as missing, and mkdir cannot make a
         # directory at it; the failed run keeps the link
-        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         prices_path, meta_path = make_input_files(tmp_path)
         (tmp_path / "cli_out").symlink_to(tmp_path / "gone")
         before = _file_bytes(tmp_path)
@@ -992,7 +981,7 @@ class TestCLI:
             self, tmp_path, capsys, monkeypatch):
         # making --out makes its parent, which the cache check then finds
         # to be a directory; the failed run removes both again
-        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         prices_path, meta_path = make_input_files(tmp_path)
         before = _file_bytes(tmp_path)
         args = self._args(tmp_path, prices_path, meta_path,
@@ -1032,7 +1021,7 @@ class TestCLI:
             self, tmp_path, capsys, monkeypatch):
         # the lock file and the new cache are made in the cache's own
         # directory, after the ensemble
-        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         prices_path, meta_path = make_input_files(tmp_path)
         (tmp_path / "caches").mkdir()
         self._deny_writes(monkeypatch, tmp_path / "caches")
@@ -1055,7 +1044,7 @@ class TestCLI:
         cache.write_text("{not json")
         if not writable:
             self._deny_writes(monkeypatch, tmp_path / "ro")
-            monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+            monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         args = self._args(tmp_path, prices_path, meta_path,
                           baseline_cache=cache)
         assert main(args) == (0 if writable else 4)
@@ -1074,7 +1063,7 @@ class TestCLI:
                                baseline_cache=cache)) == 0
         entry = cache.read_bytes()
         self._deny_writes(monkeypatch, tmp_path / "caches")
-        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         assert main(self._args(tmp_path, prices_path, meta_path, out="hit",
                                baseline_cache=cache)) == 0
         assert cache.read_bytes() == entry
@@ -1089,15 +1078,15 @@ class TestCLI:
         assert main(self._args(tmp_path, prices_path, meta_path)) == 0
         before = _file_bytes(tmp_path)
         self._deny_writes(monkeypatch, tmp_path / "cli_out")
-        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         args = self._args(tmp_path, prices_path, meta_path) + ["--seed", "6"]
         assert main(args) == 4
         err = capsys.readouterr().err
         assert "I/O error" in err and "is not writable" in err
         assert _file_bytes(tmp_path) == before  # and no staging directory
 
-    # "." has no parents, and argparse's "" is "." to Path
-    @pytest.mark.parametrize("cache", ["cache.json", ".", ""])
+    # "." has no parents
+    @pytest.mark.parametrize("cache", ["cache.json", "."])
     def test_cache_path_that_is_a_directory_exits_four_before_the_windows(
             self, tmp_path, capsys, monkeypatch, cache):
         def analyze_window(*args):
@@ -1125,7 +1114,7 @@ class TestCLI:
             self, tmp_path, capsys, monkeypatch, parts):
         # the cache would be written as the file the reports' directory
         # must be made at, so the run would fail after its ensemble
-        monkeypatch.setattr(nulls, "null_ensemble_stats", _no_ensemble)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         prices_path, meta_path = make_input_files(tmp_path)
         before = _file_bytes(tmp_path)
         args = self._args(tmp_path, prices_path, meta_path,
@@ -1232,30 +1221,17 @@ class TestCLI:
         assert not report.is_symlink()
         assert report.read_bytes().startswith(b"window_index,")
 
-    @pytest.mark.parametrize("classes", ["", ",", " "])
-    def test_empty_classes_exit_two(self, tmp_path, capsys, classes):
-        prices_path, meta_path = make_input_files(tmp_path)
-        args = self._args(tmp_path, prices_path, meta_path, classes=classes)
-        assert main(args) == 2
-        assert "classes must be nonempty" in capsys.readouterr().err
-        assert not (tmp_path / "cli_out").exists()
-
-    @pytest.mark.parametrize("option, value, problem", [
-        ("window", 1, "window must be >= 2, got 1"),
-        ("step", 0, "step must be >= 1, got 0"),
-        ("sims", 0, "sims must be >= 1, got 0"),
-        ("max_rank", 0, "max-rank must be >= 1, got 0"),
-        ("seed", -1, "seed must be an unsigned 64-bit integer"),
-        ("seed", 2**64, "seed must be an unsigned 64-bit integer"),
-    ])
-    def test_bad_run_config_exits_two(self, tmp_path, capsys, option, value,
-                                      problem):
+    @pytest.mark.parametrize("option, value, problem", BAD_OPTIONS.values(),
+                             ids=list(BAD_OPTIONS))
+    def test_bad_option_exits_two(self, tmp_path, capsys, option, value,
+                                  problem):
         prices_path, meta_path = make_input_files(tmp_path)
         args = self._args(tmp_path, prices_path, meta_path,
-                          baseline_cache=tmp_path / "cache.json",
-                          **{option: value})
+                          **{"baseline_cache": tmp_path / "cache.json",
+                             option: str(value).format(tmp=tmp_path)})
         assert main(args) == 2
-        assert capsys.readouterr().err == f"corrspectra: {problem}\n"
+        assert capsys.readouterr().err == (
+            f"corrspectra: {problem.format(tmp=tmp_path)}\n")
         assert not (tmp_path / "cli_out").exists()
         assert not (tmp_path / "cache.json").exists()
 

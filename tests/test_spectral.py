@@ -104,14 +104,14 @@ class TestEigendecompose:
 
 class TestMPBounds:
     def test_reference_upper_edge(self):
-        _, gamma_plus = mp_bounds(1.02, 1.0)
+        _, gamma_plus = mp_bounds(1.02)
         assert abs(gamma_plus - 3.9607) <= 1e-4
 
     def test_square_case(self):
-        assert mp_bounds(1.0, 1.0) == (0.0, 4.0)
+        assert mp_bounds(1.0) == (0.0, 4.0)
 
     def test_q_four(self):
-        gamma_minus, gamma_plus = mp_bounds(4.0, 1.0)
+        gamma_minus, gamma_plus = mp_bounds(4.0)
         assert abs(gamma_minus - 0.25) <= 1e-15
         assert abs(gamma_plus - 2.25) <= 1e-15
 
@@ -120,18 +120,6 @@ class TestMPBounds:
             mp_bounds(0.5)
         with pytest.raises(ValueError):  # the density's shape, likewise
             mp_density(1.0, 0.5)
-
-    @pytest.mark.parametrize("sigma2", [0.0, -1.0])
-    def test_rejects_non_positive_sigma2(self, sigma2):
-        message = f"sigma2 must be positive, got {sigma2}"
-        with pytest.raises(ValueError, match=message):
-            mp_bounds(2.0, sigma2)
-        with pytest.raises(ValueError, match=message):
-            mp_density(1.0, 2.0, sigma2)
-
-    def test_sigma_scaling(self):
-        _, gamma_plus = mp_bounds(1.0, 2.0)
-        assert gamma_plus == 8.0
 
 
 class TestMPDensity:
