@@ -622,6 +622,13 @@ BAD_OPTIONS = {
     "missing_prices": ("prices", "{tmp}/nope.csv",
                        "cannot read {tmp}/nope.csv: [Errno 2] No such file "
                        "or directory: '{tmp}/nope.csv'"),
+    "missing_meta": ("meta", "{tmp}/nope.csv",
+                     "cannot read {tmp}/nope.csv: [Errno 2] No such file "
+                     "or directory: '{tmp}/nope.csv'"),
+    "prices_is_directory": ("prices", "{tmp}", "cannot read {tmp}: [Errno 21] "
+                            "Is a directory: '{tmp}'"),
+    "meta_is_directory": ("meta", "{tmp}", "cannot read {tmp}: [Errno 21] "
+                          "Is a directory: '{tmp}'"),
     "unknown_class": ("classes", "crypto",
                       "unknown asset classes: ['crypto']"),
     # "" names no class, as "," does
