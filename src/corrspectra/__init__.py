@@ -36,8 +36,7 @@ from .nulls import (
 )
 from .panel import (
     ASSET_CLASSES,
-    PricePanel,
-    ReturnPanel,
+    Panel,
     compute_log_returns,
     load_price_panel,
     standardize_window,
@@ -55,9 +54,8 @@ __all__ = [
     "EigenComputationError",
     "NullConfig",
     "NullEnsembleStats",
+    "Panel",
     "PanelFormatError",
-    "PricePanel",
-    "ReturnPanel",
     "RunConfig",
     "WorkerProcessError",
     "adjusted_component_correlations",

@@ -137,7 +137,7 @@ def eigendecompose(values: np.ndarray,
 def mp_bounds(q: float) -> tuple[float, float]:
     """(gamma_minus, gamma_plus): the support edges (1 -+ sqrt(1/q))^2 of the
     null eigenvalue density of a correlation matrix for q = T/N >= 1."""
-    if q < 1.0:
+    if not q >= 1.0:  # NaN too
         raise ValueError(f"q = T/N must be >= 1, got {q}")
     root = math.sqrt(1.0 / q)
     return (1.0 - root) ** 2, (1.0 + root) ** 2

@@ -1,10 +1,11 @@
 """Price-panel ingestion, log returns, and standardized rolling windows.
 
-A panel is an assets x dates matrix of weekly prices plus each row's
-ticker and asset class, as two lists. All functions here are pure: they
-validate, never mutate, and never resample or impute. Missing, non-finite
-or non-positive prices are rejected at load time because silently filling
-gaps would corrupt downstream correlation estimates.
+A `Panel` is an assets x dates matrix plus each row's ticker and asset
+class, as two lists: weekly prices as loaded, or the log returns computed
+from them. All functions here are pure: they validate, never mutate, and
+never resample or impute. Missing, non-finite or non-positive prices are
+rejected at load time because silently filling gaps would corrupt
+downstream correlation estimates.
 """
 
 from __future__ import annotations
@@ -30,26 +31,13 @@ ASSET_CLASSES = (
 
 
 @dataclass
-class PricePanel:
-    """Weekly prices, one row per asset, columns ordered by date; row i is
-    asset tickers[i] of class classes[i]."""
+class Panel:
+    """An assets x dates matrix; row i is asset tickers[i] of class
+    classes[i]. Prices are N x (L+1) and strictly positive; their log
+    returns are N x L, and dates[t] is the end date of return t."""
 
     dates: list[dt.date]
-    prices: np.ndarray  # N x (L+1), strictly positive
-    tickers: list[str]
-    classes: list[str]
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.tickers)
-
-
-@dataclass
-class ReturnPanel:
-    """Log returns; dates[t] is the end date of return t."""
-
-    dates: list[dt.date]
-    returns: np.ndarray  # N x L
+    values: np.ndarray
     tickers: list[str]
     classes: list[str]
 
@@ -82,7 +70,8 @@ def _csv_rows(path, kind):
                                            f"{len(header)} fields, got {len(row)}")
                 yield lineno, row
     except OSError as exc:
-        raise PanelFormatError(f"cannot read {path}: {exc}") from exc
+        raise PanelFormatError(
+            f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:  # its position counts from a chunk
         raise PanelFormatError(
             f"{path}: not UTF-8 (byte {exc.object[exc.start]:#x}: {exc.reason})"
@@ -122,7 +111,7 @@ def _read_meta(meta_path) -> dict[str, str]:
     return meta
 
 
-def load_price_panel(prices_path, meta_path) -> PricePanel:
+def load_price_panel(prices_path, meta_path) -> Panel:
     """Load and validate a prices CSV plus its asset-class metadata CSV.
 
     The prices file has header ``date,<ticker>,...`` and ISO dates; column
@@ -204,23 +193,24 @@ def load_price_panel(prices_path, meta_path) -> PricePanel:
     # force row-major layout so subsetted panels and panels loaded from
     # pre-subsetted files run bit-identical linear algebra
     prices = np.ascontiguousarray(np.asarray(rows, dtype=float).T)
-    return PricePanel(dates=dates, prices=prices, tickers=tickers,
-                      classes=[meta[t] for t in tickers])
+    return Panel(dates=dates, values=prices, tickers=tickers,
+                 classes=[meta[t] for t in tickers])
 
 
-def compute_log_returns(panel: PricePanel) -> ReturnPanel:
-    """Log return series z[t] = ln(p[t+1] / p[t]) for each asset."""
+def compute_log_returns(panel: Panel) -> Panel:
+    """The return panel of a price panel: z[t] = ln(p[t+1] / p[t]) for
+    each asset, and dates[t] is the date of p[t+1]."""
     if len(panel.dates) < 2:
         raise PanelFormatError("need at least 2 dates to compute returns")
     with np.errstate(all="ignore"):  # an overflowing ratio is caught below
-        returns = np.log(panel.prices[:, 1:] / panel.prices[:, :-1])
+        returns = np.log(panel.values[:, 1:] / panel.values[:, :-1])
     if not np.all(np.isfinite(returns)):
         bad = np.argwhere(~np.isfinite(returns))[0]
         raise PanelFormatError(
             f"non-finite return for asset {panel.tickers[bad[0]]!r} at step {bad[1]}"
         )
-    return ReturnPanel(dates=panel.dates[1:], returns=returns,
-                       tickers=panel.tickers, classes=panel.classes)
+    return Panel(dates=panel.dates[1:], values=returns,
+                 tickers=panel.tickers, classes=panel.classes)
 
 
 def standardize(block: np.ndarray, label: str, tickers=None,
@@ -248,7 +238,7 @@ def standardize(block: np.ndarray, label: str, tickers=None,
 
 
 def standardize_window(
-    returns: ReturnPanel, start: int, length: int, window_index: int
+    returns: Panel, start: int, length: int, window_index: int
 ) -> np.ndarray:
     """The standardized N x T slice of `length` returns beginning at
     `start`; it ends on returns.dates[start + length - 1].
@@ -256,22 +246,22 @@ def standardize_window(
     Each asset is centered and scaled with the window's own mean and
     population standard deviation; see `standardize`.
     """
-    n_returns = returns.returns.shape[1]
+    n_returns = returns.values.shape[1]
     if length < 2:
         raise ValueError(f"window length must be >= 2, got {length}")
     if start < 0 or start + length > n_returns:
         raise ValueError(
             f"window [{start}, {start + length}) out of range for {n_returns} returns"
         )
-    block = returns.returns[:, start : start + length]
+    block = returns.values[:, start : start + length]
     return standardize(block, f"window {window_index}", returns.tickers,
                        start)
 
 
-def window_count(returns: ReturnPanel, length: int, step: int = 1) -> int:
+def window_count(returns: Panel, length: int, step: int = 1) -> int:
     """floor((L - length) / step) + 1: the number of windows at starts 0,
     step, 2*step, ... that fit in the L returns."""
-    n_returns = returns.returns.shape[1]
+    n_returns = returns.values.shape[1]
     if length < 2:
         raise ValueError(f"window length must be >= 2, got {length}")
     if length > n_returns:
@@ -283,7 +273,7 @@ def window_count(returns: ReturnPanel, length: int, step: int = 1) -> int:
     return (n_returns - length) // step + 1
 
 
-def subset_by_class(panel: PricePanel, classes) -> PricePanel:
+def subset_by_class(panel: Panel, classes) -> Panel:
     """Panel restricted to assets whose class is in `classes`, original order."""
     classes = set(classes)
     if not classes:
@@ -297,9 +287,9 @@ def subset_by_class(panel: PricePanel, classes) -> PricePanel:
             f"only {len(keep)} assets match classes {sorted(classes)}; "
             "a correlation analysis needs at least 2"
         )
-    return PricePanel(
+    return Panel(
         dates=list(panel.dates),
-        prices=panel.prices[keep].copy(),
+        values=panel.values[keep].copy(),
         tickers=[panel.tickers[i] for i in keep],
         classes=[panel.classes[i] for i in keep],
     )

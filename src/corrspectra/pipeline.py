@@ -48,7 +48,7 @@ from .nulls import (
     stats_payload,
 )
 from .panel import (
-    ReturnPanel,
+    Panel,
     compute_log_returns,
     load_price_panel,
     standardize_window,
@@ -114,7 +114,7 @@ class RunConfig:
                                  f"{self.classes!r}")
 
 
-def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
+def _load_returns(config: RunConfig) -> tuple[Panel, int]:
     """The run's validated return panel and its number of windows; raises
     the DegenerateWindowError of the first window standardize rejects."""
     panel = load_price_panel(config.prices_path, config.meta_path)
@@ -128,7 +128,7 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     returns = compute_log_returns(panel)
     n_windows = window_count(returns, config.window_len, config.step)
     # std == 0.0 needs equal returns: standardize only such windows here
-    z = returns.returns
+    z = returns.values
     moves = np.zeros(z.shape, int)  # changes of each asset's return so far
     np.cumsum(z[:, 1:] != z[:, :-1], axis=1, out=moves[:, 1:])
     starts = np.arange(n_windows) * config.step
@@ -139,7 +139,7 @@ def _load_returns(config: RunConfig) -> tuple[ReturnPanel, int]:
     return returns, n_windows
 
 
-def _window_rows(returns: ReturnPanel, config: RunConfig,
+def _window_rows(returns: Panel, config: RunConfig,
                  stats: NullEnsembleStats, start: int, stop: int):
     """Windows start..stop-1 analysed against the null baseline `stats`:
     their windows.csv, eigenvalues.csv and asset_pc_corr.csv lines, each

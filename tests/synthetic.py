@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from corrspectra import ReturnPanel
+from corrspectra import Panel
 
 from helpers import weekly_dates
 
@@ -59,19 +59,19 @@ def _synthetic_meta(prefix: str, n_assets: int) -> dict[str, list[str]]:
     }
 
 
-def simulate_gaussian_panel(n_assets: int, length: int, seed: int) -> ReturnPanel:
+def simulate_gaussian_panel(n_assets: int, length: int, seed: int) -> Panel:
     """Panel of i.i.d. standard normal returns with synthetic SIM tickers."""
     if n_assets < 2 or length < 2:
         raise ValueError("need n_assets >= 2 and length >= 2")
     rng = np.random.default_rng(seed)
-    return ReturnPanel(
+    return Panel(
         dates=weekly_dates(length, _EPOCH),
-        returns=rng.standard_normal((n_assets, length)),
+        values=rng.standard_normal((n_assets, length)),
         **_synthetic_meta("SIM", n_assets),
     )
 
 
-def synthetic_factor_panel(spec: FactorSpec, length: int, seed: int) -> ReturnPanel:
+def synthetic_factor_panel(spec: FactorSpec, length: int, seed: int) -> Panel:
     """Planted block-factor panel for validating structure detectors."""
     if length < 2:
         raise ValueError("need length >= 2")
@@ -84,28 +84,28 @@ def synthetic_factor_panel(spec: FactorSpec, length: int, seed: int) -> ReturnPa
         block = slice(row, row + size)
         returns[block] = lam * factors[b] + spec.noise_std * noise[block]
         row += size
-    return ReturnPanel(
+    return Panel(
         dates=weekly_dates(length, _EPOCH),
-        returns=returns,
+        values=returns,
         **_synthetic_meta("FAC", spec.n_assets),
     )
 
 
-def shuffle_panel(returns: ReturnPanel, seed: int) -> ReturnPanel:
+def shuffle_panel(returns: Panel, seed: int) -> Panel:
     """Independently permute each asset's return series in time.
 
     Kills temporal alignment between assets while preserving every asset's
     return distribution. Rows are permuted in panel order from a single
     seeded generator, so output is a pure function of (panel, seed).
     """
-    if returns.returns.shape[1] < 2:
+    if returns.values.shape[1] < 2:
         raise ValueError("need at least 2 returns to shuffle")
     rng = np.random.default_rng(seed)
-    shuffled = np.empty_like(returns.returns)
-    for i in range(returns.returns.shape[0]):
-        shuffled[i] = rng.permutation(returns.returns[i])
-    return ReturnPanel(
-        dates=list(returns.dates), returns=shuffled,
+    shuffled = np.empty_like(returns.values)
+    for i in range(returns.values.shape[0]):
+        shuffled[i] = rng.permutation(returns.values[i])
+    return Panel(
+        dates=list(returns.dates), values=shuffled,
         tickers=list(returns.tickers), classes=list(returns.classes),
     )
 

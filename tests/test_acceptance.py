@@ -366,7 +366,7 @@ def test_planted_correlation_shift_is_dated_and_attributed(tmp_path):
     # p99 (~0.47). The sizes follow from these margins alone.
     sizes, n_returns, shift, window = (33, 33, 32), 600, 350, 100
     spec = FactorSpec(block_sizes=sizes, loadings=(0.25,) * 3, noise_std=1.0)
-    returns = synthetic_factor_panel(spec, n_returns, seed=61).returns
+    returns = synthetic_factor_panel(spec, n_returns, seed=61).values
     shifted = slice(0, sizes[0] + sizes[1])
     common = np.random.default_rng(62).standard_normal(n_returns - shift)
     returns[shifted, shift:] += 1.5 * common

@@ -44,14 +44,14 @@ class TestShufflePanel:
         shuffled = shuffle_panel(panel, seed=4)
         for i in range(10):
             assert np.array_equal(
-                np.sort(shuffled.returns[i]), np.sort(panel.returns[i])
+                np.sort(shuffled.values[i]), np.sort(panel.values[i])
             )
 
     def test_deterministic(self):
         panel = simulate_gaussian_panel(6, 30, seed=3)
         a = shuffle_panel(panel, seed=11)
         b = shuffle_panel(panel, seed=11)
-        assert np.array_equal(a.returns, b.returns)
+        assert np.array_equal(a.values, b.values)
 
     def test_all_rows_moved(self):
         # with 98 rows of 574 values the chance any row keeps its order is
@@ -59,13 +59,13 @@ class TestShufflePanel:
         panel = simulate_gaussian_panel(98, 574, seed=8)
         shuffled = shuffle_panel(panel, seed=9)
         for i in range(98):
-            assert not np.array_equal(shuffled.returns[i], panel.returns[i])
+            assert not np.array_equal(shuffled.values[i], panel.values[i])
 
     def test_rows_shuffled_independently(self):
         panel = simulate_gaussian_panel(4, 200, seed=5)
-        panel.returns[1] = panel.returns[0]
+        panel.values[1] = panel.values[0]
         shuffled = shuffle_panel(panel, seed=6)
-        assert not np.array_equal(shuffled.returns[0], shuffled.returns[1])
+        assert not np.array_equal(shuffled.values[0], shuffled.values[1])
 
     def test_metadata_preserved(self):
         panel = simulate_gaussian_panel(5, 20, seed=1)
@@ -77,24 +77,24 @@ class TestShufflePanel:
 class TestSimulateGaussianPanel:
     def test_shape_and_tickers(self):
         panel = simulate_gaussian_panel(12, 40, seed=0)
-        assert panel.returns.shape == (12, 40)
+        assert panel.values.shape == (12, 40)
         assert panel.tickers[0] == "SIM001"
         assert panel.tickers[-1] == "SIM012"
 
     def test_moments_on_large_sample(self):
         panel = simulate_gaussian_panel(1000, 1000, seed=123)
-        assert abs(panel.returns.mean()) <= 0.01
-        assert abs(panel.returns.var() - 1.0) <= 0.01
+        assert abs(panel.values.mean()) <= 0.01
+        assert abs(panel.values.var() - 1.0) <= 0.01
 
     def test_seeds_differ(self):
         a = simulate_gaussian_panel(5, 20, seed=1)
         b = simulate_gaussian_panel(5, 20, seed=2)
-        assert not np.array_equal(a.returns, b.returns)
+        assert not np.array_equal(a.values, b.values)
 
     def test_seed_reproducible(self):
         a = simulate_gaussian_panel(5, 20, seed=7)
         b = simulate_gaussian_panel(5, 20, seed=7)
-        assert np.array_equal(a.returns, b.returns)
+        assert np.array_equal(a.values, b.values)
 
 
 class TestSeedContract:
@@ -570,14 +570,14 @@ class TestSyntheticFactorPanel:
     def test_rank_one_limit(self):
         spec = FactorSpec(block_sizes=(12,), loadings=(1.0,), noise_std=1e-6)
         panel = synthetic_factor_panel(spec, 200, seed=3)
-        corr = np.corrcoef(panel.returns)
+        corr = np.corrcoef(panel.values)
         off = corr[np.triu_indices(12, k=1)]
         assert off.min() >= 0.999
 
     def test_cross_block_uncorrelated(self):
         spec = FactorSpec(block_sizes=(15, 15), loadings=(0.9, 0.9), noise_std=0.4)
         panel = synthetic_factor_panel(spec, 2000, seed=10)
-        corr = np.corrcoef(panel.returns)
+        corr = np.corrcoef(panel.values)
         cross = corr[:15, 15:]
         assert abs(cross.mean()) <= 0.06
 
@@ -587,7 +587,7 @@ class TestSyntheticFactorPanel:
             block_sizes=(30, 30, 30), loadings=(0.9, 0.9, 0.9), noise_std=0.4
         )
         panel = synthetic_factor_panel(spec, 2000, seed=77)
-        corr = np.corrcoef(panel.returns)
+        corr = np.corrcoef(panel.values)
         expected = 0.81 / 0.97
         for b in range(3):
             block = corr[b * 30 : (b + 1) * 30, b * 30 : (b + 1) * 30]
@@ -597,7 +597,7 @@ class TestSyntheticFactorPanel:
     def test_block_sizes_must_sum(self):
         spec = FactorSpec(block_sizes=(3, 4), loadings=(0.5, 0.5), noise_std=0.2)
         panel = synthetic_factor_panel(spec, 50, seed=0)
-        assert panel.returns.shape == (7, 50)
+        assert panel.values.shape == (7, 50)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -218,12 +218,13 @@ def test_one_window_form():
     # a window is its standardized N x T array and every per-window result
     # a plain array or float, with no result records; the caller already
     # holds the window's index and end date, and no record repeats what
-    # its caller holds: a panel names its assets in two lists, the null's
-    # edges are floats and a baseline is its four arrays
+    # its caller holds: prices and returns are one panel record, which
+    # names its assets in two lists, the null's edges are floats and a
+    # baseline is its four arrays
     n_assets, n_dates = 4, 12
-    returns = corrspectra.compute_log_returns(corrspectra.PricePanel(
+    returns = corrspectra.compute_log_returns(corrspectra.Panel(
         dates=weekly_dates(n_dates),
-        prices=random_walk_prices(np.random.default_rng(5), n_assets, n_dates),
+        values=random_walk_prices(np.random.default_rng(5), n_assets, n_dates),
         tickers=[f"A{i}" for i in range(n_assets)],
         classes=["equities"] * n_assets))
     window = corrspectra.standardize_window(returns, 2, 6, 0)
@@ -238,11 +239,10 @@ def test_one_window_form():
     assert [type(moment) for moment in moments] == [float] * 4
     for name in ("SpectralDecomposition", "CoefficientMoments",
                  "asset_component_correlations", "WindowView", "AssetMeta",
-                 "MPBounds"):
+                 "MPBounds", "PricePanel", "ReturnPanel"):
         assert not hasattr(corrspectra, name), name
     for record, names in (
-            (corrspectra.PricePanel, ("dates", "prices", "tickers", "classes")),
-            (corrspectra.ReturnPanel, ("dates", "returns", "tickers", "classes")),
+            (corrspectra.Panel, ("dates", "values", "tickers", "classes")),
             (corrspectra.NullEnsembleStats,
              ("pr_mean", "pr_std", "scree_mean", "abs_corr_p99"))):
         assert tuple(field.name for field in fields(record)) == names
@@ -261,9 +261,9 @@ def test_numerical_errors_are_messages():
               corrspectra.EigenComputationError)
     for error in errors:
         assert "__init__" not in vars(error), error.__name__
-    flat = corrspectra.ReturnPanel(
-        dates=weekly_dates(4), returns=np.array([[0.1, 0.1, 0.1, 0.1],
-                                                 [0.1, 0.2, 0.3, 0.4]]),
+    flat = corrspectra.Panel(
+        dates=weekly_dates(4), values=np.array([[0.1, 0.1, 0.1, 0.1],
+                                                [0.1, 0.2, 0.3, 0.4]]),
         tickers=["A0", "A1"], classes=["equities"] * 2)
     with pytest.raises(errors[0], match="'A0' .* window 2 ") as degenerate:
         corrspectra.standardize_window(flat, 0, 4, 2)

@@ -5,8 +5,8 @@ import pytest
 
 from corrspectra import (
     DegenerateWindowError,
+    Panel,
     PanelFormatError,
-    PricePanel,
     compute_log_returns,
     load_price_panel,
     standardize_window,
@@ -129,8 +129,8 @@ class TestLoadPricePanel:
         assert panel.n_assets == 2
         assert len(panel.dates) == 3
         assert panel.tickers == ["AAA", "BBB"]
-        assert panel.prices.shape == (2, 3)
-        assert panel.prices[0, 0] == 100.0
+        assert panel.values.shape == (2, 3)
+        assert panel.values[0, 0] == 100.0
 
     @pytest.mark.parametrize("which", [0, 1], ids=["prices", "meta"])
     def test_utf8_byte_order_mark_is_ignored(self, toy_files, which):
@@ -225,39 +225,39 @@ class TestLoadPricePanel:
 
 class TestLogReturns:
     def test_simple_ratio(self):
-        panel = PricePanel(
+        panel = Panel(
             dates=weekly_dates(2),
-            prices=np.array([[100.0, 110.0]]),
+            values=np.array([[100.0, 110.0]]),
             tickers=["AAA"], classes=["equities"],
         )
         returns = compute_log_returns(panel)
-        assert returns.returns.shape == (1, 1)
-        assert abs(returns.returns[0, 0] - 0.0953102) < 1e-7
+        assert returns.values.shape == (1, 1)
+        assert abs(returns.values[0, 0] - 0.0953102) < 1e-7
 
     def test_constant_price(self):
-        panel = PricePanel(
+        panel = Panel(
             dates=weekly_dates(3),
-            prices=np.array([[100.0, 100.0, 100.0]]),
+            values=np.array([[100.0, 100.0, 100.0]]),
             tickers=["AAA"], classes=["equities"],
         )
-        assert np.array_equal(compute_log_returns(panel).returns, [[0.0, 0.0]])
+        assert np.array_equal(compute_log_returns(panel).values, [[0.0, 0.0]])
 
     def test_exact_logs(self):
-        panel = PricePanel(
+        panel = Panel(
             dates=weekly_dates(3),
-            prices=np.array([[1.0, math.e, math.e**2]]),
+            values=np.array([[1.0, math.e, math.e**2]]),
             tickers=["AAA"], classes=["equities"],
         )
-        assert np.allclose(compute_log_returns(panel).returns, [[1.0, 1.0]], atol=1e-15)
+        assert np.allclose(compute_log_returns(panel).values, [[1.0, 1.0]], atol=1e-15)
 
     @pytest.mark.parametrize("prices", [[1e-300, 1e300], [1e300, 1e-300]],
                              ids=["overflow", "underflow"])
     def test_extreme_ratio_is_a_format_error(self, prices):
         # the ratio overflows to inf, or underflows to 0 whose log is -inf;
         # numpy warns of neither (pytest.ini turns its warnings into errors)
-        panel = PricePanel(
+        panel = Panel(
             dates=weekly_dates(2),
-            prices=np.array([prices, [1.0, 2.0]]),
+            values=np.array([prices, [1.0, 2.0]]),
             tickers=["A", "B"], classes=["equities"] * 2,
         )
         with pytest.raises(PanelFormatError, match=(
@@ -265,9 +265,9 @@ class TestLogReturns:
             compute_log_returns(panel)
 
     def test_needs_two_dates(self):
-        panel = PricePanel(
+        panel = Panel(
             dates=weekly_dates(1),
-            prices=np.array([[100.0]]),
+            values=np.array([[100.0]]),
             tickers=["AAA"], classes=["equities"],
         )
         with pytest.raises(PanelFormatError):
@@ -275,9 +275,9 @@ class TestLogReturns:
 
     def test_return_dates_are_endpoints(self):
         dates = weekly_dates(3)
-        panel = PricePanel(
+        panel = Panel(
             dates=dates,
-            prices=np.array([[1.0, 2.0, 3.0]]),
+            values=np.array([[1.0, 2.0, 3.0]]),
             tickers=["AAA"], classes=["equities"],
         )
         assert compute_log_returns(panel).dates == dates[1:]
@@ -285,22 +285,22 @@ class TestLogReturns:
     def test_roundtrip_reproduces_prices(self):
         rng = np.random.default_rng(11)
         prices = random_walk_prices(rng, 6, 120)
-        panel = PricePanel(
+        panel = Panel(
             dates=weekly_dates(120),
-            prices=prices,
+            values=prices,
             tickers=[f"A{i}" for i in range(6)], classes=["equities"] * 6,
         )
         returns = compute_log_returns(panel)
-        rebuilt = prices[:, :1] * np.exp(np.cumsum(returns.returns, axis=1))
+        rebuilt = prices[:, :1] * np.exp(np.cumsum(returns.values, axis=1))
         assert np.max(np.abs(rebuilt / prices[:, 1:] - 1.0)) <= 1e-12
 
 
 class TestStandardizeWindow:
     def _panel(self, rows):
         rows = np.asarray(rows, dtype=float)
-        return PricePanel(
+        return Panel(
             dates=weekly_dates(rows.shape[1] + 1),
-            prices=np.exp(np.cumsum(np.concatenate([np.zeros((rows.shape[0], 1)), rows], axis=1), axis=1)),
+            values=np.exp(np.cumsum(np.concatenate([np.zeros((rows.shape[0], 1)), rows], axis=1), axis=1)),
             tickers=[f"A{i}" for i in range(rows.shape[0])],
             classes=["equities"] * rows.shape[0],
         )
@@ -316,11 +316,9 @@ class TestStandardizeWindow:
         assert np.allclose(window, [[1.0, -1.0]], atol=1e-12)
 
     def test_zero_variance_names_asset(self):
-        from corrspectra import ReturnPanel
-
-        returns = ReturnPanel(
+        returns = Panel(
             dates=weekly_dates(3),
-            returns=np.array([[5.0, 5.0, 5.0], [0.1, 0.2, 0.3]]),
+            values=np.array([[5.0, 5.0, 5.0], [0.1, 0.2, 0.3]]),
             tickers=["A0", "A1"], classes=["equities"] * 2,
         )
         with pytest.raises(DegenerateWindowError) as excinfo:
@@ -365,9 +363,9 @@ class TestRollWindows:
         rng = np.random.default_rng(n_returns)
         prices = random_walk_prices(rng, 3, n_returns + 1)
         return compute_log_returns(
-            PricePanel(
+            Panel(
                 dates=weekly_dates(n_returns + 1),
-                prices=prices,
+                values=prices,
                 tickers=[f"A{i}" for i in range(3)], classes=["equities"] * 3,
             )
         )
@@ -399,7 +397,7 @@ class TestRollWindows:
         returns = self._returns(30)
         windows = [standardize_window(returns, index, 10, index)
                    for index in range(window_count(returns, 10, 1))]
-        raw = returns.returns
+        raw = returns.values
         for k in range(len(windows) - 1):
             block_a = raw[:, k : k + 10]
             block_b = raw[:, k + 1 : k + 11]
@@ -439,21 +437,21 @@ class TestSubsetByClass:
              "fuels", "commodities"},
         )
         assert full.tickers == panel.tickers
-        assert np.array_equal(full.prices, panel.prices)
+        assert np.array_equal(full.values, panel.values)
 
     def test_empty_match_is_error(self):
-        panel = PricePanel(
+        panel = Panel(
             dates=weekly_dates(2),
-            prices=np.array([[1.0, 2.0], [1.0, 2.0]]),
+            values=np.array([[1.0, 2.0], [1.0, 2.0]]),
             tickers=["X", "Y"], classes=["gov_bonds"] * 2,
         )
         with pytest.raises(ValueError):
             subset_by_class(panel, {"equities"})
 
     def test_unknown_class_is_error(self):
-        panel = PricePanel(
+        panel = Panel(
             dates=weekly_dates(2),
-            prices=np.array([[1.0, 2.0], [1.0, 2.0]]),
+            values=np.array([[1.0, 2.0], [1.0, 2.0]]),
             tickers=["X", "Y"], classes=["gov_bonds"] * 2,
         )
         with pytest.raises(ValueError, match="unknown"):
@@ -462,6 +460,8 @@ class TestSubsetByClass:
     def test_subset_commutes_with_returns(self, tmp_path):
         panel = self._table1_panel(tmp_path)
         subset_first = compute_log_returns(subset_by_class(panel, {"metals"}))
-        full_returns = compute_log_returns(panel)
-        keep = [i for i, klass in enumerate(panel.classes) if klass == "metals"]
-        assert np.array_equal(subset_first.returns, full_returns.returns[keep])
+        returns_first = subset_by_class(compute_log_returns(panel), {"metals"})
+        assert subset_first.dates == returns_first.dates
+        assert np.array_equal(subset_first.values, returns_first.values)
+        assert subset_first.tickers == returns_first.tickers
+        assert subset_first.classes == returns_first.classes

@@ -619,16 +619,13 @@ BAD_OPTIONS = {
     "seed_2_64": ("seed", 2**64, "seed must be an unsigned 64-bit integer"),
     "empty_baseline_cache": ("baseline_cache", "",
                              "baseline cache must be nonempty"),
-    "missing_prices": ("prices", "{tmp}/nope.csv",
-                       "cannot read {tmp}/nope.csv: [Errno 2] No such file "
-                       "or directory: '{tmp}/nope.csv'"),
-    "missing_meta": ("meta", "{tmp}/nope.csv",
-                     "cannot read {tmp}/nope.csv: [Errno 2] No such file "
-                     "or directory: '{tmp}/nope.csv'"),
-    "prices_is_directory": ("prices", "{tmp}", "cannot read {tmp}: [Errno 21] "
-                            "Is a directory: '{tmp}'"),
-    "meta_is_directory": ("meta", "{tmp}", "cannot read {tmp}: [Errno 21] "
-                          "Is a directory: '{tmp}'"),
+    "missing_prices": ("prices", "{tmp}/nope.csv", "cannot read "
+                       "{tmp}/nope.csv: No such file or directory"),
+    "missing_meta": ("meta", "{tmp}/nope.csv", "cannot read "
+                     "{tmp}/nope.csv: No such file or directory"),
+    "prices_is_directory": ("prices", "{tmp}",
+                            "cannot read {tmp}: Is a directory"),
+    "meta_is_directory": ("meta", "{tmp}", "cannot read {tmp}: Is a directory"),
     "unknown_class": ("classes", "crypto",
                       "unknown asset classes: ['crypto']"),
     # "" names no class, as "," does

@@ -120,6 +120,11 @@ class TestMPBounds:
             mp_bounds(0.5)
         with pytest.raises(ValueError):  # the density's shape, likewise
             mp_density(1.0, 0.5)
+        # NaN compares False with everything, so it must fail the check too
+        with pytest.raises(ValueError, match="^q = T/N must be >= 1, got nan$"):
+            mp_bounds(float("nan"))
+        with pytest.raises(ValueError, match="^q = T/N must be >= 1, got nan$"):
+            mp_density(1.0, float("nan"))
 
 
 class TestMPDensity:
