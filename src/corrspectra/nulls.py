@@ -186,6 +186,9 @@ def stats_payload(stats: NullEnsembleStats) -> dict:
 
 def _payload_to_stats(payload: dict, config: NullConfig) -> NullEnsembleStats:
     def arr(key):
+        if not all(v is None or type(v) in (int, float)
+                   and abs(v) <= sys.float_info.max for v in payload[key]):
+            raise TypeError(f"{key} holds a value that is not a finite number")
         values = np.array(
             [np.nan if v is None else v for v in payload[key]], dtype=float
         )

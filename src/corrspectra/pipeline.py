@@ -371,8 +371,8 @@ def _staged_reports(output_dir: Path):
     `output_dir` for the REPORT_FILES, after removing those of runs whose
     process is gone. First it raises the OSError the last os.replace would:
     an existing `output_dir` is not a directory, is not writable or holds a
-    directory under a report's name; then making `output_dir` and its
-    missing parents fails for a path that cannot be a directory.
+    directory under a report's name, or a missing one's nearest existing
+    ancestor is not a directory; making it fails at a dangling symlink.
 
     When the with block ends cleanly, the files are moved into `output_dir`
     with os.replace, within one filesystem. Either way the staging
@@ -389,6 +389,11 @@ def _staged_reports(output_dir: Path):
                 raise IsADirectoryError(f"report {report} is a directory")
         if not os.access(output_dir, os.W_OK | os.X_OK):
             raise PermissionError(f"output {output_dir} is not writable")
+    else:
+        base = next(path for path in output_dir.parents if path.exists())
+        if not base.is_dir():
+            raise NotADirectoryError(f"output {output_dir}: {base} is not a "
+                                     "directory")
     made = [path for path in (output_dir, *output_dir.parents)
             if not path.exists()]
     staging = None

@@ -680,23 +680,29 @@ class TestBaselineCache:
         assert json.loads(cache.read_text()) == {
             "schema_version": "2", "entries": {key: fresh}}
 
-    @pytest.mark.parametrize("field", ["pr_mean", "pr_std", "scree_mean"])
-    def test_null_baseline_value_is_a_miss(self, tmp_path, capsys, field):
-        # a null in abs_corr_p99 marks a rank beyond max_rank; in these
-        # arrays it is corruption, and NaN scree means would zero every count
+    # a null in abs_corr_p99 marks a rank beyond max_rank; in these arrays
+    # it is corruption, and NaN scree means would zero every count. A
+    # string, a boolean or an int beyond float range is no float to reuse
+    @pytest.mark.parametrize("field, value", [
+        ("pr_mean", None), ("pr_std", None), ("scree_mean", None),
+        ("pr_mean", "38.2"), ("scree_mean", True), ("pr_std", 10**400)],
+        ids=["pr_mean", "pr_std", "scree_mean",
+             "pr_mean-string", "scree_mean-true", "pr_std-huge_int"])
+    def test_null_baseline_value_is_a_miss(self, tmp_path, capsys, field,
+                                           value):
         cache = tmp_path / "baselines.json"
         config = NullConfig(n_assets=6, window_len=20, sims=30, master_seed=4)
         fresh = cached_ensemble_stats(config, max_rank=2, cache_path=cache)
         loaded = json.loads(cache.read_text())
         [entry] = loaded["entries"].values()
-        entry[field][3] = None
+        entry[field][3] = value
         cache.write_text(json.dumps(loaded))
         stats = cached_ensemble_stats(config, max_rank=2, cache_path=cache)
         warning = capsys.readouterr().err
         assert warning.count("\n") == 1 and field in warning
         assert np.array_equal(getattr(stats, field), getattr(fresh, field))
         [entry] = json.loads(cache.read_text())["entries"].values()
-        assert None not in entry[field]
+        assert entry == nulls.stats_payload(fresh)
 
     def test_entry_keyed_with_the_gaussian_kind_hits(self, tmp_path,
                                                      monkeypatch):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +79,10 @@ def _no_window(*args):
 
 
 def _file_bytes(root):
-    """Every path under `root`, with its bytes or None for a directory."""
-    return {path: path.read_bytes() if path.is_file() else None
+    """Every path under `root`, with a symlink's target, a file's bytes or
+    None for a directory."""
+    return {path: os.readlink(path) if path.is_symlink()
+            else path.read_bytes() if path.is_file() else None
             for path in root.rglob("*")}
 
 
@@ -607,34 +610,182 @@ def _eigen_failure_in_window_20(returns, config, stats, start, stop):
     raise EigenComputationError("eigensolver failed in window 20")
 
 
-# id: (option, value, the whole message after "corrspectra: "), for
-# TestCLI._args' run of make_input_files' four assets (two metals); {tmp}
-# stands for the test's tmp_path
-BAD_OPTIONS = {
-    "window_1": ("window", 1, "window must be >= 2, got 1"),
-    "step_0": ("step", 0, "step must be >= 1, got 0"),
-    "sims_0": ("sims", 0, "sims must be >= 1, got 0"),
-    "max_rank_0": ("max_rank", 0, "max-rank must be >= 1, got 0"),
-    "seed_negative": ("seed", -1, "seed must be an unsigned 64-bit integer"),
-    "seed_2_64": ("seed", 2**64, "seed must be an unsigned 64-bit integer"),
-    "empty_baseline_cache": ("baseline_cache", "",
+def _deny_writes(monkeypatch, directory):
+    # os.access stands in for the directory's mode: root passes every
+    # mode check, and the suite may run as root
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
+        Path(path) != directory and access(path, mode, **kw)))
+
+
+# The setups of FAILING_RUNS, each called with the test's tmp_path, where
+# make_input_files has written prices.csv and meta.csv, and its monkeypatch.
+
+def _earlier_run(tmp_path, monkeypatch):
+    assert main(TestCLI._args(tmp_path, tmp_path / "prices.csv",
+                              tmp_path / "meta.csv")) == 0
+
+
+def _earlier_report_in_cwd(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "windows.csv").write_bytes(b"earlier\n")
+
+
+def _symlink(name, target, tmp_path, monkeypatch):
+    (tmp_path / name).symlink_to(tmp_path / target)
+
+
+def _input_as_report(which, name, linked, tmp_path, monkeypatch):
+    report = tmp_path / "cli_out" / name
+    report.parent.mkdir()
+    (tmp_path / f"{which}.csv").rename(report)
+    if linked:  # the same file under another name
+        (tmp_path / f"{which}_link.csv").symlink_to(report)
+
+
+def _blocker(tmp_path, monkeypatch):
+    (tmp_path / "blocked").write_text("not a directory")
+
+
+def _unwritable_earlier_output(tmp_path, monkeypatch):
+    _earlier_run(tmp_path, monkeypatch)
+    _deny_writes(monkeypatch, tmp_path / "cli_out")
+
+
+def _directory_as_report(name, tmp_path, monkeypatch):
+    _earlier_run(tmp_path, monkeypatch)
+    report = tmp_path / "cli_out" / name
+    report.unlink()
+    report.mkdir()
+    (report / "kept.txt").write_text("kept")
+
+
+def _directory_as_cache_in_cwd(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cache.json").mkdir()
+    (tmp_path / "cache.json" / "kept.txt").write_text("kept")
+
+
+def _unwritable_caches(tmp_path, monkeypatch):
+    (tmp_path / "caches").mkdir()
+    _deny_writes(monkeypatch, tmp_path / "caches")
+
+
+# id: (setup or None, options, exit code, the whole message after
+# "corrspectra: ") for runs that must fail before any window or simulation.
+# The options are added to those of TestCLI._args' run of make_input_files'
+# four assets (two metals) and --baseline-cache {tmp}/cache.json, and a
+# later one wins; {tmp} stands for the test's tmp_path. The rows follow the
+# checks: the options, the inputs, then the README's three steps of the
+# path checks (the paths' collisions, the output, the cache's location).
+FAILING_RUNS = {
+    "window_1": (None, {"window": 1}, 2, "window must be >= 2, got 1"),
+    "step_0": (None, {"step": 0}, 2, "step must be >= 1, got 0"),
+    "sims_0": (None, {"sims": 0}, 2, "sims must be >= 1, got 0"),
+    "max_rank_0": (None, {"max_rank": 0}, 2, "max-rank must be >= 1, got 0"),
+    "seed_negative": (None, {"seed": -1}, 2,
+                      "seed must be an unsigned 64-bit integer"),
+    "seed_2_64": (None, {"seed": 2**64}, 2,
+                  "seed must be an unsigned 64-bit integer"),
+    # Path("") is the current directory, whose reports it would replace
+    "empty_output": (_earlier_report_in_cwd, {"out": ""}, 2,
+                     "output directory must be nonempty"),
+    "empty_baseline_cache": (None, {"baseline_cache": ""}, 2,
                              "baseline cache must be nonempty"),
-    "missing_prices": ("prices", "{tmp}/nope.csv", "cannot read "
-                       "{tmp}/nope.csv: No such file or directory"),
-    "missing_meta": ("meta", "{tmp}/nope.csv", "cannot read "
-                     "{tmp}/nope.csv: No such file or directory"),
-    "prices_is_directory": ("prices", "{tmp}",
+    "missing_prices": (None, {"prices": "{tmp}/nope.csv"}, 2,
+                       "cannot read {tmp}/nope.csv: No such file or directory"),
+    "missing_meta": (None, {"meta": "{tmp}/nope.csv"}, 2,
+                     "cannot read {tmp}/nope.csv: No such file or directory"),
+    "prices_is_directory": (None, {"prices": "{tmp}"}, 2,
                             "cannot read {tmp}: Is a directory"),
-    "meta_is_directory": ("meta", "{tmp}", "cannot read {tmp}: Is a directory"),
-    "unknown_class": ("classes", "crypto",
+    "meta_is_directory": (None, {"meta": "{tmp}"}, 2,
+                          "cannot read {tmp}: Is a directory"),
+    "unknown_class": (None, {"classes": "crypto"}, 2,
                       "unknown asset classes: ['crypto']"),
     # "" names no class, as "," does
-    "empty_classes_empty": ("classes", "", "classes must be nonempty"),
-    "empty_classes_comma": ("classes", ",", "classes must be nonempty"),
-    "empty_classes_space": ("classes", " ", "classes must be nonempty"),
-    "max_rank_above_panel": ("max_rank", 9, "max-rank 9 exceeds panel size 4"),
-    "two_assets": ("classes", "metals",
+    "empty_classes_empty": (None, {"classes": ""}, 2,
+                            "classes must be nonempty"),
+    "empty_classes_comma": (None, {"classes": ","}, 2,
+                            "classes must be nonempty"),
+    "empty_classes_space": (None, {"classes": " "}, 2,
+                            "classes must be nonempty"),
+    "max_rank_above_panel": (None, {"max_rank": 9}, 2,
+                             "max-rank 9 exceeds panel size 4"),
+    "two_assets": (None, {"classes": "metals"}, 2,
                    "reports need at least 3 assets, panel has 2"),
+    # a cache path that is an input, directly or through a symlink
+    "cache_is_prices": (None, {"baseline_cache": "{tmp}/prices.csv"}, 2,
+                        "baseline cache {tmp}/prices.csv is an input file"),
+    "cache_is_meta": (None, {"baseline_cache": "{tmp}/meta.csv"}, 2,
+                      "baseline cache {tmp}/meta.csv is an input file"),
+    "cache_links_to_prices": (
+        partial(_symlink, "cache.json", "prices.csv"), {}, 2,
+        "baseline cache {tmp}/cache.json is an input file"),
+    "cache_links_to_meta": (
+        partial(_symlink, "cache.json", "meta.csv"), {}, 2,
+        "baseline cache {tmp}/cache.json is an input file"),
+    # the report of the same name would replace the cache every run, so it
+    # could never hit; a dotted spelling names the same file
+    **{f"cache_is_{name}{'_dotted' * dotted}{'_after_a_run' * earlier}": (
+        _earlier_run if earlier else None, {"baseline_cache": cache}, 2,
+        f"baseline cache {cache} is a report file")
+       for name in EXPECTED_FILES for dotted in (False, True)
+       for earlier in (False, True)
+       for cache in [f"{{tmp}}/cli_out/{'../cli_out/' * dotted}{name}"]},
+    # the cache would be written as the file the reports' directory must be
+    # made at, so the run would fail after its ensemble
+    "cache_is_out": (None, {"baseline_cache": "{tmp}/cli_out"}, 2,
+                     "baseline cache {tmp}/cli_out is the output directory"),
+    "cache_is_out_dotted": (
+        None, {"baseline_cache": "{tmp}/cli_out/../cli_out"}, 2,
+        "baseline cache {tmp}/cli_out/../cli_out is the output directory"),
+    # the report would replace the input, and the next run would fail
+    **{f"report_is_{which}{'_linked' * linked}": (
+        partial(_input_as_report, which, name, linked),
+        {which: f"{{tmp}}/{which}_link.csv" if linked
+         else f"{{tmp}}/cli_out/{name}"}, 2,
+        f"report {{tmp}}/cli_out/{name} is an input file")
+       for which, name in (("prices", "windows.csv"),
+                           ("meta", "run_manifest.json"))
+       for linked in (False, True)},
+    "out_is_a_file": (_blocker, {"out": "{tmp}/blocked"}, 4,
+                      "I/O error: output {tmp}/blocked is not a directory"),
+    "out_is_unwritable": (_unwritable_earlier_output, {}, 4,
+                          "I/O error: output {tmp}/cli_out is not writable"),
+    # os.replace cannot move a report onto a directory, and the reports
+    # moved in before it would mix two runs' reports
+    **{f"report_{name}_is_a_directory": (
+        partial(_directory_as_report, name), {}, 4,
+        f"I/O error: report {{tmp}}/cli_out/{name} is a directory")
+       for name in EXPECTED_FILES},
+    # Path.exists() reads both as missing; mkdir cannot make a directory
+    # at the link
+    "out_below_a_file": (_blocker, {"out": "{tmp}/blocked/out"}, 4,
+                         "I/O error: output {tmp}/blocked/out: {tmp}/blocked "
+                         "is not a directory"),
+    "out_is_a_dangling_symlink": (
+        partial(_symlink, "cli_out", "gone"), {}, 4,
+        "I/O error: [Errno 17] File exists: '{tmp}/cli_out'"),
+    # "." has no parents
+    "cache_is_a_directory": (
+        _directory_as_cache_in_cwd, {"baseline_cache": "cache.json"}, 4,
+        "I/O error: baseline cache cache.json is a directory"),
+    "cache_is_the_cwd": (_directory_as_cache_in_cwd, {"baseline_cache": "."},
+                         4, "I/O error: baseline cache . is a directory"),
+    "cache_below_a_file": (
+        _blocker, {"baseline_cache": "{tmp}/blocked/cache.json"}, 4,
+        "I/O error: baseline cache {tmp}/blocked/cache.json: {tmp}/blocked "
+        "is not a directory"),
+    # the lock file and the new cache are made in the cache's own directory
+    "cache_in_an_unwritable_directory": (
+        _unwritable_caches, {"baseline_cache": "{tmp}/caches/cache.json"}, 4,
+        "I/O error: baseline cache {tmp}/caches/cache.json: cannot write in "
+        "{tmp}/caches"),
+    # making --out makes its parent, which the cache check then finds to be
+    # a directory; the failed run removes both again
+    "cache_is_a_missing_parent_of_out": (
+        None, {"out": "{tmp}/made/cli_out", "baseline_cache": "{tmp}/made"}, 4,
+        "I/O error: baseline cache {tmp}/made is a directory"),
 }
 
 
@@ -890,61 +1041,6 @@ class TestCLI:
         assert "worker process" in capsys.readouterr().err
         assert not (tmp_path / "cli_out").exists()
 
-    def test_unwritable_output_exit_four(self, tmp_path, capsys, monkeypatch):
-        # an output path that is a regular file fails before any window
-        def analyze_window(*args):
-            raise AssertionError("a window ran before the output was checked")
-
-        monkeypatch.setattr(blocks, "available_cpus", lambda: 1)
-        monkeypatch.setattr(pipeline, "analyze_window", analyze_window)
-        prices_path, meta_path = make_input_files(tmp_path)
-        blocker = tmp_path / "blocked"
-        blocker.write_text("not a directory")
-        entries = sorted(path.name for path in tmp_path.iterdir())
-        args = [
-            "--prices", str(prices_path),
-            "--meta", str(meta_path),
-            "--out", str(blocker),
-            "--window", "10",
-            "--sims", "10",
-            "--max-rank", "3",
-        ]
-        assert main(args) == 4
-        err = capsys.readouterr().err
-        assert "I/O error" in err and "not a directory" in err
-        assert blocker.read_text() == "not a directory"
-        assert sorted(path.name for path in tmp_path.iterdir()) == entries
-
-    def test_output_below_a_regular_file_exits_four_before_the_ensemble(
-            self, tmp_path, capsys, monkeypatch):
-        # Path.exists() reads blocked/out as missing; making it fails
-        # before the null ensemble
-        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
-        prices_path, meta_path = make_input_files(tmp_path)
-        (tmp_path / "blocked").write_text("not a directory")
-        before = _file_bytes(tmp_path)
-        args = self._args(tmp_path, prices_path, meta_path,
-                          out=Path("blocked", "out"))
-        assert main(args) == 4
-        err = capsys.readouterr().err
-        assert "I/O error" in err and "Not a directory" in err
-        assert _file_bytes(tmp_path) == before
-
-    def test_dangling_symlink_output_exits_four_before_the_ensemble(
-            self, tmp_path, capsys, monkeypatch):
-        # Path.exists() reads the link as missing, and mkdir cannot make a
-        # directory at it; the failed run keeps the link
-        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
-        prices_path, meta_path = make_input_files(tmp_path)
-        (tmp_path / "cli_out").symlink_to(tmp_path / "gone")
-        before = _file_bytes(tmp_path)
-        args = self._args(tmp_path, prices_path, meta_path)
-        assert main(args) == 4
-        err = capsys.readouterr().err
-        assert "I/O error" in err and "File exists" in err
-        assert _file_bytes(tmp_path) == before
-        assert os.readlink(tmp_path / "cli_out") == str(tmp_path / "gone")
-
     def test_output_on_another_filesystem_exits_zero(self, tmp_path, capsys,
                                                      monkeypatch):
         # a mount point (a bind mount, /dev/shm) as --out: os.replace
@@ -981,62 +1077,6 @@ class TestCLI:
         listings.append(sorted(path.name for path in tmp_path.iterdir()))
         assert listings == [sorted([*entries, "cli_out"])] * 2
 
-    def test_cache_path_at_a_missing_parent_of_the_output_exits_four(
-            self, tmp_path, capsys, monkeypatch):
-        # making --out makes its parent, which the cache check then finds
-        # to be a directory; the failed run removes both again
-        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
-        prices_path, meta_path = make_input_files(tmp_path)
-        before = _file_bytes(tmp_path)
-        args = self._args(tmp_path, prices_path, meta_path,
-                          out=Path("made", "cli_out"),
-                          baseline_cache=tmp_path / "made")
-        assert main(args) == 4
-        err = capsys.readouterr().err
-        assert "I/O error" in err and "is a directory" in err
-        assert _file_bytes(tmp_path) == before
-
-    def test_unusable_cache_location_exits_four_before_the_windows(
-            self, tmp_path, capsys, monkeypatch):
-        def analyze_window(*args):
-            raise AssertionError("a window ran before the cache was checked")
-
-        monkeypatch.setattr(blocks, "available_cpus", lambda: 1)
-        monkeypatch.setattr(pipeline, "analyze_window", analyze_window)
-        prices_path, meta_path = make_input_files(tmp_path)
-        blocker = tmp_path / "blocked"
-        blocker.write_text("not a directory")
-        args = self._args(tmp_path, prices_path, meta_path,
-                          baseline_cache=blocker / "cache.json")
-        assert main(args) == 4
-        assert "I/O error" in capsys.readouterr().err
-        assert blocker.read_text() == "not a directory"
-        assert not (tmp_path / "cli_out").exists()
-
-    @staticmethod
-    def _deny_writes(monkeypatch, directory):
-        # os.access stands in for the directory's mode: root passes every
-        # mode check, and the suite may run as root
-        access = os.access
-        monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
-            Path(path) != directory and access(path, mode, **kw)))
-
-    def test_cache_miss_in_an_unwritable_directory_exits_four(
-            self, tmp_path, capsys, monkeypatch):
-        # the lock file and the new cache are made in the cache's own
-        # directory, after the ensemble
-        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
-        prices_path, meta_path = make_input_files(tmp_path)
-        (tmp_path / "caches").mkdir()
-        self._deny_writes(monkeypatch, tmp_path / "caches")
-        before = _file_bytes(tmp_path)
-        args = self._args(tmp_path, prices_path, meta_path,
-                          baseline_cache=tmp_path / "caches" / "cache.json")
-        assert main(args) == 4
-        err = capsys.readouterr().err
-        assert "I/O error" in err and "cannot write in" in err
-        assert _file_bytes(tmp_path) == before
-
     @pytest.mark.parametrize("writable", [False, True])
     def test_corrupt_cache_warns_only_when_it_is_rewritten(
             self, tmp_path, capsys, monkeypatch, writable):
@@ -1047,7 +1087,7 @@ class TestCLI:
         cache = tmp_path / "ro" / "cache.json"
         cache.write_text("{not json")
         if not writable:
-            self._deny_writes(monkeypatch, tmp_path / "ro")
+            _deny_writes(monkeypatch, tmp_path / "ro")
             monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         args = self._args(tmp_path, prices_path, meta_path,
                           baseline_cache=cache)
@@ -1066,7 +1106,7 @@ class TestCLI:
         assert main(self._args(tmp_path, prices_path, meta_path, out="fill",
                                baseline_cache=cache)) == 0
         entry = cache.read_bytes()
-        self._deny_writes(monkeypatch, tmp_path / "caches")
+        _deny_writes(monkeypatch, tmp_path / "caches")
         monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
         assert main(self._args(tmp_path, prices_path, meta_path, out="hit",
                                baseline_cache=cache)) == 0
@@ -1074,142 +1114,6 @@ class TestCLI:
         for name in EXPECTED_FILES[:4]:  # the manifest records --out
             assert (tmp_path / "hit" / name).read_bytes() \
                 == (tmp_path / "fill" / name).read_bytes(), name
-
-    def test_unwritable_output_directory_exits_four_before_the_ensemble(
-            self, tmp_path, capsys, monkeypatch):
-        # the reports are moved into --out only after the windows
-        prices_path, meta_path = make_input_files(tmp_path)
-        assert main(self._args(tmp_path, prices_path, meta_path)) == 0
-        before = _file_bytes(tmp_path)
-        self._deny_writes(monkeypatch, tmp_path / "cli_out")
-        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
-        args = self._args(tmp_path, prices_path, meta_path) + ["--seed", "6"]
-        assert main(args) == 4
-        err = capsys.readouterr().err
-        assert "I/O error" in err and "is not writable" in err
-        assert _file_bytes(tmp_path) == before  # and no staging directory
-
-    # "." has no parents
-    @pytest.mark.parametrize("cache", ["cache.json", "."])
-    def test_cache_path_that_is_a_directory_exits_four_before_the_windows(
-            self, tmp_path, capsys, monkeypatch, cache):
-        def analyze_window(*args):
-            raise AssertionError("a window ran before the cache was checked")
-
-        monkeypatch.setattr(blocks, "available_cpus", lambda: 1)
-        monkeypatch.setattr(pipeline, "analyze_window", analyze_window)
-        monkeypatch.chdir(tmp_path)
-        prices_path, meta_path = make_input_files(tmp_path)
-        (tmp_path / "cache.json").mkdir()
-        (tmp_path / "cache.json" / "kept.txt").write_text("kept")
-        before = _file_bytes(tmp_path)
-        args = self._args(tmp_path, prices_path, meta_path,
-                          baseline_cache=cache)
-        assert main(args) == 4
-        err = capsys.readouterr().err
-        assert "I/O error" in err and "is a directory" in err
-        assert "Traceback" not in err
-        assert _file_bytes(tmp_path) == before
-
-    @pytest.mark.parametrize("parts", [("cli_out",),
-                                       ("cli_out", "..", "cli_out")],
-                             ids=["out", "out/../out"])
-    def test_cache_path_that_is_the_output_directory_exits_two(
-            self, tmp_path, capsys, monkeypatch, parts):
-        # the cache would be written as the file the reports' directory
-        # must be made at, so the run would fail after its ensemble
-        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
-        prices_path, meta_path = make_input_files(tmp_path)
-        before = _file_bytes(tmp_path)
-        args = self._args(tmp_path, prices_path, meta_path,
-                          baseline_cache=tmp_path.joinpath(*parts))
-        assert main(args) == 2
-        assert "is the output directory" in capsys.readouterr().err
-        assert _file_bytes(tmp_path) == before
-
-    @pytest.mark.parametrize("linked", [False, True])
-    @pytest.mark.parametrize("which", ["prices", "meta"])
-    def test_cache_path_that_is_an_input_exits_two(self, tmp_path, capsys,
-                                                   monkeypatch, which, linked):
-        def analyze_window(*args):
-            raise AssertionError("a window ran before the cache was checked")
-
-        monkeypatch.setattr(pipeline, "analyze_window", analyze_window)
-        prices_path, meta_path = make_input_files(tmp_path)
-        cache = {"prices": prices_path, "meta": meta_path}[which]
-        before = cache.read_bytes()
-        if linked:  # the same file under another name
-            (tmp_path / "cache.json").symlink_to(cache)
-            cache = tmp_path / "cache.json"
-        entries = sorted(path.name for path in tmp_path.iterdir())
-        args = self._args(tmp_path, prices_path, meta_path,
-                          baseline_cache=cache)
-        assert main(args) == 2
-        assert "is an input file" in capsys.readouterr().err
-        assert cache.read_bytes() == before
-        assert sorted(path.name for path in tmp_path.iterdir()) == entries
-
-    @pytest.mark.parametrize("earlier_run", [False, True])
-    @pytest.mark.parametrize("name", EXPECTED_FILES)
-    def test_cache_path_that_is_a_report_exits_two(self, tmp_path, capsys,
-                                                   monkeypatch, name,
-                                                   earlier_run):
-        # the report of the same name would replace the cache every run,
-        # so it could never hit; a dotted spelling names the same file
-        prices_path, meta_path = make_input_files(tmp_path)
-        if earlier_run:
-            assert main(self._args(tmp_path, prices_path, meta_path)) == 0
-        before = _file_bytes(tmp_path)
-        monkeypatch.setattr(pipeline, "analyze_window", _no_window)
-        for cache in (tmp_path / "cli_out" / name,
-                      tmp_path / "cli_out" / ".." / "cli_out" / name):
-            args = self._args(tmp_path, prices_path, meta_path,
-                              baseline_cache=cache)
-            assert main(args) == 2
-            assert "is a report file" in capsys.readouterr().err
-            assert _file_bytes(tmp_path) == before
-
-    @pytest.mark.parametrize("name", EXPECTED_FILES)
-    def test_report_path_that_is_a_directory_exits_four(self, tmp_path,
-                                                        capsys, monkeypatch,
-                                                        name):
-        # os.replace cannot move a report onto a directory, and the reports
-        # moved in before it would mix two runs' reports
-        prices_path, meta_path = make_input_files(tmp_path)
-        assert main(self._args(tmp_path, prices_path, meta_path)) == 0
-        report = tmp_path / "cli_out" / name
-        report.unlink()
-        report.mkdir()
-        (report / "kept.txt").write_text("kept")
-        before = _file_bytes(tmp_path)
-        monkeypatch.setattr(pipeline, "analyze_window", _no_window)
-        args = self._args(tmp_path, prices_path, meta_path) + ["--seed", "6"]
-        assert main(args) == 4
-        err = capsys.readouterr().err
-        assert "I/O error" in err and "is a directory" in err
-        assert _file_bytes(tmp_path) == before
-
-    @pytest.mark.parametrize("linked", [False, True])
-    @pytest.mark.parametrize("which, name", [("prices", "windows.csv"),
-                                             ("meta", "run_manifest.json")])
-    def test_report_path_that_is_an_input_exits_two(self, tmp_path, capsys,
-                                                    monkeypatch, which, name,
-                                                    linked):
-        # the report would replace the input, and the next run would fail
-        inputs = dict(zip(("prices", "meta"), make_input_files(tmp_path)))
-        (tmp_path / "cli_out").mkdir()
-        report = tmp_path / "cli_out" / name
-        inputs[which].rename(report)
-        inputs[which] = report
-        if linked:  # the same file under another name
-            inputs[which] = tmp_path / f"{which}_link.csv"
-            inputs[which].symlink_to(report)
-        before = _file_bytes(tmp_path)
-        monkeypatch.setattr(pipeline, "analyze_window", _no_window)
-        assert main(self._args(tmp_path, inputs["prices"],
-                               inputs["meta"])) == 2
-        assert "is an input file" in capsys.readouterr().err
-        assert _file_bytes(tmp_path) == before
 
     @pytest.mark.parametrize("link", ["symlink_to", "hardlink_to"])
     def test_report_name_linked_to_an_input_is_replaced(self, tmp_path,
@@ -1225,30 +1129,27 @@ class TestCLI:
         assert not report.is_symlink()
         assert report.read_bytes().startswith(b"window_index,")
 
-    @pytest.mark.parametrize("option, value, problem", BAD_OPTIONS.values(),
-                             ids=list(BAD_OPTIONS))
-    def test_bad_option_exits_two(self, tmp_path, capsys, option, value,
-                                  problem):
+    @pytest.mark.parametrize("setup, options, code, problem",
+                             FAILING_RUNS.values(), ids=list(FAILING_RUNS))
+    def test_failing_run_leaves_every_file(self, tmp_path, capsys,
+                                           monkeypatch, setup, options, code,
+                                           problem):
         prices_path, meta_path = make_input_files(tmp_path)
+        if setup is not None:
+            setup(tmp_path, monkeypatch)
+        capsys.readouterr()
+        before = _file_bytes(tmp_path)
+        monkeypatch.setattr(pipeline, "analyze_window", _no_window)
+        monkeypatch.setattr(nulls, "null_ensemble_stats", no_ensemble)
+        monkeypatch.setattr(blocks, "available_cpus", lambda: 1)
         args = self._args(tmp_path, prices_path, meta_path,
-                          **{"baseline_cache": tmp_path / "cache.json",
-                             option: str(value).format(tmp=tmp_path)})
-        assert main(args) == 2
+                          baseline_cache=tmp_path / "cache.json")
+        for key, value in options.items():  # a later option wins
+            args += [f"--{key.replace('_', '-')}",
+                     str(value).format(tmp=tmp_path)]
+        assert main(args) == code
         assert capsys.readouterr().err == (
             f"corrspectra: {problem.format(tmp=tmp_path)}\n")
-        assert not (tmp_path / "cli_out").exists()
-        assert not (tmp_path / "cache.json").exists()
-
-    def test_empty_output_exits_two(self, tmp_path, capsys, monkeypatch):
-        # Path("") is the current directory, whose reports it would replace
-        prices_path, meta_path = make_input_files(tmp_path)
-        (tmp_path / "windows.csv").write_bytes(b"earlier\n")
-        before = _file_bytes(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        args = self._args(tmp_path, prices_path, meta_path)
-        args[args.index("--out") + 1] = ""
-        assert main(args) == 2
-        assert "output directory must be nonempty" in capsys.readouterr().err
         assert _file_bytes(tmp_path) == before
 
     def test_null_option_is_gone(self, tmp_path, capsys):
